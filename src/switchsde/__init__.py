@@ -68,7 +68,6 @@ from .solvers import (
     em_jump_adapted,
     evaluate_path,
     exact_linear_solution,
-    frozen_at,
     interpolant_eval,
 )
 

@@ -54,10 +54,10 @@ def match_indices(haystack: np.ndarray, needles: np.ndarray, tol: float) -> np.n
     """
     needles = np.atleast_1d(np.asarray(needles, dtype=np.float64))
     pos = np.searchsorted(haystack, needles)
-    out = np.full(needles.shape, -1, dtype=np.int64)
-    for cand in (pos - 1, pos):
-        valid = (cand >= 0) & (cand < len(haystack))
-        ok = valid.copy()
-        ok[valid] = np.abs(haystack[cand[valid]] - needles[valid]) <= tol
-        out[ok] = cand[ok]
-    return out
+    hi = np.minimum(pos, len(haystack) - 1)
+    near = np.take(haystack, hi)
+    if np.array_equal(near, needles):  # every needle is a haystack point
+        return hi
+    lo = np.maximum(pos - 1, 0)
+    out = np.where(np.abs(np.take(haystack, lo) - needles) <= tol, lo, -1)
+    return np.where(np.abs(near - needles) <= tol, hi, out)

@@ -99,6 +99,8 @@ def _load_config(args) -> dict:
     if args.config:
         with open(args.config) as fh:
             user = json.load(fh)
+        if not isinstance(user, dict):
+            raise ConfigError("config file must hold a JSON object")
         version = user.get("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {version}")
@@ -227,7 +229,7 @@ def cmd_solve(args) -> int:
 def cmd_converge(args) -> int:
     cfg = _load_config(args)
     config = config_from_dict(cfg)
-    report = run_strong_error(config, threads=max(1, args.threads))
+    report = run_strong_error(config)
     out = _out_dir(args)
     _emit(os.path.join(out, "errors.csv"), report.write_errors_csv)
     _emit(os.path.join(out, "fit.csv"), report.write_fit_csv)
@@ -246,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--seed", type=int, default=None, help="override the config seed")
     common.add_argument("--out", default=None, help="output directory (default .)")
-    common.add_argument("--threads", type=int, default=1, help="worker threads")
+    common.add_argument("--threads", type=int, default=1,
+                        help="kept for compatibility; has no effect")
     common.add_argument("--smoke", action="store_true",
                         help="shrink samples and ladder for a quick run")
 
@@ -275,7 +278,7 @@ def main(argv=None) -> int:
     except JumpBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ConfigError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SwitchSdeError as exc:

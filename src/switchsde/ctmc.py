@@ -17,6 +17,7 @@ import numpy as np
 
 from ._timeutil import num_whole_steps, time_tolerance
 from .errors import (
+    ConfigError,
     InvalidRegimeError,
     JumpBudgetError,
     NegativeOffDiagonalError,
@@ -140,9 +141,11 @@ def generator_from_json(source) -> GeneratorMatrix:
         data = source
     else:
         data = json.load(source)
-    rates = data["rates"]
+    try:
+        rates, declared = data["rates"], int(data["states"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"generator needs 'states' and 'rates': {exc!r}") from None
     gen = validate_generator(rates)
-    declared = int(data["states"])
     if declared != gen.n_states:
         raise NonSquareError(
             f"declared {declared} states but rate matrix is {gen.n_states}x{gen.n_states}"

@@ -14,19 +14,25 @@ Per step size the root-L^p sup-error
     eps(delta) = ( mean_m sup_t |z(t) - Z(t)|^p )^(1/p)
 
 is reported with a delta-method standard error, and the convergence order is
-the least-squares slope of log2 eps against log2 delta. Results are
-bit-identical regardless of worker-thread count: samples land in an indexed
-buffer and the reduction runs in index order.
+the least-squares slope of log2 eps against log2 delta.
+
+Samples run in blocks of BLOCK_SIZE consecutive indices. For each step size
+one batched Euler recursion advances every sample of a block under every
+scheme, and the reference is one more such block on the reference step.
+Each sample's arithmetic is independent of its block, and the block size is
+a constant, so results are bit-identical across reruns and thread counts
+(the ``threads`` arguments are kept for compatibility and change nothing).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
 
+# aggregate_increments, em_classical, em_jump_adapted and evaluate_path are
+# unused here but stay bound: the traced benchmark (perfbench/spans.py)
+# wraps the layer functions under the names this module binds.
 from .brownian import (
     TimeGrid,
     aggregate_increments,
@@ -43,25 +49,32 @@ from .ctmc import (
     skeleton_from_path,
     stationary_distribution,
 )
-from .errors import ConfigError, DegenerateFitError, NonPositiveErrorValues
+from .errors import ConfigError, DegenerateFitError, NonPositiveErrorValues, ReducibleError
 from .model import HybridModel, model_from_config
 from .solvers import (
     CLASSICAL,
     JUMP_ADAPTED,
     SolutionPath,
     build_refined_grid,
+    classical_grid,
     em_classical,
     em_jump_adapted,
+    euler_block,
     evaluate_path,
     exact_linear_solution,
-    frozen_at,
 )
-from ._timeutil import match_indices, num_whole_steps, time_tolerance
+from ._timeutil import num_whole_steps, time_tolerance
 
 REFERENCE_CLOSED_FORM = "closed-form"
 REFERENCE_FINE_EM = "fine-em"
 
 _DEFAULT_DELTAS = tuple(2.0 ** -k for k in range(4, 10))
+
+#: Samples per block of the batched recursion. Fixed, so that neither the
+#: sample count nor a thread count can change the arithmetic; large enough
+#: that one block's 2N coefficient calls per step serve many samples, small
+#: enough that a block's buffers stay a few MB.
+BLOCK_SIZE = 64
 
 
 def derive_stream(master_seed: int, index: int) -> np.random.Generator:
@@ -248,56 +261,66 @@ def _switch_grid(chain: ChainPath) -> TimeGrid:
     return make_grid(np.append(chain.switch_times, chain.horizon))
 
 
-def _coupled_sample(config: ExperimentConfig, index: int, fine_step: float):
-    """Chain path and Brownian path on the union grid for one sample index."""
-    rng = derive_stream(config.seed, index)
-    chain = simulate_exact_path(
-        config.generator, config.model.initial_regime, config.horizon, rng
+def _coupled_blocks(config: ExperimentConfig, fine_step: float):
+    """Yield (chains, Brownian paths) for consecutive blocks of BLOCK_SIZE sample indices.
+
+    Sample m draws its chain path, then its Brownian path on the union of
+    the fine uniform grid and its switching times, from derive_stream(seed, m).
+    """
+    fine = uniform_grid(config.horizon, fine_step)
+    for lo in range(0, config.samples, BLOCK_SIZE):
+        chains, bms = [], []
+        for index in range(lo, min(lo + BLOCK_SIZE, config.samples)):
+            rng = derive_stream(config.seed, index)
+            chain = simulate_exact_path(
+                config.generator, config.model.initial_regime, config.horizon, rng
+            )
+            union = merge_grids(fine, _switch_grid(chain))
+            chains.append(chain)
+            bms.append(generate_increments(union, config.model.noise_dim, rng))
+        yield chains, bms
+
+
+def _refined_block(config: ExperimentConfig, delta: float, chains, bms):
+    return euler_block(
+        config.model, [build_refined_grid(c, delta, config.horizon) for c in chains], bms
     )
-    union = merge_grids(uniform_grid(config.horizon, fine_step), _switch_grid(chain))
-    bm = generate_increments(union, config.model.noise_dim, rng)
-    return chain, union, bm
 
 
-def _reference_values(config: ExperimentConfig, chain, union, bm) -> np.ndarray:
-    """Reference solution evaluated at every union-grid point."""
-    if config.reference == REFERENCE_CLOSED_FORM:
-        return exact_linear_solution(config.model, chain, bm).values
-    grid = build_refined_grid(chain, config.reference_step, config.horizon)
-    sol = em_jump_adapted(config.model, grid, bm)
-    idx = match_indices(sol.times, union.points, time_tolerance(config.horizon))
-    return sol.values[idx]
+def _sup_errors(config: ExperimentConfig) -> np.ndarray:
+    """sup_t |z - Z| over each sample's union grid, shaped (scheme, delta, sample).
 
-
-def _scheme_solution(config, scheme, delta, chain, bm) -> SolutionPath:
-    if scheme == JUMP_ADAPTED:
-        grid = build_refined_grid(chain, delta, config.horizon)
-        return em_jump_adapted(config.model, grid, bm)
-    ug = uniform_grid(config.horizon, delta)
-    skeleton = skeleton_from_path(chain, delta)
-    return em_classical(config.model, skeleton, delta, aggregate_increments(bm, ug))
-
-
-def _sample_sup_errors(config: ExperimentConfig, index: int) -> dict:
-    """sup_t |z - Z| over the union grid, per (scheme, delta), for one sample."""
-    chain, union, bm = _coupled_sample(config, index, config.reference_step)
-    ref = _reference_values(config, chain, union, bm)
-    out = {}
-    for delta in config.deltas:
-        for scheme in config.schemes:
-            sol = _scheme_solution(config, scheme, delta, chain, bm)
-            approx = evaluate_path(sol, bm, union.points)
-            gap = np.linalg.norm(ref - approx, axis=1)
-            out[(scheme, delta)] = float(gap.max())
+    All schemes at one step run as a single block, and so does the reference:
+    the closed form per sample, or the switch-adapted recursion on the
+    reference step.
+    """
+    schemes, deltas, horizon = config.schemes, config.deltas, config.horizon
+    uniform = {delta: uniform_grid(horizon, delta) for delta in deltas}
+    out = np.empty((len(schemes), len(deltas), config.samples))
+    done = 0
+    for chains, bms in _coupled_blocks(config, config.reference_step):
+        if config.reference == REFERENCE_CLOSED_FORM:
+            ref = np.concatenate(
+                [exact_linear_solution(config.model, c, bm).values for c, bm in zip(chains, bms)]
+            ).T
+        else:
+            ref = _refined_block(config, config.reference_step, chains, bms).on_brownian_grids()
+        starts = np.concatenate([[0], np.cumsum([len(bm.grid) for bm in bms])[:-1]])
+        starts = np.concatenate([starts + s * ref.shape[1] for s in range(len(schemes))])
+        for di, delta in enumerate(deltas):
+            grids = []
+            for scheme in schemes:
+                if scheme == JUMP_ADAPTED:
+                    grids += [build_refined_grid(c, delta, horizon) for c in chains]
+                else:
+                    grids += [classical_grid(skeleton_from_path(c, delta), delta, uniform[delta])
+                              for c in chains]
+            approx = euler_block(config.model, grids, bms * len(schemes)).on_brownian_grids()
+            gap = np.linalg.norm(np.tile(ref, (1, len(schemes))) - approx, axis=0)
+            sups = np.maximum.reduceat(gap, starts)
+            out[:, di, done:done + len(chains)] = sups.reshape(len(schemes), len(chains))
+        done += len(chains)
     return out
-
-
-def _run_indexed(task, count: int, threads: int) -> list:
-    """Evaluate task(i) for i in range(count) into an index-ordered buffer."""
-    if threads <= 1:
-        return [task(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(task, range(count)))
 
 
 def run_strong_error(config: ExperimentConfig, threads: int = 1) -> ErrorReport:
@@ -307,17 +330,17 @@ def run_strong_error(config: ExperimentConfig, threads: int = 1) -> ErrorReport:
     and step size as well as the reference, so differences are discretization
     error only. Step sizes whose estimate is exactly zero (schemes that are
     exact for the model) are reported but excluded from order fitting.
+    ``threads`` is accepted for compatibility and changes nothing.
     """
-    results = _run_indexed(lambda m: _sample_sup_errors(config, m), config.samples, threads)
+    all_sups = _sup_errors(config)
     points = []
     fits = []
     m = config.samples
-    for scheme in config.schemes:
+    for si, scheme in enumerate(config.schemes):
         for p in config.p_values:
             ladder = []
-            for delta in config.deltas:
-                sups = np.array([results[k][(scheme, delta)] for k in range(m)])
-                powered = sups**p
+            for di, delta in enumerate(config.deltas):
+                powered = all_sups[si, di] ** p
                 mean_p = float(powered.mean())
                 eps = mean_p ** (1.0 / p)
                 if eps > 0.0:
@@ -394,24 +417,21 @@ def moment_check(config: ExperimentConfig, threads: int = 1,
 
     Uses the same coupling as the error run, so across-ladder variation
     reflects discretization alone. Ratios beyond ``growth_flag_factor`` are
-    reported by ``flagged()``.
+    reported by ``flagged()``. ``threads`` is accepted for compatibility and
+    changes nothing.
     """
-
-    def one(index: int) -> dict:
-        chain, _, bm = _coupled_sample(config, index, config.finest_step)
-        out = {}
-        for delta in config.deltas:
-            grid = build_refined_grid(chain, delta, config.horizon)
-            sol = em_jump_adapted(config.model, grid, bm)
-            out[delta] = float(np.linalg.norm(sol.values, axis=1).max())
-        return out
-
-    results = _run_indexed(one, config.samples, threads)
+    sups = np.empty((len(config.deltas), config.samples))
+    done = 0
+    for chains, bms in _coupled_blocks(config, config.finest_step):
+        for di, delta in enumerate(config.deltas):
+            block = _refined_block(config, delta, chains, bms)
+            norms = np.linalg.norm(block.values, axis=0)
+            sups[di, done:done + len(chains)] = np.maximum.reduceat(norms, block.offsets[:-1])
+        done += len(chains)
     points = []
     for p in config.p_values:
-        for delta in config.deltas:
-            sups = np.array([results[k][delta] for k in range(config.samples)])
-            points.append(MomentPoint(p, delta, float(np.mean(sups**p))))
+        for di, delta in enumerate(config.deltas):
+            points.append(MomentPoint(p, delta, float(np.mean(sups[di] ** p))))
     return MomentReport(points=tuple(points), growth_flag_factor=growth_flag_factor)
 
 
@@ -472,7 +492,8 @@ def local_error_scaling(config: ExperimentConfig, threads: int = 1) -> LocalErro
     integrated out analytically (|A|^2 + Q for p = 2; the matching Gaussian
     moment formula for p = 4), which removes the one-draw noise that would
     otherwise swamp the max over midpoints. The maximum over midpoints of
-    the cell means should scale like delta^(p/2).
+    the cell means should scale like delta^(p/2). ``threads`` is accepted for
+    compatibility and changes nothing.
     """
     if any(p not in (2, 4) for p in config.p_values):
         raise ConfigError("local-error scaling supports moment orders 2 and 4")
@@ -487,30 +508,25 @@ def local_error_scaling(config: ExperimentConfig, threads: int = 1) -> LocalErro
         starts[delta] = np.arange(n_int, dtype=np.float64) * delta
         midpoints[delta] = starts[delta] + 0.5 * delta
 
-    def one(index: int) -> dict:
-        chain, _, bm = _coupled_sample(config, index, config.finest_step)
-        out = {}
+    cells = {(delta, p): [] for delta in config.deltas for p in (2, 4)}
+    for chains, bms in _coupled_blocks(config, config.finest_step):
         for delta in config.deltas:
-            grid = build_refined_grid(chain, delta, config.horizon)
-            sol = em_jump_adapted(config.model, grid, bm)
-            at = _piecewise_cumulants(sol)
-            f_lo, q_lo = at(starts[delta])
-            f_hi, q_hi = at(midpoints[delta])
-            drift2 = np.sum((f_hi - f_lo) ** 2, axis=1)
-            var = q_hi - q_lo
-            cells = {2: drift2 + var}
-            if 4 in config.p_values:
-                cells[4] = drift2**2 + 6.0 * drift2 * var + 3.0 * var**2
-            out[delta] = cells
-        return out
-
-    results = _run_indexed(one, config.samples, threads)
+            block = _refined_block(config, delta, chains, bms)
+            for row in range(len(chains)):
+                at = _piecewise_cumulants(block.solution(row, JUMP_ADAPTED))
+                f_lo, q_lo = at(starts[delta])
+                f_hi, q_hi = at(midpoints[delta])
+                drift2 = np.sum((f_hi - f_lo) ** 2, axis=1)
+                var = q_hi - q_lo
+                cells[delta, 2].append(drift2 + var)
+                if 4 in config.p_values:
+                    cells[delta, 4].append(drift2**2 + 6.0 * drift2 * var + 3.0 * var**2)
     points = []
     slopes = {}
     for p in config.p_values:
         ladder = []
         for delta in config.deltas:
-            stacked = np.stack([results[k][delta][p] for k in range(config.samples)])
+            stacked = np.stack(cells[delta, p])
             moment = float(stacked.mean(axis=0).max())
             points.append(LocalErrorPoint(p, delta, moment))
             ladder.append((delta, moment))
@@ -581,6 +597,8 @@ def validate_chain_statistics(
     and (c) long-run occupancy against the stationary distribution with
     3-sigma batch-means bounds. Failures are report entries, not exceptions.
     """
+    import scipy.stats  # costs about 1 s and 40 MB, so only validation pays for it
+
     if samples < 1000:
         raise ConfigError("need at least 1000 skeleton samples")
     rng = derive_stream(seed, 0)
@@ -636,7 +654,7 @@ def validate_chain_statistics(
     # (c) occupancy vs the stationary distribution
     try:
         pi = stationary_distribution(gen)
-    except Exception:
+    except ReducibleError:
         pi = None
     if pi is not None:
         batches = _occupancy_batches(chain, n, n_batches=20)

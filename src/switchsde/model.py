@@ -5,10 +5,12 @@ A model supplies the drift f(z, i) and diffusion g(z, i) of
     dz(t) = f(z(t), r(t)) dt + g(z(t), r(t)) dB(t)
 
 where r(t) is a finite-state chain with states 1..N. Coefficient callables
-must be pure and reentrant. For scalar models (state and noise dimension 1)
-the callables are also invoked with plain floats on the solver hot path and
-should return scalars there; `drift_eval`/`diffusion_eval` normalize shapes
-for general use.
+must be pure and reentrant, and they are batch-first: the solvers call
+``drift(Z, i)`` and ``diffusion(Z, i)`` positionally with a block of states
+``Z`` of shape (B, n), and the results must broadcast to (B, n) and
+(B, n, d). A constant such as a Python float broadcasts too.
+`drift_eval`/`diffusion_eval` evaluate one state as a batch of one and
+return the (n,) and (n, d) shapes.
 
 Two families ship with the package: a per-regime linear model (which has a
 conditional closed-form solution, used as the strong-error reference) and a
@@ -36,9 +38,10 @@ class HybridModel:
     state_dim, noise_dim, regime_count : int
         Dimensions n, d and the number of chain states N.
     drift : callable
-        (z, i) -> length-n drift vector, i in 1..N.
+        (Z, i) -> drift of each state in the block Z of shape (B, n),
+        broadcastable to (B, n); i in 1..N.
     diffusion : callable
-        (z, i) -> n x d diffusion matrix.
+        (Z, i) -> diffusion of each state, broadcastable to (B, n, d).
     initial_value : array-like
         Starting point z0 (length n).
     initial_regime : int
@@ -95,7 +98,7 @@ class LinearHybridModel(HybridModel):
             noise_dim=1,
             regime_count=len(a_arr),
             drift=lambda z, i: a_arr[i - 1] * z,
-            diffusion=lambda z, i: b_arr[i - 1] * z,
+            diffusion=lambda z, i: (b_arr[i - 1] * z)[..., None],
             initial_value=[float(np.asarray(z0).ravel()[0])],
             initial_regime=initial_regime,
         )
@@ -123,7 +126,7 @@ class TrigHybridModel(HybridModel):
             noise_dim=1,
             regime_count=len(a_arr),
             drift=lambda z, i: a_arr[i - 1] * np.sin(z) + c_arr[i - 1],
-            diffusion=lambda z, i: b_arr[i - 1] * np.cos(z),
+            diffusion=lambda z, i: (b_arr[i - 1] * np.cos(z))[..., None],
             initial_value=[float(z0)],
             initial_regime=initial_regime,
         )
@@ -140,15 +143,18 @@ def model_from_config(cfg: dict, initial_regime: int = 1) -> HybridModel:
         kind = cfg["model"]
     except (KeyError, TypeError):
         raise ConfigError("model config needs a 'model' key") from None
-    if kind == "linear":
-        return LinearHybridModel(
-            a=cfg["a"], b=cfg["b"], z0=cfg.get("z0", 1.0), initial_regime=initial_regime
-        )
-    if kind == "trig":
-        return TrigHybridModel(
-            a=cfg["a"], b=cfg["b"], c=cfg["c"], z0=cfg.get("z0", 1.0),
-            initial_regime=initial_regime,
-        )
+    try:
+        if kind == "linear":
+            return LinearHybridModel(
+                a=cfg["a"], b=cfg["b"], z0=cfg.get("z0", 1.0), initial_regime=initial_regime
+            )
+        if kind == "trig":
+            return TrigHybridModel(
+                a=cfg["a"], b=cfg["b"], c=cfg["c"], z0=cfg.get("z0", 1.0),
+                initial_regime=initial_regime,
+            )
+    except KeyError as exc:
+        raise ConfigError(f"{kind} model config lacks {exc}") from None
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
@@ -157,35 +163,31 @@ def _check_regime(model: HybridModel, i: int) -> None:
         raise InvalidRegimeError(f"regime {i} outside 1..{model.regime_count}")
 
 
-def drift_eval(model: HybridModel, z, i: int) -> np.ndarray:
-    """Evaluate the drift as a length-n vector, validating shape and finiteness."""
+def _eval_one(model: HybridModel, coefficient, name: str, z, i: int, shape) -> np.ndarray:
+    """Call a coefficient on the batch [z] and validate its (1, *shape) broadcast."""
     _check_regime(model, i)
     z = np.atleast_1d(np.asarray(z, dtype=np.float64))
-    out = np.atleast_1d(np.asarray(model.drift(z, i), dtype=np.float64))
-    if out.shape != (model.state_dim,):
+    out = np.asarray(coefficient(z[None, :], i), dtype=np.float64)
+    try:
+        out = np.broadcast_to(out, (1,) + shape)[0].copy()
+    except ValueError:
         raise DimensionMismatchError(
-            f"drift returned shape {out.shape}, expected ({model.state_dim},)"
-        )
+            f"{name} returned shape {out.shape}, expected one broadcastable to {(1,) + shape}"
+        ) from None
     if not np.all(np.isfinite(out)):
-        raise NonFiniteError(f"drift produced non-finite values at z={z}, regime {i}")
+        raise NonFiniteError(f"{name} produced non-finite values at z={z}, regime {i}")
     return out
+
+
+def drift_eval(model: HybridModel, z, i: int) -> np.ndarray:
+    """Evaluate the drift as a length-n vector, validating shape and finiteness."""
+    return _eval_one(model, model.drift, "drift", z, i, (model.state_dim,))
 
 
 def diffusion_eval(model: HybridModel, z, i: int) -> np.ndarray:
     """Evaluate the diffusion as an n x d matrix, validating shape and finiteness."""
-    _check_regime(model, i)
-    z = np.atleast_1d(np.asarray(z, dtype=np.float64))
-    out = np.asarray(model.diffusion(z, i), dtype=np.float64)
-    if out.ndim < 2 and out.size == model.state_dim * model.noise_dim:
-        out = out.reshape(model.state_dim, model.noise_dim)
-    if out.shape != (model.state_dim, model.noise_dim):
-        raise DimensionMismatchError(
-            f"diffusion returned shape {out.shape}, expected "
-            f"({model.state_dim}, {model.noise_dim})"
-        )
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteError(f"diffusion produced non-finite values at z={z}, regime {i}")
-    return out
+    return _eval_one(model, model.diffusion, "diffusion", z, i,
+                     (model.state_dim, model.noise_dim))
 
 
 def _draw_points(box, n: int, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -240,3 +240,26 @@ def test_converge_seed_flag_overrides(tmp_path):
 def test_unsupported_schema_version_exits_2(tmp_path):
     cfg = converge_config(tmp_path, schema_version=99)
     assert main(["converge", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+# --- error mapping ----------------------------------------------------------------
+
+
+def test_missing_generator_key_exits_2(tmp_path):
+    cfg = write_config(tmp_path, generator={"states": 2})
+    assert main(["chain", "simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+def test_missing_model_key_exits_2(tmp_path):
+    cfg = write_config(tmp_path, generator=TWO_STATE, model={"model": "linear", "a": [1.0, 2.0]})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+def test_internal_key_error_is_not_reported_as_config_error(tmp_path, monkeypatch):
+    def broken(config, threads=1):
+        raise KeyError("internal")
+
+    monkeypatch.setattr("switchsde.cli.run_strong_error", broken)
+    cfg = converge_config(tmp_path)
+    with pytest.raises(KeyError):
+        main(["converge", "--config", cfg, "--out", str(tmp_path)])

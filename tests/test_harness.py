@@ -1,6 +1,9 @@
 """Tests for the Monte Carlo estimation harness and chain validation."""
 
 import io
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -296,6 +299,31 @@ def test_chain_validation_csv():
     buf = io.StringIO()
     report.write_csv(buf)
     assert buf.getvalue().splitlines()[0] == "check,statistic,bound,passed,detail"
+
+
+def test_chain_validation_reducible_generator_skips_occupancy():
+    two_absorbing = s.validate_generator([[0.0, 0.0], [0.0, 0.0]])
+    report = s.validate_chain_statistics(two_absorbing, step=0.1, samples=1000, seed=0)
+    assert report.passed
+    assert report.checks
+    assert not [c for c in report.checks if c.name.startswith("occupancy")]
+
+
+def test_chain_validation_propagates_other_stationary_errors(monkeypatch):
+    def broken(gen):
+        raise RuntimeError("not a reducibility problem")
+
+    monkeypatch.setattr("switchsde.harness.stationary_distribution", broken)
+    with pytest.raises(RuntimeError):
+        s.validate_chain_statistics(GEN, step=0.1, samples=1000, seed=0)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    code = "import sys, switchsde; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_chain_validation_rejects_tiny_sample_count():
