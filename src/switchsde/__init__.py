@@ -21,7 +21,6 @@ from .ctmc import (
     ChainPath,
     GeneratorMatrix,
     TransitionMatrix,
-    embedded_chain_sample,
     generator_from_json,
     matrix_exponential,
     simulate_exact_path,
@@ -68,7 +67,6 @@ from .solvers import (
     em_jump_adapted,
     evaluate_path,
     exact_linear_solution,
-    interpolant_eval,
 )
 
 __version__ = "0.1.0"

@@ -12,12 +12,14 @@ Subcommands
 All outputs are pure functions of (config, seed); files are written via a
 temp file and an atomic rename, so reruns never leave partial results.
 Exit codes: 0 success, 1 statistical-check failure, 2 configuration error,
-3 runtime budget exceeded.
+3 runtime budget exceeded, 4 a scheme produced non-finite values. Any other
+error is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -25,12 +27,13 @@ import sys
 import numpy as np
 
 from ._timeutil import match_indices, time_tolerance
-from .brownian import aggregate_increments, generate_increments, merge_grids, uniform_grid
+from .brownian import aggregate_increments, uniform_grid
 from .ctmc import generator_from_json, simulate_exact_path, skeleton_from_path
-from .errors import ConfigError, JumpBudgetError, SwitchSdeError
+from .errors import ConfigError, GridMismatchError, JumpBudgetError, NonFiniteError
 from .harness import (
     REFERENCE_CLOSED_FORM,
     config_from_dict,
+    coupled_sample,
     derive_stream,
     run_strong_error,
     summary_text,
@@ -40,6 +43,7 @@ from .model import model_from_config
 from .solvers import (
     CLASSICAL,
     JUMP_ADAPTED,
+    SolutionPath,
     build_refined_grid,
     em_classical,
     em_jump_adapted,
@@ -50,6 +54,7 @@ EXIT_OK = 0
 EXIT_STAT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
+EXIT_NONFINITE = 4
 
 SCHEMA_VERSION = 1
 
@@ -75,23 +80,10 @@ def _atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-class _Writer:
-    """Collects CSV text and flushes it atomically."""
-
-    def __init__(self):
-        self.chunks = []
-
-    def write(self, s: str) -> None:
-        self.chunks.append(s)
-
-    def text(self) -> str:
-        return "".join(self.chunks)
-
-
 def _emit(path: str, render) -> None:
-    w = _Writer()
-    render(w)
-    _atomic_write(path, w.text())
+    buf = io.StringIO()
+    render(buf)
+    _atomic_write(path, buf.getvalue())
 
 
 def _load_config(args) -> dict:
@@ -155,11 +147,12 @@ def cmd_chain_validate(args) -> int:
     return EXIT_OK if report.passed else EXIT_STAT_FAIL
 
 
-def _uniform_view(solution, points, horizon):
+def _uniform_view(solution: SolutionPath, points, horizon) -> SolutionPath:
+    """The solution restricted to the uniform gridpoints."""
     idx = match_indices(solution.times, points, time_tolerance(horizon))
     if np.any(idx < 0):
-        raise ConfigError("solution does not cover the uniform grid")
-    return points, solution.values[idx]
+        raise GridMismatchError("solution does not cover the uniform grid")
+    return SolutionPath(times=points, values=solution.values[idx], scheme_tag=solution.scheme_tag)
 
 
 def cmd_solve(args) -> int:
@@ -170,41 +163,28 @@ def cmd_solve(args) -> int:
     step = float(cfg.get("step", 2.0**-4))
     if not 0.0 < step <= horizon:
         raise ConfigError(f"step must lie in (0, T], got {step}")
+    if model.regime_count != gen.n_states:
+        raise ConfigError(
+            f"model has {model.regime_count} regimes but the generator has {gen.n_states} states"
+        )
     schemes = list(cfg.get("schemes", [JUMP_ADAPTED, CLASSICAL]))
     reference = cfg.get("reference", REFERENCE_CLOSED_FORM if model.has_closed_form() else "none")
     if reference == REFERENCE_CLOSED_FORM and not model.has_closed_form():
         raise ConfigError("closed-form reference requested for a model without one")
 
-    rng = derive_stream(int(cfg["seed"]), 0)
-    chain = simulate_exact_path(gen, model.initial_regime, horizon, rng)
-    from .brownian import make_grid
-
     ugrid = uniform_grid(horizon, step)
-    union = merge_grids(ugrid, make_grid(np.append(chain.switch_times, horizon)))
-    bm = generate_increments(union, model.noise_dim, rng)
+    chain, bm = coupled_sample(gen, model, horizon, ugrid, derive_stream(int(cfg["seed"]), 0))
 
     out = _out_dir(args)
     written = []
 
-    target = os.path.join(out, "chain.csv")
-    _emit(target, chain.to_csv)
-    written.append(target)
-    target = os.path.join(out, "brownian.csv")
-    _emit(target, bm.to_csv)
-    written.append(target)
-
-    def write_solution(name, times, values):
-        def render(fh):
-            header = ",".join(["time"] + [f"z_{j + 1}" for j in range(values.shape[1])])
-            fh.write(header + "\n")
-            for t, row in zip(times, values):
-                cells = ",".join(f"{v:.17g}" for v in row)
-                fh.write(f"{t:.17g},{cells}\n")
-
+    def write(name, render):
         target = os.path.join(out, name)
         _emit(target, render)
         written.append(target)
 
+    write("chain.csv", chain.to_csv)
+    write("brownian.csv", bm.to_csv)
     for scheme in schemes:
         if scheme == JUMP_ADAPTED:
             sol = em_jump_adapted(model, build_refined_grid(chain, step, horizon), bm)
@@ -213,13 +193,12 @@ def cmd_solve(args) -> int:
             sol = em_classical(model, skel, step, aggregate_increments(bm, ugrid))
         else:
             raise ConfigError(f"unknown scheme {scheme!r}")
-        times, values = _uniform_view(sol, ugrid.points, horizon)
-        write_solution(f"solution_{scheme.replace('-', '_')}.csv", times, values)
+        write(f"solution_{scheme.replace('-', '_')}.csv",
+              _uniform_view(sol, ugrid.points, horizon).to_csv)
 
     if reference == REFERENCE_CLOSED_FORM:
         ref = exact_linear_solution(model, chain, bm)
-        times, values = _uniform_view(ref, ugrid.points, horizon)
-        write_solution("solution_reference.csv", times, values)
+        write("solution_reference.csv", _uniform_view(ref, ugrid.points, horizon).to_csv)
 
     for t in written:
         print(t)
@@ -281,9 +260,9 @@ def main(argv=None) -> int:
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SwitchSdeError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except NonFiniteError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NONFINITE
 
 
 def app() -> None:

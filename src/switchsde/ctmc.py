@@ -4,14 +4,14 @@ States are labeled 1..N throughout the public API. A chain is described by
 its generator matrix (off-diagonal entries are switching rates, rows sum to
 zero). The module provides generator validation, transition matrices via the
 matrix exponential, exact path simulation with exponential holding times,
-skeleton extraction on uniform grids, and the embedded-chain sampler driven
-by cumulative-probability inversion.
+the regime rule for segments between event times, and skeleton extraction
+on uniform grids.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,10 +28,6 @@ from .errors import (
 )
 
 ROW_SUM_TOL = 1e-12
-
-# Pade [6/6] numerator coefficients of exp(x), scaled to integers.
-_PADE6 = np.array([665280.0, 332640.0, 75600.0, 10080.0, 840.0, 42.0, 1.0])
-_PADE6_THETA = 0.5
 
 
 @dataclass(frozen=True)
@@ -154,35 +150,16 @@ def generator_from_json(source) -> GeneratorMatrix:
 
 
 def matrix_exponential(gen: GeneratorMatrix, t: float) -> TransitionMatrix:
-    """Transition matrix exp(rates * t) by scaling and squaring.
+    """Transition matrix exp(rates * t), computed by ``scipy.linalg.expm``.
 
-    Uses a degree-6 Pade core after scaling the argument below 0.5 in the
-    infinity norm, then repeatedly squares. Entries are clamped to [0, 1]
-    and rows renormalized, so the result is a stochastic matrix even after
-    rounding.
+    Entries are clamped to [0, 1] and rows renormalized, so the result is a
+    stochastic matrix even after rounding.
     """
+    from scipy.linalg import expm  # only chain validation needs it
+
     if t < 0.0:
         raise ValueError("time must be nonnegative")
-    n = gen.n_states
-    if t == 0.0:
-        return TransitionMatrix(step=t, probs=np.eye(n))
-    a = gen.rates * t
-    norm = np.abs(a).sum(axis=1).max()
-    squarings = 0
-    if norm > _PADE6_THETA:
-        squarings = int(np.ceil(np.log2(norm / _PADE6_THETA)))
-        a = a / (2.0 ** squarings)
-    ident = np.eye(n)
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    b = _PADE6
-    odd = a @ (b[1] * ident + b[3] * a2 + b[5] * a4)
-    even = b[0] * ident + b[2] * a2 + b[4] * a4 + b[6] * a6
-    p = np.linalg.solve(even - odd, even + odd)
-    for _ in range(squarings):
-        p = p @ p
-    p = np.clip(p, 0.0, 1.0)
+    p = np.clip(expm(gen.rates * t), 0.0, 1.0)
     p /= p.sum(axis=1, keepdims=True)
     return TransitionMatrix(step=t, probs=p)
 
@@ -311,6 +288,17 @@ def states_at(path: ChainPath, times: np.ndarray) -> np.ndarray:
     return path.states[np.maximum(idx, 0)]
 
 
+def segment_states(path: ChainPath, times: np.ndarray) -> np.ndarray:
+    """The state on each [times[k], times[k+1]), then the state at the last time.
+
+    A segment's state is read at its midpoint, so a switch that an event
+    grid absorbed into a nearby event (one within the time tolerance)
+    still governs the segment it opens.
+    """
+    times = np.asarray(times, dtype=np.float64)
+    return states_at(path, np.append(0.5 * (times[:-1] + times[1:]), times[-1:]))
+
+
 def skeleton_from_path(path: ChainPath, step: float) -> np.ndarray:
     """States read off the exact path at 0, step, 2*step, ... up to T.
 
@@ -322,31 +310,3 @@ def skeleton_from_path(path: ChainPath, step: float) -> np.ndarray:
     n = num_whole_steps(path.horizon, step)
     query = np.minimum(np.arange(n + 1, dtype=np.float64) * step, path.horizon)
     return states_at(path, query)
-
-
-def embedded_chain_sample(
-    pmat: TransitionMatrix,
-    initial: int,
-    steps: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Sample a discrete chain of ``steps`` transitions from P.
-
-    Each transition compares one uniform draw against the cumulative row
-    sums of P; the final state N absorbs the residual mass. Returns the
-    sequence including the initial state (length steps + 1).
-    """
-    n = pmat.probs.shape[0]
-    if not 1 <= initial <= n:
-        raise InvalidRegimeError(f"initial state {initial} outside 1..{n}")
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    cum = np.cumsum(pmat.probs, axis=1)
-    out = np.empty(steps + 1, dtype=np.int64)
-    out[0] = initial
-    state = int(initial)
-    for k in range(steps):
-        u = rng.random()
-        state = int(np.searchsorted(cum[state - 1, : n - 1], u, side="right")) + 1
-        out[k + 1] = state
-    return out

@@ -10,16 +10,20 @@ class SwitchSdeError(Exception):
 
 
 class ConfigError(SwitchSdeError):
-    """A configuration value violates a documented requirement."""
+    """A configuration value violates a documented requirement.
+
+    The input-validation errors below (a malformed generator, a regime
+    outside 1..N) derive from it, so the CLI reports them as config errors.
+    """
 
 
 # --- generator / chain errors -------------------------------------------------
 
-class NonSquareError(SwitchSdeError):
+class NonSquareError(ConfigError):
     """Rate matrix is not square."""
 
 
-class NegativeOffDiagonalError(SwitchSdeError):
+class NegativeOffDiagonalError(ConfigError):
     """An off-diagonal transition rate is negative."""
 
     def __init__(self, i: int, j: int, value: float):
@@ -27,7 +31,7 @@ class NegativeOffDiagonalError(SwitchSdeError):
         super().__init__(f"rate[{i},{j}] = {value} is negative (states are 1-based)")
 
 
-class RowSumViolationError(SwitchSdeError):
+class RowSumViolationError(ConfigError):
     """A generator row does not sum to zero within tolerance."""
 
     def __init__(self, i: int, row_sum: float):
@@ -67,7 +71,7 @@ class NonFiniteError(SwitchSdeError):
     """Model coefficients or solution values produced NaN or infinity."""
 
 
-class InvalidRegimeError(SwitchSdeError):
+class InvalidRegimeError(ConfigError):
     """Regime index outside {1, ..., N}."""
 
 

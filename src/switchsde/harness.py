@@ -4,7 +4,8 @@ The estimation design couples everything through shared randomness: for each
 sample index m a dedicated random stream (derived from the master seed and m
 by a fixed, documented mixing rule) first draws one exact chain path, then
 one Brownian path on the union grid containing the finest uniform gridpoints,
-every coarser gridpoint, all switching times, and the reference grid. Every
+every coarser gridpoint, all switching times, and the reference grid
+(`coupled_sample`, which ``switchsde solve`` draws too). Every
 scheme at every step size, and the reference solution itself, consume
 aggregations of that single realization, so the measured error is pure
 discretization error.
@@ -63,7 +64,7 @@ from .solvers import (
     evaluate_path,
     exact_linear_solution,
 )
-from ._timeutil import num_whole_steps, time_tolerance
+from ._timeutil import uniform_points
 
 REFERENCE_CLOSED_FORM = "closed-form"
 REFERENCE_FINE_EM = "fine-em"
@@ -257,27 +258,33 @@ def estimate_order(errors) -> tuple:
     return float(slope), float(intercept), float(r2)
 
 
-def _switch_grid(chain: ChainPath) -> TimeGrid:
-    return make_grid(np.append(chain.switch_times, chain.horizon))
+def coupled_sample(generator: GeneratorMatrix, model: HybridModel, horizon: float,
+                   fine: TimeGrid, rng: np.random.Generator) -> tuple:
+    """One coupled draw: a chain path, then a Brownian path on its union grid.
+
+    The chain path starts in the model's initial regime; the Brownian path
+    lives on the union of ``fine`` and the path's switching times. Returns
+    (chain, Brownian path).
+    """
+    chain = simulate_exact_path(generator, model.initial_regime, horizon, rng)
+    union = merge_grids(fine, make_grid(np.append(chain.switch_times, horizon)))
+    return chain, generate_increments(union, model.noise_dim, rng)
 
 
 def _coupled_blocks(config: ExperimentConfig, fine_step: float):
     """Yield (chains, Brownian paths) for consecutive blocks of BLOCK_SIZE sample indices.
 
-    Sample m draws its chain path, then its Brownian path on the union of
-    the fine uniform grid and its switching times, from derive_stream(seed, m).
+    Sample m is ``coupled_sample`` on the fine uniform grid, drawn from
+    derive_stream(seed, m).
     """
     fine = uniform_grid(config.horizon, fine_step)
     for lo in range(0, config.samples, BLOCK_SIZE):
         chains, bms = [], []
         for index in range(lo, min(lo + BLOCK_SIZE, config.samples)):
-            rng = derive_stream(config.seed, index)
-            chain = simulate_exact_path(
-                config.generator, config.model.initial_regime, config.horizon, rng
-            )
-            union = merge_grids(fine, _switch_grid(chain))
+            chain, bm = coupled_sample(config.generator, config.model, config.horizon, fine,
+                                       derive_stream(config.seed, index))
             chains.append(chain)
-            bms.append(generate_increments(union, config.model.noise_dim, rng))
+            bms.append(bm)
         yield chains, bms
 
 
@@ -502,10 +509,7 @@ def local_error_scaling(config: ExperimentConfig, threads: int = 1) -> LocalErro
     midpoints = {}
     starts = {}
     for delta in config.deltas:
-        n_int = num_whole_steps(config.horizon, delta)
-        if abs(n_int * delta - config.horizon) > time_tolerance(config.horizon):
-            n_int = min(n_int, int(config.horizon / delta))
-        starts[delta] = np.arange(n_int, dtype=np.float64) * delta
+        starts[delta] = uniform_points(config.horizon, delta, include_horizon=False)[:-1]
         midpoints[delta] = starts[delta] + 0.5 * delta
 
     cells = {(delta, p): [] for delta in config.deltas for p in (2, 4)}

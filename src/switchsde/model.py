@@ -66,10 +66,6 @@ class HybridModel:
                 f"initial regime {self.initial_regime} outside 1..{self.regime_count}"
             )
 
-    @property
-    def is_scalar(self) -> bool:
-        return self.state_dim == 1 and self.noise_dim == 1
-
     def has_closed_form(self) -> bool:
         return False
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from ._timeutil import match_indices, time_tolerance, uniform_points
 from .brownian import BrownianPath, TimeGrid
-from .ctmc import ChainPath, states_at
+from .ctmc import ChainPath, segment_states
 from .errors import (
     ConfigError,
     DimensionMismatchError,
@@ -116,8 +116,10 @@ def build_refined_grid(path: ChainPath, step: float, horizon: float | None = Non
     """Merge uniform gridpoints with the path's switching times.
 
     A switch landing within tolerance of a gridpoint is represented by the
-    gridpoint alone (the regime there is already the post-switch state by
-    right continuity). The event count never exceeds
+    gridpoint alone, and switches closer than tolerance by the first of them;
+    each segment's regime is the chain state inside it (`segment_states`),
+    so such a switch still governs the segment that follows. The event
+    count never exceeds
     floor(T / step) + segments + 1.
     """
     horizon = path.horizon if horizon is None else float(horizon)
@@ -135,7 +137,7 @@ def build_refined_grid(path: ChainPath, step: float, horizon: float | None = Non
         switches = switches[np.concatenate([[True], np.diff(switches) > tol])]
     events = np.sort(np.concatenate([base, switches]))
 
-    regimes = states_at(path, events)
+    regimes = segment_states(path, events)
     owners = np.searchsorted(multiples, events, side="right") - 1
     return RefinedGrid(
         step=float(step),
@@ -408,11 +410,6 @@ def em_classical(model: HybridModel, skeleton, step: float, bm: BrownianPath) ->
     return euler_block(model, [grid], [bm]).solution(0, CLASSICAL)
 
 
-def _segment_index(times: np.ndarray, query: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(times, query, side="right") - 1
-    return np.clip(idx, 0, len(times) - 2)
-
-
 def evaluate_path(solution: SolutionPath, bm: BrownianPath, times) -> np.ndarray:
     """Continuous-scheme values at arbitrary realized times, vectorized.
 
@@ -422,7 +419,7 @@ def evaluate_path(solution: SolutionPath, bm: BrownianPath, times) -> np.ndarray
     value. Requires solver segment data and B realized at every queried time.
     """
     if solution.seg_drift is None:
-        raise ValueError("solution carries no segment data; use interpolant_eval")
+        raise ValueError("solution carries no segment data")
     query = np.atleast_1d(np.asarray(times, dtype=np.float64))
     tol = time_tolerance(float(bm.grid.horizon))
     q_idx = match_indices(bm.grid.points, query, tol)
@@ -441,50 +438,6 @@ def evaluate_path(solution: SolutionPath, bm: BrownianPath, times) -> np.ndarray
         query - solution.times[seg],
         (bm.values[q_idx] - bm.values[ev_idx[seg]]).T,
     ).T
-
-
-def interpolant_eval(
-    discrete: SolutionPath,
-    model: HybridModel,
-    path: ChainPath,
-    bm: BrownianPath,
-    t: float,
-) -> np.ndarray:
-    """Continuous-scheme value at a single time t in [0, T].
-
-    At the solver's own event times the result equals the discrete value
-    exactly (the drift and diffusion terms contribute exact zeros). Solutions
-    without stored segment data are reconstructed from the model, the chain
-    path, and the recorded uniform step.
-    """
-    if discrete.seg_drift is not None:
-        return evaluate_path(discrete, bm, [t])[0]
-
-    from .model import diffusion_eval, drift_eval  # local to avoid cycle at import
-
-    if discrete.step is None:
-        raise ValueError("solution has neither segment data nor a recorded step")
-    horizon = float(discrete.times[-1])
-    tol = time_tolerance(horizon)
-    q_idx = match_indices(bm.grid.points, np.array([t]), tol)[0]
-    if q_idx < 0:
-        raise TimeNotRealizedError(f"no Brownian value at t={t}")
-    seg = int(_segment_index(discrete.times, np.array([t]))[0])
-    left = float(discrete.times[seg])
-    multiples = uniform_points(horizon, discrete.step, include_horizon=False)
-    owner = int(np.searchsorted(multiples, left, side="right")) - 1
-    grid_idx = match_indices(discrete.times, np.array([multiples[owner]]), tol)[0]
-    if grid_idx < 0:
-        raise GridMismatchError("owner gridpoint missing from solution times")
-    frozen = discrete.values[grid_idx]
-    regime = states_at(path, np.array([left]))[0]
-    f = drift_eval(model, frozen, int(regime))
-    g = diffusion_eval(model, frozen, int(regime))
-    left_idx = match_indices(bm.grid.points, np.array([left]), tol)[0]
-    if left_idx < 0:
-        raise TimeNotRealizedError(f"no Brownian value at segment start {left}")
-    db = bm.values[q_idx] - bm.values[left_idx]
-    return discrete.values[seg] + f * (t - left) + g @ db
 
 
 def exact_linear_solution(
@@ -508,7 +461,7 @@ def exact_linear_solution(
         raise RegimeNotConstantError(
             f"interval [{pts[k]}, {pts[k + 1]}] straddles a regime switch"
         )
-    reg = states_at(path, pts[:-1])
+    reg = segment_states(path, pts)[:-1]
     a = model.a[reg - 1]
     b = model.b[reg - 1]
     dt = np.diff(pts)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from switchsde.cli import main
+from switchsde.errors import GridMismatchError, NonFiniteError
 
 TWO_STATE = {"states": 2, "rates": [[-1.0, 1.0], [2.0, -2.0]]}
 
@@ -157,6 +158,12 @@ def test_solve_constant_drift_matches_piecewise_linear(tmp_path):
         assert abs(float(z_str) - exact(float(t_str))) <= 1e-12
 
 
+def test_solve_rejects_regime_count_mismatch(tmp_path):
+    three = {"states": 3, "rates": [[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [1.0, 1.0, -2.0]]}
+    cfg = write_config(tmp_path, generator=three, schemes=[], horizon=3.0)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
 def test_solve_rejects_closed_form_for_trig(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -263,3 +270,36 @@ def test_internal_key_error_is_not_reported_as_config_error(tmp_path, monkeypatc
     cfg = converge_config(tmp_path)
     with pytest.raises(KeyError):
         main(["converge", "--config", cfg, "--out", str(tmp_path)])
+
+
+def test_non_finite_solution_exits_4(tmp_path, monkeypatch):
+    def diverging(config, threads=1):
+        raise NonFiniteError("scheme produced non-finite values")
+
+    monkeypatch.setattr("switchsde.cli.run_strong_error", diverging)
+    cfg = converge_config(tmp_path)
+    assert main(["converge", "--config", cfg, "--out", str(tmp_path)]) == 4
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_solve_diverging_model_exits_4(tmp_path):
+    cfg = write_config(
+        tmp_path, generator=TWO_STATE, schemes=["jump-adapted"],
+        model={"model": "linear", "a": [1e200, 1e200], "b": [0.0, 0.0], "z0": 1.0},
+    )
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 4
+
+
+def test_contract_error_is_not_reported_as_config_error(tmp_path, monkeypatch):
+    def broken(config, threads=1):
+        raise GridMismatchError("internal")
+
+    monkeypatch.setattr("switchsde.cli.run_strong_error", broken)
+    cfg = converge_config(tmp_path)
+    with pytest.raises(GridMismatchError):
+        main(["converge", "--config", cfg, "--out", str(tmp_path)])
+
+
+def test_initial_regime_outside_chain_exits_2(tmp_path):
+    cfg = write_config(tmp_path, generator=TWO_STATE, initial_regime=3)
+    assert main(["chain", "simulate", "--config", cfg, "--out", str(tmp_path)]) == 2

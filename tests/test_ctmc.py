@@ -96,6 +96,11 @@ def test_matrix_exponential_symmetric_closed_form():
     assert np.abs(p - [[0.75, 0.25], [0.25, 0.75]]).max() < 1e-12
 
 
+def test_matrix_exponential_two_state_closed_form(gen):
+    for t in (0.1, 1.0):
+        assert np.abs(s.matrix_exponential(gen, t).probs - two_state_transition(t)).max() < 1e-12
+
+
 def test_matrix_exponential_long_time_reaches_stationary(gen):
     p = s.matrix_exponential(gen, 10.0).probs
     assert np.abs(p - [2.0 / 3.0, 1.0 / 3.0]).max() < 1e-6
@@ -291,33 +296,6 @@ def test_skeleton_matches_state_at(gen):
         skel = s.skeleton_from_path(path, step)
         for k, state in enumerate(skel):
             assert state == s.state_at(path, min(k * step, path.horizon))
-
-
-# --- embedded_chain_sample -------------------------------------------------------
-
-
-def test_embedded_identity_matrix_is_constant():
-    pmat = s.TransitionMatrix(step=1.0, probs=np.eye(3))
-    seq = s.embedded_chain_sample(pmat, 2, 10, np.random.default_rng(0))
-    assert seq.tolist() == [2] * 11
-
-
-def test_embedded_deterministic_flip():
-    pmat = s.TransitionMatrix(step=1.0, probs=np.array([[0.0, 1.0], [1.0, 0.0]]))
-    seq = s.embedded_chain_sample(pmat, 1, 4, np.random.default_rng(0))
-    assert seq.tolist() == [1, 2, 1, 2, 1]
-
-
-def test_embedded_frequency_matches_transition_matrix(gen):
-    step = 0.1
-    pmat = s.matrix_exponential(gen, step)
-    p12 = two_state_transition(step)[0, 1]
-    assert abs(pmat.probs[0, 1] - p12) < 1e-12
-    seq = s.embedded_chain_sample(pmat, 1, 10**5, np.random.default_rng(21))
-    from_one = seq[:-1] == 1
-    n = int(from_one.sum())
-    freq = float(np.sum(seq[1:][from_one] == 2)) / n
-    assert abs(freq - p12) <= 3.0 * np.sqrt(p12 * (1.0 - p12) / n)
 
 
 # --- CSV export -------------------------------------------------------------------

@@ -6,7 +6,9 @@ frozen drift times its duration and its frozen diffusion times its Brownian
 increment. The kernel sums the same terms per regime and interval instead,
 so it may differ from the loop in the last bits: agreement is required to
 1e-12 relative to the size of the solution. A sample's results must not
-depend at all on the block it runs in.
+depend at all on the block it runs in. Because the loop reads its regimes
+from ``build_refined_grid``, switches within TIME_TOL of an event are
+checked separately, against integrals taken from the chain path alone.
 """
 
 from unittest import mock
@@ -230,3 +232,55 @@ def test_sup_errors_are_block_invariant_and_match_oracle(data):
             assert np.array_equal(harness._sup_errors(config), sups)
     oracle, scale = oracle_sup_errors(config)
     assert_close(sups, oracle, scale)
+
+
+# --- switches within TIME_TOL of an event -------------------------------------------
+
+
+@st.composite
+def close_switch_paths(draw, horizon: float, step: float):
+    """Paths with switches at gridpoint ± {0, tol/2, 2 tol} and pairs closer than tol."""
+    tol = time_tolerance(horizon)
+    candidates = set()
+    for k in draw(st.lists(st.integers(1, int(horizon / step)), max_size=3)):
+        candidates.add(k * step + draw(st.sampled_from([-2.0, -0.5, 0.0, 0.5, 2.0])) * tol)
+    for t in draw(st.lists(st.floats(0.01, horizon - 0.01), min_size=1, max_size=3)):
+        candidates.update([t, t + draw(st.sampled_from([0.3, 0.5, 0.9])) * tol])
+    times = [0.0] + sorted(t for t in candidates if 0.0 < t < horizon)
+    n_states = draw(st.integers(2, 4))
+    states = [draw(st.integers(1, n_states))]
+    for _ in times[1:]:
+        states.append(draw(st.sampled_from([j for j in range(1, n_states + 1) if j != states[-1]])))
+    path = s.ChainPath(horizon=horizon, switch_times=np.array(times),
+                       states=np.array(states, dtype=np.int64))
+    return path, n_states
+
+
+def integral_along_path(path, c, t):
+    """The integral of c[r(s) - 1] over [0, t], from the path's switch times alone."""
+    starts = path.switch_times
+    ends = np.append(starts[1:], path.horizon)
+    return float(np.sum(c[path.states - 1] * np.clip(np.minimum(ends, t) - starts, 0.0, None)))
+
+
+@given(st.data())
+def test_switches_near_events_run_in_the_regime_they_open(data):
+    horizon, step = data.draw(horizons), data.draw(steps)
+    path, n_states = data.draw(close_switch_paths(horizon, step))
+    c = np.arange(1.0, n_states + 1.0)
+    ug = s.uniform_grid(horizon, step)
+    bm = brownian_for(path, step, 1, 0)
+    # each switch moved by at most 2 tol, or an excursion shorter than tol lost
+    atol = 4 * len(path.switch_times) * n_states * time_tolerance(horizon)
+    want = [integral_along_path(path, c, t) for t in ug.points]
+
+    constant = s.HybridModel(state_dim=1, noise_dim=1, regime_count=n_states,
+                             drift=lambda z, i: c[i - 1], diffusion=lambda z, i: 0.0,
+                             initial_value=[0.0])
+    sol = s.em_jump_adapted(constant, s.build_refined_grid(path, step, horizon), bm)
+    assert np.max(np.abs(s.evaluate_path(sol, bm, ug.points)[:, 0] - want)) <= atol
+
+    linear = s.LinearHybridModel(a=c, b=np.zeros(n_states), z0=1.0)
+    exact = s.exact_linear_solution(linear, path, bm)
+    at = match_indices(bm.grid.points, ug.points, time_tolerance(horizon))
+    assert np.max(np.abs(np.log(exact.values[at, 0]) - want)) <= atol

@@ -225,7 +225,7 @@ def test_interpolant_reproduces_discrete_values_exactly():
         recomputed = s.evaluate_path(sol, bm, sol.times)
         assert np.array_equal(recomputed, sol.values)
         t = float(sol.times[int(rng.integers(len(sol.times)))])
-        single = s.interpolant_eval(sol, model, path, bm, t)
+        single = s.evaluate_path(sol, bm, [t])[0]
         k = sol.times.tolist().index(t)
         assert np.array_equal(single, sol.values[k])
 
@@ -236,24 +236,9 @@ def test_interpolant_linear_between_events_for_deterministic_drift():
     step = 0.5
     bm = coupled_brownian(path, 0.25)
     sol = s.em_jump_adapted(model, s.build_refined_grid(path, step), bm)
-    mid = s.interpolant_eval(sol, model, path, bm, 0.25)
+    mid = s.evaluate_path(sol, bm, [0.25])[0]
     assert mid[0] == pytest.approx(0.25, abs=1e-15)
-    assert s.interpolant_eval(sol, model, path, bm, 0.0)[0] == 0.0
-
-
-def test_interpolant_without_segment_data_reconstructs():
-    model = s.LinearHybridModel(a=[1.0, 2.0], b=[2.0, 1.0], z0=1.0)
-    path = chain(1.0, [0.0, 0.3], [1, 2])
-    step = 0.25
-    bm = coupled_brownian(path, step, seed=3)
-    sol = s.em_jump_adapted(model, s.build_refined_grid(path, step), bm)
-    stripped = s.SolutionPath(
-        times=sol.times, values=sol.values, scheme_tag=sol.scheme_tag, step=sol.step
-    )
-    for t in (0.0, 0.3, 0.5, 1.0):
-        expect = s.interpolant_eval(sol, model, path, bm, t)
-        got = s.interpolant_eval(stripped, model, path, bm, t)
-        assert np.allclose(got, expect, rtol=0, atol=1e-14)
+    assert s.evaluate_path(sol, bm, [0.0])[0][0] == 0.0
 
 
 def test_interpolant_requires_realized_time():
