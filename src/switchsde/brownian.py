@@ -53,11 +53,19 @@ def make_grid(points) -> TimeGrid:
     if len(pts) == 0:
         raise InvalidGridError("no grid points given")
     tol = time_tolerance(pts[-1])
-    keep = [0]
-    for k in range(1, len(pts)):
-        if pts[k] - pts[keep[-1]] > tol:
-            keep.append(k)
-    pts = pts[keep].copy()
+    # a point more than tol past its predecessor is more than tol past the
+    # last kept point too; only points within tol of their predecessor need
+    # the distance to the last kept one
+    keep = np.empty(len(pts), dtype=bool)
+    keep[0] = True
+    np.greater(np.diff(pts), tol, out=keep[1:])
+    last = 0
+    for k in np.flatnonzero(~keep).tolist():
+        if keep[k - 1]:
+            last = k - 1
+        if pts[k] - pts[last] > tol:
+            keep[k] = True
+    pts = pts[keep]
     if abs(pts[0]) <= tol:
         pts[0] = 0.0
     return TimeGrid(points=pts)

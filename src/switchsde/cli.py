@@ -168,7 +168,13 @@ def cmd_solve(args) -> int:
             f"model has {model.regime_count} regimes but the generator has {gen.n_states} states"
         )
     schemes = list(cfg.get("schemes", [JUMP_ADAPTED, CLASSICAL]))
+    unknown = set(schemes) - {JUMP_ADAPTED, CLASSICAL}
+    if unknown:
+        raise ConfigError(f"unknown schemes {sorted(unknown)}")
     reference = cfg.get("reference", REFERENCE_CLOSED_FORM if model.has_closed_form() else "none")
+    if reference not in (REFERENCE_CLOSED_FORM, "none"):
+        raise ConfigError(f"solve writes a {REFERENCE_CLOSED_FORM!r} reference or 'none', "
+                          f"not {reference!r}")
     if reference == REFERENCE_CLOSED_FORM and not model.has_closed_form():
         raise ConfigError("closed-form reference requested for a model without one")
 
@@ -188,11 +194,9 @@ def cmd_solve(args) -> int:
     for scheme in schemes:
         if scheme == JUMP_ADAPTED:
             sol = em_jump_adapted(model, build_refined_grid(chain, step, horizon), bm)
-        elif scheme == CLASSICAL:
+        else:
             skel = skeleton_from_path(chain, step)
             sol = em_classical(model, skel, step, aggregate_increments(bm, ugrid))
-        else:
-            raise ConfigError(f"unknown scheme {scheme!r}")
         write(f"solution_{scheme.replace('-', '_')}.csv",
               _uniform_view(sol, ugrid.points, horizon).to_csv)
 

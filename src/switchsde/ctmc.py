@@ -11,7 +11,9 @@ on uniform grids.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +31,9 @@ from .errors import (
 
 ROW_SUM_TOL = 1e-12
 
+#: Most (hold, jump) uniform pairs that simulate_exact_path draws at once.
+CHUNK_PAIRS = 4096
+
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
@@ -43,6 +48,23 @@ class GeneratorMatrix:
     def exit_rate(self, i: int) -> float:
         """Rate of leaving state i (nonnegative; 0 for an absorbing state)."""
         return -float(self.rates[i - 1, i - 1])
+
+    @cached_property
+    def jump_tables(self) -> tuple:
+        """Per state i (0-based): the cumulative jump probabilities to the
+        states i can jump to, and those states with the last one repeated.
+
+        ``landing[searchsorted(thresholds, u, side="right")]`` is then the
+        state a uniform u selects, the last positive-rate state taking any
+        rounding residue. An absorbing state has no thresholds and lands on
+        itself.
+        """
+        thresholds, landing = [], []
+        for i, row in enumerate(self.rates):
+            cand = np.flatnonzero(row > 0.0)
+            thresholds.append(np.cumsum(row[cand]) / -row[i])
+            landing.append(np.append(cand, cand[-1]) if len(cand) else np.array([i]))
+        return thresholds, landing
 
 
 @dataclass(frozen=True)
@@ -219,6 +241,14 @@ def simulate_exact_path(
     rounding mass. Absorbing states (zero exit rate) hold forever, so the
     path is truncated at T. Exceeding ``max_switches`` raises
     JumpBudgetError and flags a pathological rate scale.
+
+    Draw order: hold and jump uniforms alternate, starting with a hold, and
+    a hold with u = 0 is redrawn. A path with k switches therefore takes
+    2k+1 uniforms from ``rng`` (the last hold crosses T), or 2k when it ends
+    in an absorbing state, plus one per redrawn hold; whatever the caller
+    draws next, such as the Brownian path, starts right after them.
+    The uniforms are drawn in chunks of (hold, jump) pairs; the generator
+    is then rewound and advanced by exactly the count used.
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
@@ -226,50 +256,60 @@ def simulate_exact_path(
     if not 1 <= initial <= n:
         raise InvalidRegimeError(f"initial state {initial} outside 1..{n}")
 
-    # per-state candidate states (1-based) and cumulative jump thresholds
-    candidates: list[np.ndarray] = []
-    thresholds: list[np.ndarray] = []
-    for i in range(n):
-        exit_rate = -gen.rates[i, i]
-        cand = np.array(
-            [j for j in range(n) if j != i and gen.rates[i, j] > 0.0], dtype=np.int64
-        )
-        candidates.append(cand + 1)
-        if exit_rate > 0.0:
-            thresholds.append(np.cumsum(gen.rates[i, cand]) / exit_rate)
-        else:
-            thresholds.append(np.empty(0))
+    diag = np.diagonal(gen.rates)
+    thresholds, landing_states = gen.jump_tables
+    absorbing = (diag == 0.0).tolist()
+    top_rate = -float(diag.min())
 
-    times = [0.0]
-    states = [int(initial)]
+    times = [np.zeros(1)]
+    states = [initial - 1]
     t = 0.0
-    state = int(initial)
-    while True:
-        gii = gen.rates[state - 1, state - 1]
-        if gii == 0.0:
-            break
-        tau = 0.0
-        while tau <= 0.0:  # u = 0 would yield a zero hold; redraw
-            tau = np.log1p(-rng.random()) / gii
-        t = t + tau
-        if t >= horizon:
-            break
-        if len(times) - 1 >= max_switches:
-            raise JumpBudgetError(
-                f"more than {max_switches} switches before t={horizon}"
-            )
-        cum = thresholds[state - 1]
-        k = int(np.searchsorted(cum, rng.random(), side="right"))
-        if k >= len(cum):
-            k = len(cum) - 1
-        state = int(candidates[state - 1][k])
-        times.append(t)
-        states.append(state)
+    state = initial - 1
+    while not absorbing[state] and t < horizon:
+        # enough pairs for the expected switches plus four standard deviations
+        expected = (horizon - t) * top_rate
+        pairs = int(max(1, min(CHUNK_PAIRS, max_switches - len(states) + 2,
+                               expected + 4.0 * math.sqrt(expected) + 2.0)))
+        saved = rng.bit_generator.state
+        u = rng.random(2 * pairs)
+
+        u_jump = u[1::2]
+        landing = np.empty((n, pairs), dtype=np.int64)
+        for i in range(n):
+            landing[i] = landing_states[i][np.searchsorted(thresholds[i], u_jump, side="right")]
+        # visited[j] is the state before pair j; the walk ends at an absorbing state
+        visited = [state]
+        for step_map in landing.T.tolist():
+            if absorbing[state]:
+                break
+            state = step_map[state]
+            visited.append(state)
+        live = len(visited) - 1
+
+        clock = np.empty(live + 1)
+        clock[0] = t
+        clock[1:] = np.log1p(-u[0:2 * live:2]) / diag[visited[:live]]
+        zero_hold = clock[1:] <= 0.0  # u = 0 gives a zero hold, which is redrawn
+        np.cumsum(clock, out=clock)
+        stops = np.flatnonzero(zero_hold | (clock[1:] >= horizon))
+        done = int(stops[0]) if len(stops) else live
+        if len(states) - 1 + done > max_switches:
+            raise JumpBudgetError(f"more than {max_switches} switches before t={horizon}")
+        times.append(clock[1:done + 1])
+        states.extend(visited[1:done + 1])
+        state = visited[done]
+        t = clock[min(done + 1, live)]
+
+        # a stop at a hold (zero or crossing T) used that hold but not its jump
+        used = 2 * done + (done < live)
+        if used < 2 * pairs:
+            rng.bit_generator.state = saved
+            rng.random(used)
 
     return ChainPath(
         horizon=float(horizon),
-        switch_times=np.array(times, dtype=np.float64),
-        states=np.array(states, dtype=np.int64),
+        switch_times=np.concatenate(times),
+        states=np.array(states, dtype=np.int64) + 1,
     )
 
 

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import switchsde as s
+from switchsde._timeutil import TIME_TOL, time_tolerance
 from switchsde.errors import HorizonMismatchError, InvalidGridError, NotRefinementError
 
 
@@ -18,6 +21,40 @@ def test_make_grid_sorts_and_dedups():
 def test_make_grid_collapses_near_duplicates():
     g = s.make_grid([0.0, 0.5, 0.5 + 1e-16, 1.0])
     assert len(g) == 3
+
+
+def test_make_grid_keeps_first_of_each_cluster_in_a_chain():
+    # consecutive gaps of 0.6 tol: each point is within tol of the one before,
+    # but every second one is more than tol past the last point kept
+    chain = 0.5 + TIME_TOL * np.array([0.0, 0.6, 1.2, 1.8, 2.4])
+    g = s.make_grid(np.concatenate([[0.0], chain, [1.0]]))
+    assert g.points.tolist() == [0.0, chain[0], chain[2], chain[4], 1.0]
+
+
+def grid_loop(points):
+    """The per-point loop: keep a point when it lies more than tol past the last one kept."""
+    pts = np.sort(np.asarray(points, dtype=np.float64).ravel())
+    tol = time_tolerance(pts[-1])
+    keep = [0]
+    for k in range(1, len(pts)):
+        if pts[k] - pts[keep[-1]] > tol:
+            keep.append(k)
+    pts = pts[keep].copy()
+    if abs(pts[0]) <= tol:
+        pts[0] = 0.0
+    return pts
+
+
+@given(st.data())
+def test_make_grid_matches_loop(data):
+    horizon = data.draw(st.sampled_from([1.0, 3.0, 250.0]))
+    tol = time_tolerance(horizon)
+    points = [0.0, horizon]
+    for start in data.draw(st.lists(st.floats(0.0, horizon), max_size=8)):
+        gaps = data.draw(st.lists(st.sampled_from([0.0, 0.3, 0.6, 0.999, 1.0, 1.001, 1.7]),
+                                  min_size=1, max_size=6))
+        points.extend(p for p in start + tol * np.cumsum(gaps) if p <= horizon)
+    assert s.make_grid(points).points.tobytes() == grid_loop(points).tobytes()
 
 
 def test_make_grid_requires_zero_start():

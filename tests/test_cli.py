@@ -94,9 +94,10 @@ def test_chain_validate_skewed_sampler_exits_1(tmp_path, monkeypatch):
     class Skewed:
         def __init__(self, inner):
             self.inner = inner
+            self.bit_generator = inner.bit_generator
 
-        def random(self):
-            return self.inner.random() ** 2
+        def random(self, size=None):
+            return self.inner.random(size) ** 2
 
     monkeypatch.setattr(
         "switchsde.harness.derive_stream",
@@ -174,6 +175,27 @@ def test_solve_rejects_closed_form_for_trig(tmp_path):
         reference="closed-form",
     )
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("extra", [
+    {"schemes": ["jump-adapted", "bogus"]},
+    {"reference": "fine-em"},
+    {"reference": "bogus"},
+])
+def test_solve_rejects_bad_config_before_writing(tmp_path, extra):
+    cfg = write_config(tmp_path, generator=TWO_STATE, horizon=1.0, step=0.25, **extra)
+    out = tmp_path / "solve"
+    out.mkdir()
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert os.listdir(out) == []
+
+
+def test_solve_without_reference_writes_none(tmp_path):
+    cfg = write_config(tmp_path, generator=TWO_STATE, horizon=1.0, step=0.25,
+                       schemes=["classical"], reference="none")
+    out = tmp_path / "solve"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["brownian.csv", "chain.csv", "solution_classical.csv"]
 
 
 # --- converge ---------------------------------------------------------------------

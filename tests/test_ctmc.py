@@ -1,14 +1,23 @@
-"""Tests for the chain machinery: generators, transition matrices, paths."""
+"""Tests for the chain machinery: generators, transition matrices, paths.
+
+The chunked path simulator is checked against the per-switch loop it
+replaced, kept here as the oracle: paths must agree bit for bit, and the
+random stream must end in the same state.
+"""
 
 import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.stats
+from hypothesis import given
+from hypothesis import strategies as st
 
 import switchsde as s
+import switchsde.ctmc as ctmc
 from switchsde.errors import (
     InvalidRegimeError,
     JumpBudgetError,
@@ -232,6 +241,151 @@ def test_path_determinism(gen):
 def test_initial_state_validated(gen):
     with pytest.raises(InvalidRegimeError):
         s.simulate_exact_path(gen, 3, 1.0, np.random.default_rng(0))
+
+
+# --- chunked simulation against the per-switch loop --------------------------------
+
+
+def loop_path(gen, initial, horizon, rng, max_switches=10**6):
+    """The per-switch loop: one hold draw, then one jump draw, per switch."""
+    n = gen.n_states
+    candidates, thresholds = [], []
+    for i in range(n):
+        exit_rate = -gen.rates[i, i]
+        cand = np.array([j for j in range(n) if j != i and gen.rates[i, j] > 0.0],
+                        dtype=np.int64)
+        candidates.append(cand + 1)
+        thresholds.append(np.cumsum(gen.rates[i, cand]) / exit_rate if exit_rate > 0.0
+                          else np.empty(0))
+    times, states = [0.0], [int(initial)]
+    t, state = 0.0, int(initial)
+    while True:
+        gii = gen.rates[state - 1, state - 1]
+        if gii == 0.0:
+            break
+        tau = 0.0
+        while tau <= 0.0:  # u = 0 would yield a zero hold; redraw
+            tau = np.log1p(-rng.random()) / gii
+        t = t + tau
+        if t >= horizon:
+            break
+        if len(times) - 1 >= max_switches:
+            raise JumpBudgetError(f"more than {max_switches} switches before t={horizon}")
+        cum = thresholds[state - 1]
+        k = min(int(np.searchsorted(cum, rng.random(), side="right")), len(cum) - 1)
+        state = int(candidates[state - 1][k])
+        times.append(t)
+        states.append(state)
+    return s.ChainPath(horizon=float(horizon), switch_times=np.array(times),
+                       states=np.array(states, dtype=np.int64))
+
+
+PCG64_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def stream_with_draw(seed, position, largest=False):
+    """A PCG64 stream whose uniform number ``position`` (from 0) is exactly 0.0,
+    or the largest double below 1 when ``largest`` is set.
+
+    PCG64 steps its 128-bit state s to s * multiplier + inc, then outputs
+    the rotated xor of the high and low halves: 0 when the halves are equal,
+    all ones when they are complements. Stepping back from such a state
+    gives the start state.
+    """
+    rng = np.random.default_rng(seed)
+    state = rng.bit_generator.state
+    inc, inverse = state["state"]["inc"], pow(PCG64_MULTIPLIER, -1, 1 << 128)
+    high = 12345
+    target = (high << 64) | (high ^ (2**64 - 1) if largest else high)
+    for _ in range(position + 1):
+        target = (target - inc) * inverse % (1 << 128)
+    state["state"]["state"] = target
+    rng.bit_generator.state = state
+    return rng
+
+
+def test_rounding_residue_lands_on_last_state():
+    # with 12 states the cumulative jump fractions of state 1 end below 1, and
+    # a jump uniform above that falls to the last positive-rate state
+    rates = np.ones((12, 12))
+    rates[0, 1:] = [0.3, 0.1, 1.1, 1.1, 0.1, 0.3, 1.1, 0.7, 0.3, 1.1, 1.1]
+    np.fill_diagonal(rates, 0.0)
+    np.fill_diagonal(rates, -rates.sum(axis=1))
+    gen = s.validate_generator(rates)
+    assert gen.jump_tables[0][0][-1] < 1 - 2**-53
+    assert stream_with_draw(4, 1, largest=True).random(2)[1] == 1 - 2**-53
+    expected_rng = stream_with_draw(4, 1, largest=True)
+    rng = stream_with_draw(4, 1, largest=True)
+    expected = loop_path(gen, 1, 100.0, expected_rng)
+    path = s.simulate_exact_path(gen, 1, 100.0, rng)
+    assert expected.states[1] == path.states[1] == 12
+    assert path.switch_times.tobytes() == expected.switch_times.tobytes()
+    assert path.states.tolist() == expected.states.tolist()
+    assert rng.random() == expected_rng.random()
+
+
+@st.composite
+def chain_generators(draw):
+    """Generators with N <= 4 states, rates 1e-2..1e3, sometimes an absorbing state."""
+    n = draw(st.integers(1, 4))
+    rates = np.array([[draw(st.sampled_from([0.0, 0.01, 0.3, 1.0, 7.0, 60.0, 1000.0]))
+                       for _ in range(n)] for _ in range(n)])
+    np.fill_diagonal(rates, 0.0)
+    if n > 1 and draw(st.booleans()):
+        rates[draw(st.integers(0, n - 1))] = 0.0
+    np.fill_diagonal(rates, -rates.sum(axis=1))
+    return s.validate_generator(rates)
+
+
+@given(st.data())
+def test_chunked_simulation_matches_loop(data):
+    gen = data.draw(chain_generators())
+    initial = data.draw(st.integers(1, gen.n_states))
+    horizon = data.draw(st.sampled_from([0.05, 1.0, 3.7, 40.0]))
+    cap = data.draw(st.sampled_from([1, 2, 5, ctmc.CHUNK_PAIRS]))
+    seed = data.draw(st.integers(0, 2**32))
+    zero = data.draw(st.none() | st.integers(0, 12))
+
+    def stream():
+        return np.random.default_rng(seed) if zero is None else stream_with_draw(seed, zero)
+
+    expected_rng, rng = stream(), stream()
+    expected = loop_path(gen, initial, horizon, expected_rng)
+    with mock.patch.object(ctmc, "CHUNK_PAIRS", cap):
+        path = s.simulate_exact_path(gen, initial, horizon, rng)
+    assert path.switch_times.tobytes() == expected.switch_times.tobytes()
+    assert path.states.tolist() == expected.states.tolist()
+    assert rng.random() == expected_rng.random()
+    assert rng.standard_normal(3).tolist() == expected_rng.standard_normal(3).tolist()
+
+
+def test_zero_hold_is_redrawn():
+    # the first uniform is the first hold: it is 0 and must be skipped
+    gen = s.validate_generator(TWO_STATE)
+    assert stream_with_draw(8, 0).random() == 0.0
+    for cap in (1, ctmc.CHUNK_PAIRS):
+        expected_rng, rng = stream_with_draw(8, 0), stream_with_draw(8, 0)
+        expected = loop_path(gen, 1, 2.0, expected_rng)
+        with mock.patch.object(ctmc, "CHUNK_PAIRS", cap):
+            path = s.simulate_exact_path(gen, 1, 2.0, rng)
+        assert path.switch_times.tobytes() == expected.switch_times.tobytes()
+        assert path.switch_times[1] > 0.0
+        assert rng.random() == expected_rng.random()
+
+
+def test_jump_budget_boundary():
+    fast = s.validate_generator([[-500.0, 300.0, 200.0], [400.0, -600.0, 200.0],
+                                 [250.0, 250.0, -500.0]])
+    for seed in range(3):
+        k = loop_path(fast, 1, 1.0, np.random.default_rng(seed)).n_segments - 1
+        for cap in (1, 7, ctmc.CHUNK_PAIRS):
+            with mock.patch.object(ctmc, "CHUNK_PAIRS", cap):
+                path = s.simulate_exact_path(fast, 1, 1.0, np.random.default_rng(seed),
+                                             max_switches=k)
+                assert path.n_segments - 1 == k
+                with pytest.raises(JumpBudgetError):
+                    s.simulate_exact_path(fast, 1, 1.0, np.random.default_rng(seed),
+                                          max_switches=k - 1)
 
 
 # --- state_at / skeleton ---------------------------------------------------------

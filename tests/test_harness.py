@@ -282,9 +282,10 @@ def test_chain_validation_detects_skewed_sampler(monkeypatch):
     class Skewed:
         def __init__(self, inner):
             self.inner = inner
+            self.bit_generator = inner.bit_generator
 
-        def random(self):
-            return self.inner.random() ** 2
+        def random(self, size=None):
+            return self.inner.random(size) ** 2
 
     def fake_stream(seed, index):
         return Skewed(np.random.default_rng((seed, index)))
