@@ -24,12 +24,9 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from ._timeutil import match_indices, time_tolerance
-from .brownian import aggregate_increments, uniform_grid
-from .ctmc import generator_from_json, simulate_exact_path, skeleton_from_path
-from .errors import ConfigError, GridMismatchError, JumpBudgetError, NonFiniteError
+from .brownian import uniform_grid
+from .ctmc import generator_from_json, simulate_exact_path
+from .errors import ConfigError, JumpBudgetError, NonFiniteError
 from .harness import (
     REFERENCE_CLOSED_FORM,
     config_from_dict,
@@ -43,10 +40,11 @@ from .model import model_from_config
 from .solvers import (
     CLASSICAL,
     JUMP_ADAPTED,
+    SampleBlock,
     SolutionPath,
     build_refined_grid,
-    em_classical,
-    em_jump_adapted,
+    classical_grid,
+    euler_block,
     exact_linear_solution,
 )
 
@@ -147,14 +145,6 @@ def cmd_chain_validate(args) -> int:
     return EXIT_OK if report.passed else EXIT_STAT_FAIL
 
 
-def _uniform_view(solution: SolutionPath, points, horizon) -> SolutionPath:
-    """The solution restricted to the uniform gridpoints."""
-    idx = match_indices(solution.times, points, time_tolerance(horizon))
-    if np.any(idx < 0):
-        raise GridMismatchError("solution does not cover the uniform grid")
-    return SolutionPath(times=points, values=solution.values[idx], scheme_tag=solution.scheme_tag)
-
-
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
     gen = generator_from_json(cfg["generator"])
@@ -179,7 +169,10 @@ def cmd_solve(args) -> int:
         raise ConfigError("closed-form reference requested for a model without one")
 
     ugrid = uniform_grid(horizon, step)
-    chain, bm = coupled_sample(gen, model, horizon, ugrid, derive_stream(int(cfg["seed"]), 0))
+    chain, bm = coupled_sample(gen, model, horizon, ugrid, derive_stream(int(cfg["seed"]), 0),
+                               max_switches=int(cfg.get("jump_budget", 10**6)))
+    block = SampleBlock.stack([chain], [bm.grid], [bm.values])
+    on_grid = block.on_grid(step)
 
     out = _out_dir(args)
     written = []
@@ -189,20 +182,18 @@ def cmd_solve(args) -> int:
         _emit(target, render)
         written.append(target)
 
+    def write_uniform(tag, values):  # values at the uniform gridpoints
+        solution = SolutionPath(times=ugrid.points, values=values, scheme_tag=tag)
+        write(f"solution_{tag.replace('-', '_')}.csv", solution.to_csv)
+
     write("chain.csv", chain.to_csv)
     write("brownian.csv", bm.to_csv)
     for scheme in schemes:
-        if scheme == JUMP_ADAPTED:
-            sol = em_jump_adapted(model, build_refined_grid(chain, step, horizon), bm)
-        else:
-            skel = skeleton_from_path(chain, step)
-            sol = em_classical(model, skel, step, aggregate_increments(bm, ugrid))
-        write(f"solution_{scheme.replace('-', '_')}.csv",
-              _uniform_view(sol, ugrid.points, horizon).to_csv)
-
+        grid = (build_refined_grid if scheme == JUMP_ADAPTED else classical_grid)(block, step)
+        solved = euler_block(model, [grid], block.points, block.bm_values)
+        write_uniform(scheme, solved.values.T[on_grid[grid.union_index]])
     if reference == REFERENCE_CLOSED_FORM:
-        ref = exact_linear_solution(model, chain, bm)
-        write("solution_reference.csv", _uniform_view(ref, ugrid.points, horizon).to_csv)
+        write_uniform("reference", exact_linear_solution(model, block).values[on_grid])
 
     for t in written:
         print(t)

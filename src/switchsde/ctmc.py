@@ -4,8 +4,7 @@ States are labeled 1..N throughout the public API. A chain is described by
 its generator matrix (off-diagonal entries are switching rates, rows sum to
 zero). The module provides generator validation, transition matrices via the
 matrix exponential, exact path simulation with exponential holding times,
-the regime rule for segments between event times, and skeleton extraction
-on uniform grids.
+and skeleton extraction on uniform grids.
 """
 
 from __future__ import annotations
@@ -110,6 +109,18 @@ class ChainPath:
             raise ValueError("consecutive states must differ")
         times.setflags(write=False)
         states.setflags(write=False)
+
+    @classmethod
+    def _simulated(cls, horizon: float, switch_times: np.ndarray, states: np.ndarray):
+        """A simulated path, which can only fail to increase (a hold too small
+        to move t); the other checks would repeat what the simulator ensures."""
+        if (switch_times[1:] <= switch_times[:-1]).any():
+            raise ValueError("switch times must be strictly increasing")
+        path = cls.__new__(cls)
+        path.__dict__.update(horizon=horizon, switch_times=switch_times, states=states)
+        switch_times.setflags(write=False)
+        states.setflags(write=False)
+        return path
 
     @property
     def n_segments(self) -> int:
@@ -306,10 +317,8 @@ def simulate_exact_path(
             rng.bit_generator.state = saved
             rng.random(used)
 
-    return ChainPath(
-        horizon=float(horizon),
-        switch_times=np.concatenate(times),
-        states=np.array(states, dtype=np.int64) + 1,
+    return ChainPath._simulated(
+        float(horizon), np.concatenate(times), np.array(states, dtype=np.int64) + 1
     )
 
 
@@ -326,17 +335,6 @@ def states_at(path: ChainPath, times: np.ndarray) -> np.ndarray:
     """Vectorized right-continuous lookup for sorted or unsorted times."""
     idx = np.searchsorted(path.switch_times, times, side="right") - 1
     return path.states[np.maximum(idx, 0)]
-
-
-def segment_states(path: ChainPath, times: np.ndarray) -> np.ndarray:
-    """The state on each [times[k], times[k+1]), then the state at the last time.
-
-    A segment's state is read at its midpoint, so a switch that an event
-    grid absorbed into a nearby event (one within the time tolerance)
-    still governs the segment it opens.
-    """
-    times = np.asarray(times, dtype=np.float64)
-    return states_at(path, np.append(0.5 * (times[:-1] + times[1:]), times[-1:]))
 
 
 def skeleton_from_path(path: ChainPath, step: float) -> np.ndarray:

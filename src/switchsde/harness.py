@@ -31,9 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# aggregate_increments, em_classical, em_jump_adapted and evaluate_path are
-# unused here but stay bound: the traced benchmark (perfbench/spans.py)
-# wraps the layer functions under the names this module binds.
+# aggregate_increments, em_classical, em_jump_adapted, evaluate_path and
+# skeleton_from_path are unused here but stay bound: the traced benchmark
+# (perfbench/spans.py) wraps the layer functions under the names this
+# module binds.
 from .brownian import (
     TimeGrid,
     aggregate_increments,
@@ -55,7 +56,7 @@ from .model import HybridModel, model_from_config
 from .solvers import (
     CLASSICAL,
     JUMP_ADAPTED,
-    SolutionPath,
+    SampleBlock,
     build_refined_grid,
     classical_grid,
     em_classical,
@@ -109,6 +110,7 @@ class ExperimentConfig:
     reference: str = REFERENCE_CLOSED_FORM
     ref_refinement: int = 6
     schemes: tuple = (JUMP_ADAPTED,)
+    jump_budget: int = 10**6
 
     def __post_init__(self):
         if self.horizon <= 0:
@@ -177,6 +179,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                                if model.has_closed_form() else REFERENCE_FINE_EM),
             ref_refinement=int(data.get("refinement_exponent", 6)),
             schemes=tuple(data.get("schemes", [JUMP_ADAPTED])),
+            jump_budget=int(data.get("jump_budget", 10**6)),
         )
     except ConfigError:
         raise
@@ -259,74 +262,62 @@ def estimate_order(errors) -> tuple:
 
 
 def coupled_sample(generator: GeneratorMatrix, model: HybridModel, horizon: float,
-                   fine: TimeGrid, rng: np.random.Generator) -> tuple:
+                   fine: TimeGrid, rng: np.random.Generator, max_switches: int = 10**6) -> tuple:
     """One coupled draw: a chain path, then a Brownian path on its union grid.
 
-    The chain path starts in the model's initial regime; the Brownian path
-    lives on the union of ``fine`` and the path's switching times. Returns
-    (chain, Brownian path).
+    The chain path starts in the model's initial regime and may switch at
+    most ``max_switches`` times; the Brownian path lives on the union of
+    ``fine`` and the path's switching times. Returns (chain, Brownian path).
     """
-    chain = simulate_exact_path(generator, model.initial_regime, horizon, rng)
+    chain = simulate_exact_path(generator, model.initial_regime, horizon, rng, max_switches)
     union = merge_grids(fine, make_grid(np.append(chain.switch_times, horizon)))
     return chain, generate_increments(union, model.noise_dim, rng)
 
 
 def _coupled_blocks(config: ExperimentConfig, fine_step: float):
-    """Yield (chains, Brownian paths) for consecutive blocks of BLOCK_SIZE sample indices.
+    """Yield one SampleBlock per run of BLOCK_SIZE consecutive sample indices.
 
     Sample m is ``coupled_sample`` on the fine uniform grid, drawn from
     derive_stream(seed, m).
     """
     fine = uniform_grid(config.horizon, fine_step)
     for lo in range(0, config.samples, BLOCK_SIZE):
-        chains, bms = [], []
-        for index in range(lo, min(lo + BLOCK_SIZE, config.samples)):
-            chain, bm = coupled_sample(config.generator, config.model, config.horizon, fine,
-                                       derive_stream(config.seed, index))
-            chains.append(chain)
-            bms.append(bm)
-        yield chains, bms
-
-
-def _refined_block(config: ExperimentConfig, delta: float, chains, bms):
-    return euler_block(
-        config.model, [build_refined_grid(c, delta, config.horizon) for c in chains], bms
-    )
+        chains, bms = zip(*(
+            coupled_sample(config.generator, config.model, config.horizon, fine,
+                           derive_stream(config.seed, index), config.jump_budget)
+            for index in range(lo, min(lo + BLOCK_SIZE, config.samples))
+        ))
+        block = SampleBlock.stack(chains, [bm.grid for bm in bms], [bm.values for bm in bms])
+        del chains, bms  # the block holds copies
+        yield block
 
 
 def _sup_errors(config: ExperimentConfig) -> np.ndarray:
     """sup_t |z - Z| over each sample's union grid, shaped (scheme, delta, sample).
 
     All schemes at one step run as a single block, and so does the reference:
-    the closed form per sample, or the switch-adapted recursion on the
-    reference step.
+    the closed form, or the switch-adapted recursion on the reference step.
+    Each grid is built once per block and step.
     """
-    schemes, deltas, horizon = config.schemes, config.deltas, config.horizon
-    uniform = {delta: uniform_grid(horizon, delta) for delta in deltas}
+    schemes, deltas, model = config.schemes, config.deltas, config.model
     out = np.empty((len(schemes), len(deltas), config.samples))
     done = 0
-    for chains, bms in _coupled_blocks(config, config.reference_step):
+    for block in _coupled_blocks(config, config.reference_step):
         if config.reference == REFERENCE_CLOSED_FORM:
-            ref = np.concatenate(
-                [exact_linear_solution(config.model, c, bm).values for c, bm in zip(chains, bms)]
-            ).T
+            ref = exact_linear_solution(model, block).values.T
         else:
-            ref = _refined_block(config, config.reference_step, chains, bms).on_brownian_grids()
-        starts = np.concatenate([[0], np.cumsum([len(bm.grid) for bm in bms])[:-1]])
-        starts = np.concatenate([starts + s * ref.shape[1] for s in range(len(schemes))])
+            fine = build_refined_grid(block, config.reference_step)
+            ref = euler_block(model, [fine], block.points, block.bm_values).on_brownian_grids()
+        starts = np.concatenate([block.offsets[:-1] + s * len(block.points)
+                                 for s in range(len(schemes))])
         for di, delta in enumerate(deltas):
-            grids = []
-            for scheme in schemes:
-                if scheme == JUMP_ADAPTED:
-                    grids += [build_refined_grid(c, delta, horizon) for c in chains]
-                else:
-                    grids += [classical_grid(skeleton_from_path(c, delta), delta, uniform[delta])
-                              for c in chains]
-            approx = euler_block(config.model, grids, bms * len(schemes)).on_brownian_grids()
-            gap = np.linalg.norm(np.tile(ref, (1, len(schemes))) - approx, axis=0)
-            sups = np.maximum.reduceat(gap, starts)
-            out[:, di, done:done + len(chains)] = sups.reshape(len(schemes), len(chains))
-        done += len(chains)
+            grids = [build_refined_grid(block, delta) if scheme == JUMP_ADAPTED
+                     else classical_grid(block, delta) for scheme in schemes]
+            approx = euler_block(model, grids, block.points, block.bm_values).on_brownian_grids()
+            gap = approx.reshape(len(ref), len(schemes), -1) - ref[:, None]
+            sups = np.maximum.reduceat(np.linalg.norm(gap, axis=0).ravel(), starts)
+            out[:, di, done:done + len(block)] = sups.reshape(len(schemes), len(block))
+        done += len(block)
     return out
 
 
@@ -429,12 +420,13 @@ def moment_check(config: ExperimentConfig, threads: int = 1,
     """
     sups = np.empty((len(config.deltas), config.samples))
     done = 0
-    for chains, bms in _coupled_blocks(config, config.finest_step):
+    for block in _coupled_blocks(config, config.finest_step):
         for di, delta in enumerate(config.deltas):
-            block = _refined_block(config, delta, chains, bms)
-            norms = np.linalg.norm(block.values, axis=0)
-            sups[di, done:done + len(chains)] = np.maximum.reduceat(norms, block.offsets[:-1])
-        done += len(chains)
+            solved = euler_block(config.model, [build_refined_grid(block, delta)],
+                                 block.points, block.bm_values)
+            norms = np.linalg.norm(solved.values, axis=0)
+            sups[di, done:done + len(block)] = np.maximum.reduceat(norms, solved.offsets[:-1])
+        done += len(block)
     points = []
     for p in config.p_values:
         for di, delta in enumerate(config.deltas):
@@ -463,31 +455,6 @@ class LocalErrorReport:
         return [pt for pt in self.points if pt.p == p]
 
 
-def _piecewise_cumulants(sol: SolutionPath):
-    """Cumulative drift integral and diffusion quadratic variation of the scheme.
-
-    Returns evaluators F(t) = integral of the frozen drift and Q(t) =
-    integral of the squared frozen diffusion over [0, t]; both are exact
-    piecewise-linear functions of t for the frozen-coefficient scheme.
-    """
-    events = sol.times
-    dt_seg = np.diff(events)
-    q_seg = np.einsum("ind,ind->i", sol.seg_diff, sol.seg_diff)
-    cum_f = np.vstack([np.zeros((1, sol.state_dim)),
-                       np.cumsum(sol.seg_drift * dt_seg[:, None], axis=0)])
-    cum_q = np.concatenate([[0.0], np.cumsum(q_seg * dt_seg)])
-
-    def at(times: np.ndarray):
-        seg = np.clip(np.searchsorted(events, times, side="right") - 1, 0, len(events) - 2)
-        off = times - events[seg]
-        return (
-            cum_f[seg] + sol.seg_drift[seg] * off[:, None],
-            cum_q[seg] + q_seg[seg] * off,
-        )
-
-    return at
-
-
 def local_error_scaling(config: ExperimentConfig, threads: int = 1) -> LocalErrorReport:
     """Measure the gap between the continuous scheme and its frozen argument.
 
@@ -513,24 +480,23 @@ def local_error_scaling(config: ExperimentConfig, threads: int = 1) -> LocalErro
         midpoints[delta] = starts[delta] + 0.5 * delta
 
     cells = {(delta, p): [] for delta in config.deltas for p in (2, 4)}
-    for chains, bms in _coupled_blocks(config, config.finest_step):
+    for block in _coupled_blocks(config, config.finest_step):
         for delta in config.deltas:
-            block = _refined_block(config, delta, chains, bms)
-            for row in range(len(chains)):
-                at = _piecewise_cumulants(block.solution(row, JUMP_ADAPTED))
-                f_lo, q_lo = at(starts[delta])
-                f_hi, q_hi = at(midpoints[delta])
-                drift2 = np.sum((f_hi - f_lo) ** 2, axis=1)
-                var = q_hi - q_lo
-                cells[delta, 2].append(drift2 + var)
-                if 4 in config.p_values:
-                    cells[delta, 4].append(drift2**2 + 6.0 * drift2 * var + 3.0 * var**2)
+            solved = euler_block(config.model, [build_refined_grid(block, delta)],
+                                 block.points, block.bm_values)
+            f_lo, q_lo = solved.cumulants(starts[delta])
+            f_hi, q_hi = solved.cumulants(midpoints[delta])
+            drift2 = np.sum((f_hi - f_lo) ** 2, axis=2)
+            var = q_hi - q_lo
+            cells[delta, 2].append(drift2 + var)
+            if 4 in config.p_values:
+                cells[delta, 4].append(drift2**2 + 6.0 * drift2 * var + 3.0 * var**2)
     points = []
     slopes = {}
     for p in config.p_values:
         ladder = []
         for delta in config.deltas:
-            stacked = np.stack(cells[delta, p])
+            stacked = np.concatenate(cells[delta, p])
             moment = float(stacked.mean(axis=0).max())
             points.append(LocalErrorPoint(p, delta, moment))
             ladder.append((delta, moment))

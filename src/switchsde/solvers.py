@@ -18,7 +18,11 @@ where all of it falls on the skeleton regime. The kernel advances a block of
 paths at once with 2N coefficient calls per interval.
 
 The schemes consume pre-generated chain and Brownian paths and never draw
-randomness, which is what makes coupled-error measurement possible. Each
+randomness, which is what makes coupled-error measurement possible. A block
+of coupled samples is one `SampleBlock`: flat chain paths and union grids.
+Every event of every scheme, step and reference is a union-grid point, so
+the event grids of a whole block are index masks over it, built with a
+fixed number of array operations however many rows the block has. Each
 returned SolutionPath carries its per-segment coefficients so the continuous
 interpolant can be evaluated anywhere the Brownian path is realized, exactly
 reproducing the discrete values at the solver's own event times.
@@ -26,13 +30,14 @@ reproducing the discrete values at the solver's own event times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from ._timeutil import match_indices, time_tolerance, uniform_points
-from .brownian import BrownianPath, TimeGrid
-from .ctmc import ChainPath, segment_states
+from ._timeutil import match_indices, num_whole_steps, time_tolerance, uniform_points
+from .brownian import BrownianPath, make_grid, merge_grids, uniform_grid
+from .ctmc import ChainPath
 from .errors import (
     ConfigError,
     DimensionMismatchError,
@@ -50,15 +55,112 @@ CLASSICAL = "classical"
 EXACT_LINEAR = "exact-linear"
 
 
+def _row_of(offsets) -> np.ndarray:
+    """The row of each flat entry of rows laid end to end at ``offsets``."""
+    return np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+
+
+def _row_cumsum(values, offsets) -> np.ndarray:
+    """Cumulative sums of ``values`` along axis 0 within each row.
+
+    The rows are summed along a zero-padded table, so each one rounds
+    exactly as its own cumulative sum would, in a block of any size.
+    """
+    rows = _row_of(offsets)
+    cols = np.arange(len(values)) - offsets[rows]
+    table = np.zeros((len(offsets) - 1, int(cols.max()) + 1) + values.shape[1:])
+    table[rows, cols] = values
+    return np.cumsum(table, axis=1)[rows, cols]
+
+
+@dataclass(frozen=True)
+class SampleBlock:
+    """Chain paths and their union grids for a block of rows, as flat arrays.
+
+    Row r's chain path is ``switch_times``/``states`` over
+    ``switch_offsets[r]:switch_offsets[r + 1]``, starting at time 0. Its
+    union grid is ``points`` over ``offsets[r]:offsets[r + 1]``, from 0 to
+    the horizon, and its Brownian values are the same rows of ``bm_values``
+    (None for a block without them). A union grid holds every gridpoint of
+    every step the block serves, and each switching time of its row unless
+    that lies within the time tolerance of another point.
+    """
+
+    horizon: float
+    switch_times: np.ndarray
+    states: np.ndarray
+    switch_offsets: np.ndarray
+    points: np.ndarray
+    offsets: np.ndarray
+    bm_values: np.ndarray | None = None
+
+    @classmethod
+    def stack(cls, chains, grids, bm_values=None) -> SampleBlock:
+        """One row per chain path and its union grid (and Brownian values)."""
+        return cls(
+            horizon=grids[0].horizon,
+            switch_times=np.concatenate([c.switch_times for c in chains]),
+            states=np.concatenate([c.states for c in chains]),
+            switch_offsets=np.cumsum([0] + [len(c.states) for c in chains]),
+            points=np.concatenate([g.points for g in grids]),
+            offsets=np.cumsum([0] + [len(g) for g in grids]),
+            bm_values=None if bm_values is None else np.concatenate(bm_values),
+        )
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The row of each union-grid point."""
+        return _row_of(self.offsets)
+
+    @cached_property
+    def switch_keys(self) -> np.ndarray:
+        """row + 1j * time per switch: complex numbers sort by row, then by time."""
+        return _row_of(self.switch_offsets) + 1j * self.switch_times
+
+    def states_at(self, rows, times) -> np.ndarray:
+        """Right-continuous chain state of each (row, time) pair."""
+        return self.states[np.searchsorted(self.switch_keys, rows + 1j * times, side="right") - 1]
+
+    @cached_property
+    def regimes(self) -> np.ndarray:
+        """The state on each union-grid segment, then the state at each row's T.
+
+        This is the regime rule of every scheme and reference: a segment's
+        state is read at its midpoint, so a switch that the grid absorbed
+        into a nearby point (one within the time tolerance) still governs
+        the segment it opens.
+        """
+        mid = self.points.copy()
+        mid[:-1] = 0.5 * (self.points[:-1] + self.points[1:])
+        ends = self.offsets[1:] - 1
+        mid[ends] = self.points[ends]
+        return self.states_at(self.rows, mid)
+
+    def on_grid(self, step: float) -> np.ndarray:
+        """Mask of the union points on the uniform grid of ``step``, T included."""
+        tol = time_tolerance(self.horizon)
+        on_grid = np.abs(np.rint(self.points / step) * step - self.points) <= tol
+        on_grid[self.offsets[1:] - 1] = True
+        count = np.add.reduceat(on_grid, self.offsets[:-1], dtype=np.int64)
+        if np.any(count != len(uniform_points(self.horizon, step))):
+            raise GridMismatchError(f"a union grid lacks a gridpoint of step {step}")
+        return on_grid
+
+
 @dataclass(frozen=True)
 class RefinedGrid:
-    """Event times for the switch-adapted scheme on one chain path.
+    """Event times of one Euler scheme for a block of rows, one row per chain path.
 
-    ``events`` holds every uniform gridpoint up to T, every interior
-    switching time, and T itself, sorted and deduplicated. ``regimes[i]`` is
-    the chain state on [events[i], events[i+1]); ``owner_interval[i]`` is the
-    index k of the uniform interval [k*step, (k+1)*step) containing the
-    event.
+    Row r owns ``offsets[r]:offsets[r + 1]`` of the flat arrays. Its
+    ``events`` are its uniform gridpoints up to T, its interior switching
+    times and T itself, in order; ``regimes[i]`` is the chain state on
+    [events[i], events[i+1]); ``owner_interval[i]`` is the index k of the
+    uniform interval [k*step, (k+1)*step) containing the event; and
+    ``union_index[i]`` is the event's position in the union grid it was
+    selected from.
     """
 
     step: float
@@ -66,6 +168,8 @@ class RefinedGrid:
     events: np.ndarray
     regimes: np.ndarray
     owner_interval: np.ndarray
+    offsets: np.ndarray
+    union_index: np.ndarray
 
     def __post_init__(self):
         self.events.setflags(write=False)
@@ -112,69 +216,54 @@ class SolutionPath:
             fileobj.write(f"{t:.17g},{cells}\n")
 
 
-def build_refined_grid(path: ChainPath, step: float, horizon: float | None = None) -> RefinedGrid:
-    """Merge uniform gridpoints with the path's switching times.
+def build_refined_grid(sample, step: float, horizon: float | None = None) -> RefinedGrid:
+    """The switch-adapted scheme's events: the step's gridpoints and the switches.
 
-    A switch landing within tolerance of a gridpoint is represented by the
-    gridpoint alone, and switches closer than tolerance by the first of them;
-    each segment's regime is the chain state inside it (`segment_states`),
-    so such a switch still governs the segment that follows. The event
-    count never exceeds
+    ``sample`` is a SampleBlock, or one ChainPath, whose union grid is then
+    its switching times merged into the step's uniform grid (``horizon``
+    defaults to the path's). A row's events are its union points on the
+    step's grid, its T, and every point across which the segment regime
+    (`SampleBlock.regimes`) changes. A switch within tolerance of another
+    point is represented by that point, and the segment it opens still runs
+    in its regime. The event count never exceeds
     floor(T / step) + segments + 1.
     """
-    horizon = path.horizon if horizon is None else float(horizon)
-    if not 0.0 < step <= horizon:
-        raise ConfigError(f"step must lie in (0, T], got {step}")
-    tol = time_tolerance(horizon)
-    multiples = uniform_points(horizon, step, include_horizon=False)
-    base = multiples if abs(multiples[-1] - horizon) <= tol else np.append(multiples, horizon)
-
-    switches = path.switch_times[1:]
-    switches = switches[(switches > tol) & (switches < horizon - tol)]
-    if len(switches):
-        switches = switches[match_indices(base, switches, tol) < 0]
-    if len(switches) > 1:  # collapse switches closer than the grid tolerance
-        switches = switches[np.concatenate([[True], np.diff(switches) > tol])]
-    events = np.sort(np.concatenate([base, switches]))
-
-    regimes = segment_states(path, events)
-    owners = np.searchsorted(multiples, events, side="right") - 1
+    if isinstance(sample, ChainPath):
+        horizon = sample.horizon if horizon is None else float(horizon)
+        if not 0.0 < step <= horizon:
+            raise ConfigError(f"step must lie in (0, T], got {step}")
+        union = merge_grids(uniform_grid(horizon, step),
+                            make_grid(np.append(sample.switch_times, horizon)))
+        sample = SampleBlock.stack([sample], [union])
+    on_grid = sample.on_grid(step)
+    regimes = sample.regimes
+    keep = np.flatnonzero(on_grid | np.append(True, regimes[1:] != regimes[:-1]))
+    offsets = np.searchsorted(keep, sample.offsets)
+    count = np.cumsum(on_grid)  # a point's interval is the gridpoints up to it, less one
+    owners = count[keep] - count[sample.offsets[:-1]][sample.rows[keep]]
+    owners[offsets[1:] - 1] = num_whole_steps(sample.horizon, step)
     return RefinedGrid(
-        step=float(step),
-        horizon=horizon,
-        events=events,
-        regimes=regimes.astype(np.int64),
-        owner_interval=owners.astype(np.int64),
+        step=float(step), horizon=sample.horizon, events=sample.points[keep],
+        regimes=regimes[keep], owner_interval=owners, offsets=offsets, union_index=keep,
     )
 
 
-def classical_grid(skeleton, step: float, grid: TimeGrid) -> RefinedGrid:
-    """The classical scheme's events: the gridpoints of ``grid`` and no switches.
+def classical_grid(block: SampleBlock, step: float) -> RefinedGrid:
+    """The classical scheme's events for a block: each row's gridpoints of ``step``.
 
-    ``skeleton[k]`` is the regime frozen over the k-th interval of ``grid``;
-    its length must equal the interval count (or exceed it by one when it
-    also records the state at T).
+    Each interval runs in the state the chain is in at its left gridpoint,
+    the path's skeleton as `skeleton_from_path` reads it; the last event
+    repeats the last interval's state.
     """
-    pts = grid.points
-    m = len(pts) - 1
-    skeleton = np.asarray(skeleton, dtype=np.int64)
-    if len(skeleton) not in (m, m + 1):
-        raise LengthMismatchError(f"skeleton has {len(skeleton)} states for {m} steps")
+    keep = np.flatnonzero(block.on_grid(step))
+    offsets = np.searchsorted(keep, block.offsets)
+    regimes = block.states_at(block.rows[keep], block.points[keep])
+    regimes[offsets[1:] - 1] = regimes[offsets[1:] - 2]
     return RefinedGrid(
-        step=float(step),
-        horizon=grid.horizon,
-        events=pts,
-        regimes=np.append(skeleton[:m], skeleton[m - 1]),
-        owner_interval=np.arange(m + 1, dtype=np.int64),
+        step=float(step), horizon=block.horizon, events=block.points[keep], regimes=regimes,
+        owner_interval=np.arange(len(keep)) - np.repeat(offsets[:-1], np.diff(offsets)),
+        offsets=offsets, union_index=keep,
     )
-
-
-def _event_indices(bm: BrownianPath, times: np.ndarray) -> np.ndarray:
-    idx = match_indices(bm.grid.points, times, time_tolerance(bm.grid.horizon))
-    if np.any(idx < 0):
-        missing = times[idx < 0][0]
-        raise GridMismatchError(f"Brownian path lacks a value at t={missing}")
-    return idx
 
 
 def _interpolate(values, drift, diff, seg, dt, db) -> np.ndarray:
@@ -201,10 +290,13 @@ class EulerBlock:
     are the frozen coefficients on the segment that starts at event e, zero
     on each row's last event, so the continuous scheme at time t in
     [e, next event) is ``values[:, e] + drift[:, e] (t - e) + diff[:, :, e] (B(t) - B(e))``.
+    The rows are ``copies`` stacked grids over one union grid, ``points``
+    with Brownian values ``point_values``; event e is point ``bm_index[e]``
+    of the union grid repeated ``copies`` times.
     """
 
-    grids: tuple
-    bms: tuple
+    step: float
+    copies: int
     offsets: np.ndarray
     times: np.ndarray
     values: np.ndarray
@@ -212,48 +304,66 @@ class EulerBlock:
     diff: np.ndarray
     bm_index: np.ndarray
     bm_values: np.ndarray
+    points: np.ndarray
+    point_values: np.ndarray
 
     def solution(self, row: int, scheme_tag: str) -> SolutionPath:
         lo, hi = self.offsets[row], self.offsets[row + 1]
         return SolutionPath(
-            times=self.grids[row].events,
+            times=self.times[lo:hi],
             values=self.values[:, lo:hi].T,
             scheme_tag=scheme_tag,
-            step=self.grids[row].step,
+            step=self.step,
             seg_drift=self.drift[:, lo:hi - 1].T,
             seg_diff=self.diff[:, :, lo:hi - 1].transpose(2, 0, 1),
         )
 
-    def on_brownian_grids(self) -> np.ndarray:
-        """Continuous-scheme values at every point of each row's Brownian grid.
-
-        Returns (n, P): the rows' grids concatenated in row order.
+    def cumulants(self, times) -> tuple:
+        """Integrals over [0, t] of the frozen drift and of the squared frozen
+        diffusion, for every row at each of ``times``: (R, len(times), n) and
+        (R, len(times)). Both are piecewise linear in t.
         """
-        sizes = [len(bm.grid) for bm in self.bms]
-        if sizes == np.diff(self.offsets).tolist():  # every grid point is an event
+        R = len(self.offsets) - 1
+        q = np.einsum("ndi,ndi->i", self.diff, self.diff)
+        # each segment's integral at its end; a row's first gets the previous
+        # row's last event, where drift and diffusion are zero
+        inc = np.zeros((len(self.times), len(self.drift) + 1))
+        inc[1:] = np.vstack([self.drift, q]).T[:-1] * np.diff(self.times)[:, None]
+        cum = _row_cumsum(inc, self.offsets)
+        query = np.tile(times, R)
+        seg = np.searchsorted(_row_of(self.offsets) + 1j * self.times,
+                              np.repeat(np.arange(R), len(times)) + 1j * query, side="right") - 1
+        off = query - self.times[seg]
+        f = cum[seg, :-1] + self.drift[:, seg].T * off[:, None]
+        return f.reshape(R, len(times), -1), (cum[seg, -1] + q[seg] * off).reshape(R, -1)
+
+    def on_brownian_grids(self) -> np.ndarray:
+        """Continuous-scheme values at every point of the repeated union grid.
+
+        Returns (n, copies * P): the union grid once per stacked grid.
+        """
+        size = self.copies * len(self.points)
+        if len(self.times) == size:  # every grid point is an event
             return self.values
-        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-        rows = np.repeat(np.arange(len(sizes)), np.diff(self.offsets))
-        is_event = np.zeros(sum(sizes), dtype=np.int64)
-        is_event[starts[rows] + self.bm_index] = 1
+        is_event = np.zeros(size, dtype=np.int64)
+        is_event[self.bm_index] = 1
         seg = np.cumsum(is_event) - 1
-        points = np.concatenate([bm.grid.points for bm in self.bms])
-        bvals = np.concatenate([bm.values for bm in self.bms]).T
         return _interpolate(
             self.values, self.drift, self.diff, seg,
-            points - np.take(self.times, seg), bvals - np.take(self.bm_values, seg, axis=1),
+            np.tile(self.points, self.copies) - np.take(self.times, seg),
+            np.tile(self.point_values.T, self.copies) - np.take(self.bm_values, seg, axis=1),
         )
 
 
-def euler_block(model: HybridModel, grids, bms) -> EulerBlock:
+def euler_block(model: HybridModel, grids, points, bm_values) -> EulerBlock:
     """Advance a block of paths through the frozen-state Euler recursion.
 
-    Row r follows ``grids[r]`` (its events, the regime on each event
-    segment and the uniform interval owning it) driven by ``bms[r]``; every
-    grid shares one step and horizon. Inside uniform interval k the state
-    argument stays frozen at Z_k, so with T_kj the time row r spends in
-    regime j during the interval and W_kj the Brownian increment it gathers
-    there,
+    The rows of ``grids``, stacked in order, are the block's rows; the grids
+    share one step and horizon and select their events from the union grid
+    ``points`` with Brownian values ``bm_values`` (P, d). Inside uniform
+    interval k the state argument stays frozen at Z_k, so with T_kj the time
+    row r spends in regime j during the interval and W_kj the Brownian
+    increment it gathers there,
 
         Z_{k+1} = Z_k + sum_j f(Z_k, j) T_kj + g(Z_k, j) W_kj,
 
@@ -265,16 +375,15 @@ def euler_block(model: HybridModel, grids, bms) -> EulerBlock:
     never mix: a row's values do not depend on the other rows.
     """
     n, d, N = model.state_dim, model.noise_dim, model.regime_count
-    grids, bms = tuple(grids), tuple(bms)
-    sizes = np.array([len(g.events) for g in grids])
+    grids = tuple(grids)
+    sizes = np.concatenate([np.diff(g.offsets) for g in grids])
     offsets = np.concatenate([[0], np.cumsum(sizes)])
-    E, R = int(offsets[-1]), len(grids)
-    rows = np.repeat(np.arange(R), sizes)
+    E, R = int(offsets[-1]), len(sizes)
+    rows = _row_of(offsets)
     times = np.concatenate([g.events for g in grids])
     regimes = np.concatenate([g.regimes for g in grids]) - 1
     owners = np.concatenate([g.owner_interval for g in grids])
-    bm_index = [_event_indices(bm, g.events) for g, bm in zip(grids, bms)]
-    bvals = np.concatenate([np.take(bm.values, idx, axis=0) for bm, idx in zip(bms, bm_index)])
+    bvals = np.take(bm_values, np.concatenate([g.union_index for g in grids]), axis=0)
     if regimes.min() < 0 or regimes.max() >= N:
         raise InvalidRegimeError(f"regime outside 1..{N}")
 
@@ -324,12 +433,14 @@ def euler_block(model: HybridModel, grids, bms) -> EulerBlock:
             np.add(z, np.multiply(f_rows[kj], occupied[kj], out=term), out=z)
             np.matmul(g_rows[kj], noises[kj], out=term_column)
             np.add(z, term, out=z)
+    del occupation, noise, occupied, noises  # lower the block's peak memory
 
     values = np.empty((n, E))
     drift_e = np.zeros((n, E))
     diff_e = np.zeros((n, d, E))
     drift_e[:, segs] = np.take(f_all.reshape(-1, n), bins, axis=0).T
     diff_e[:, :, segs] = np.take(g_all.reshape(-1, n, d), bins, axis=0).transpose(1, 2, 0)
+    del bins
     first = np.ones(E, dtype=bool)
     first[1:] = (owners[1:] != owners[:-1]) | (rows[1:] != rows[:-1])
     cells = frozen.reshape(-1, n)
@@ -343,9 +454,10 @@ def euler_block(model: HybridModel, grids, bms) -> EulerBlock:
         ).T
     if not np.all(np.isfinite(values)):
         raise NonFiniteError("scheme produced non-finite values")
-    return EulerBlock(grids=grids, bms=bms, offsets=offsets, times=times, values=values,
-                      drift=drift_e, diff=diff_e, bm_index=np.concatenate(bm_index),
-                      bm_values=bvals.T)
+    bm_index = np.concatenate([g.union_index + c * len(points) for c, g in enumerate(grids)])
+    return EulerBlock(step=grids[0].step, copies=len(grids), offsets=offsets, times=times,
+                      values=values, drift=drift_e, diff=diff_e, bm_index=bm_index,
+                      bm_values=bvals.T, points=points, point_values=bm_values)
 
 
 def _inner_values(inner, first, segs, dt, db, regimes, cell, N, R, frozen, f_all, g_all):
@@ -396,7 +508,11 @@ def em_jump_adapted(model: HybridModel, grid: RefinedGrid, bm: BrownianPath) -> 
     advances only when an event crosses into the next uniform interval.
     The Brownian path may live on any grid containing every event.
     """
-    return euler_block(model, [grid], [bm]).solution(0, JUMP_ADAPTED)
+    index = match_indices(bm.grid.points, grid.events, time_tolerance(bm.grid.horizon))
+    if np.any(index < 0):
+        raise GridMismatchError(f"Brownian path lacks a value at t={grid.events[index < 0][0]}")
+    grid = replace(grid, union_index=index)
+    return euler_block(model, [grid], bm.grid.points, bm.values).solution(0, JUMP_ADAPTED)
 
 
 def em_classical(model: HybridModel, skeleton, step: float, bm: BrownianPath) -> SolutionPath:
@@ -406,8 +522,16 @@ def em_classical(model: HybridModel, skeleton, step: float, bm: BrownianPath) ->
     equal the step count (or exceed it by one when it also records the state
     at T).
     """
-    grid = classical_grid(skeleton, step, bm.grid)
-    return euler_block(model, [grid], [bm]).solution(0, CLASSICAL)
+    pts = bm.grid.points
+    m = len(pts) - 1
+    skeleton = np.asarray(skeleton, dtype=np.int64)
+    if len(skeleton) not in (m, m + 1):
+        raise LengthMismatchError(f"skeleton has {len(skeleton)} states for {m} steps")
+    index = np.arange(m + 1)
+    grid = RefinedGrid(step=float(step), horizon=bm.grid.horizon, events=pts,
+                       regimes=np.append(skeleton[:m], skeleton[m - 1]), owner_interval=index,
+                       offsets=np.array([0, m + 1]), union_index=index)
+    return euler_block(model, [grid], pts, bm.values).solution(0, CLASSICAL)
 
 
 def evaluate_path(solution: SolutionPath, bm: BrownianPath, times) -> np.ndarray:
@@ -440,34 +564,35 @@ def evaluate_path(solution: SolutionPath, bm: BrownianPath, times) -> np.ndarray
     ).T
 
 
-def exact_linear_solution(
-    model: LinearHybridModel, path: ChainPath, bm: BrownianPath
-) -> SolutionPath:
-    """Conditional closed-form solution of the linear model on the path grid.
+def exact_linear_solution(model: LinearHybridModel, sample, bm: BrownianPath | None = None
+                          ) -> SolutionPath:
+    """Conditional closed-form solution of the linear model on the union grid.
 
-    Over each grid interval with constant regime i the solution multiplies by
+    ``sample`` is a ChainPath driven by ``bm``, on ``bm``'s grid, or a
+    SampleBlock, whose rows then come back concatenated. Over each grid
+    interval with constant regime i the solution multiplies by
     exp((a_i - b_i^2 / 2) dt + b_i dB); the grid must therefore refine the
-    switching times. Serves as the strong-error reference.
+    switching times. Each row's log-path is its own cumulative sum, so a
+    row rounds the same in any block. Serves as the strong-error reference.
     """
     if not isinstance(model, LinearHybridModel):
         raise ConfigError("closed-form reference exists only for the linear model")
-    pts = bm.grid.points
-    tol = time_tolerance(float(pts[-1]))
-    sw = path.switch_times[1:]
-    inside_lo = np.searchsorted(sw, pts[:-1] + tol)
-    inside_hi = np.searchsorted(sw, pts[1:] - tol)
-    if np.any(inside_hi > inside_lo):
-        k = int(np.argmax(inside_hi > inside_lo))
+    if isinstance(sample, ChainPath):
+        sample = SampleBlock.stack([sample], [bm.grid], [bm.values])
+    pts, tol = sample.points, time_tolerance(sample.horizon)
+    seg = np.searchsorted(sample.rows + 1j * pts, sample.switch_keys, side="right") - 1
+    sw = sample.switch_times
+    inside = (sw >= pts[seg] + tol) & (sw < pts[np.minimum(seg + 1, len(pts) - 1)] - tol)
+    if np.any(inside):
+        k = int(seg[np.argmax(inside)])
         raise RegimeNotConstantError(
             f"interval [{pts[k]}, {pts[k + 1]}] straddles a regime switch"
         )
-    reg = segment_states(path, pts)[:-1]
-    a = model.a[reg - 1]
-    b = model.b[reg - 1]
-    dt = np.diff(pts)
-    db = np.diff(bm.values[:, 0])
-    log_steps = (a - 0.5 * b * b) * dt + b * db
-    log_path = np.concatenate([[0.0], np.cumsum(log_steps)])
+    a = model.a[sample.regimes[:-1] - 1]
+    b = model.b[sample.regimes[:-1] - 1]
+    log_steps = np.zeros(len(pts))
+    log_steps[1:] = (a - 0.5 * b * b) * np.diff(pts) + b * np.diff(sample.bm_values[:, 0])
+    log_steps[sample.offsets[:-1]] = 0.0
     z0 = float(model.initial_value[0])
-    values = (z0 * np.exp(log_path)).reshape(-1, 1)
+    values = (z0 * np.exp(_row_cumsum(log_steps, sample.offsets))).reshape(-1, 1)
     return SolutionPath(times=pts, values=values, scheme_tag=EXACT_LINEAR)

@@ -325,3 +325,20 @@ def test_contract_error_is_not_reported_as_config_error(tmp_path, monkeypatch):
 def test_initial_regime_outside_chain_exits_2(tmp_path):
     cfg = write_config(tmp_path, generator=TWO_STATE, initial_regime=3)
     assert main(["chain", "simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+FAST_THREE_STATE = {"states": 3, "rates": [[-500.0, 300.0, 200.0],
+                                           [250.0, -600.0, 350.0],
+                                           [400.0, 200.0, -600.0]]}
+FAST_MODEL = {"model": "linear", "a": [1.0, 2.0, -0.5], "b": [2.0, 1.0, 0.5], "z0": 1.0}
+
+
+@pytest.mark.parametrize("command", ["converge", "solve"])
+def test_jump_budget_bounds_every_command(tmp_path, command):
+    # about 550 switches per unit time: a budget of 10 is exceeded in the first sample
+    cfg = write_config(tmp_path, generator=FAST_THREE_STATE, model=FAST_MODEL, samples=4,
+                       jump_budget=10)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    roomy = write_config(tmp_path, "roomy.json", generator=FAST_THREE_STATE, model=FAST_MODEL,
+                         samples=4, deltas=[2.0**-3, 2.0**-4], jump_budget=5000)
+    assert main([command, "--config", roomy, "--out", str(tmp_path / "roomy")]) == 0

@@ -388,6 +388,27 @@ def test_jump_budget_boundary():
                                           max_switches=k - 1)
 
 
+class Scripted:
+    """A generator whose uniforms repeat a fixed script."""
+
+    def __init__(self, script):
+        self.bit_generator = np.random.default_rng(0).bit_generator  # saved and restored
+        self.script = np.array(script)
+
+    def random(self, size):
+        return np.resize(self.script, size)
+
+
+def test_simulated_path_checks_that_every_hold_moves_t():
+    gen = s.validate_generator([[-2.0, 2.0], [2.0, -2.0]])
+    # the first hold ends near 1.15, where a hold of 2^-54 is below half an ulp
+    with pytest.raises(ValueError, match="strictly increasing"):
+        s.simulate_exact_path(gen, 1, 10.0, Scripted([0.9, 0.5, 2.0**-53, 0.5]))
+    path = s.simulate_exact_path(gen, 1, 10.0, Scripted([0.9, 0.5]))
+    assert np.all(np.diff(path.switch_times) > 0.0)
+    assert not path.switch_times.flags.writeable and not path.states.flags.writeable
+
+
 # --- state_at / skeleton ---------------------------------------------------------
 
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import switchsde as s
 import switchsde.harness as harness
 from switchsde._timeutil import TIME_TOL, match_indices, time_tolerance
-from switchsde.solvers import CLASSICAL, JUMP_ADAPTED, euler_block
+from switchsde.solvers import CLASSICAL, JUMP_ADAPTED, SampleBlock, euler_block
 
 RTOL = 1e-12
 
@@ -172,10 +172,16 @@ def test_block_rows_do_not_mix(data):
     model = model_for(data.draw(models), gen.n_states)
     paths = [data.draw(chain_paths(gen.n_states, horizon, step)) for _ in range(3)]
     bms = [brownian_for(p, step, model.noise_dim, seed) for seed, p in enumerate(paths)]
-    grids = [s.build_refined_grid(p, step, horizon) for p in paths]
-    block = euler_block(model, grids, bms)
-    for row, (grid, bm) in enumerate(zip(grids, bms)):
-        alone = euler_block(model, [grid], [bm])
+
+    def solve(rows):
+        sample = SampleBlock.stack([paths[r] for r in rows], [bms[r].grid for r in rows],
+                                   [bms[r].values for r in rows])
+        grid = s.build_refined_grid(sample, step)
+        return euler_block(model, [grid], sample.points, sample.bm_values)
+
+    block = solve(range(3))
+    for row in range(3):
+        alone = solve([row])
         lo, hi = block.offsets[row], block.offsets[row + 1]
         assert np.array_equal(block.values[:, lo:hi], alone.values)
         assert np.array_equal(block.drift[:, lo:hi], alone.drift)

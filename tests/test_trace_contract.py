@@ -11,6 +11,10 @@ import importlib.util
 import io
 from pathlib import Path
 
+import numpy as np
+
+import oracles
+import switchsde as s
 import switchsde.harness
 from switchsde.cli import DEFAULT_CONFIG, main
 
@@ -30,6 +34,23 @@ def test_every_traced_name_is_bound_in_the_harness():
     assert missing == []
 
 
+def counts_one_sample_at_a_time(ladder, samples, seed):
+    """Switches, union points and refined events of a converge run, by a loop over samples."""
+    gen = s.generator_from_json(DEFAULT_CONFIG["generator"])
+    horizon = DEFAULT_CONFIG["horizon"]
+    fine = s.uniform_grid(horizon, ladder[-1])  # the closed form needs no finer grid
+    counts = dict.fromkeys(("switches", "union_points", "refined_events"), 0)
+    for m in range(samples):
+        rng = s.derive_stream(seed, m)
+        chain = s.simulate_exact_path(gen, DEFAULT_CONFIG["initial_regime"], horizon, rng)
+        union = s.merge_grids(fine, s.make_grid(np.append(chain.switch_times, horizon)))
+        counts["switches"] += len(chain.switch_times) - 1
+        counts["union_points"] += len(union)
+        for delta in ladder:
+            counts["refined_events"] += len(oracles.refined_grid(chain, delta, horizon)[0])
+    return counts
+
+
 def test_traced_smoke_run_sees_every_layer(tmp_path):
     spans = load_spans()
     ladder = sorted(DEFAULT_CONFIG["deltas"], reverse=True)[:3]  # the --smoke ladder
@@ -40,3 +61,5 @@ def test_traced_smoke_run_sees_every_layer(tmp_path):
     counts = tracer.counts[0]
     assert all(counts[name] > 0 for name in spans.COUNTS), counts
     assert len(tracer.sample_durations(0)) > 0
+    want = counts_one_sample_at_a_time(ladder, samples=32, seed=1)  # --smoke runs 32 samples
+    assert {name: counts[name] for name in want} == want
