@@ -190,7 +190,7 @@ def cmd_solve(args) -> int:
     write("brownian.csv", bm.to_csv)
     for scheme in schemes:
         grid = (build_refined_grid if scheme == JUMP_ADAPTED else classical_grid)(block, step)
-        solved = euler_block(model, [grid], block.points, block.bm_values)
+        solved, = euler_block(model, [[grid]], block.points, block.bm_values)
         write_uniform(scheme, solved.values.T[on_grid[grid.union_index]])
     if reference == REFERENCE_CLOSED_FORM:
         write_uniform("reference", exact_linear_solution(model, block).values[on_grid])

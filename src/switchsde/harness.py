@@ -17,12 +17,13 @@ Per step size the root-L^p sup-error
 is reported with a delta-method standard error, and the convergence order is
 the least-squares slope of log2 eps against log2 delta.
 
-Samples run in blocks of BLOCK_SIZE consecutive indices. For each step size
-one batched Euler recursion advances every sample of a block under every
-scheme, and the reference is one more such block on the reference step.
-Each sample's arithmetic is independent of its block, and the block size is
-a constant, so results are bit-identical across reruns and thread counts
-(the ``threads`` arguments are kept for compatibility and change nothing).
+Samples run in blocks of BLOCK_SIZE consecutive indices. One batched Euler
+recursion per block advances every sample under every scheme at every step
+size, and the fine-EM reference with them; it runs over the intervals of the
+longest rung, and each rung's lanes drop out after its last interval. Each
+sample's arithmetic is independent of its block, and the block size is a
+constant, so results are bit-identical across reruns and thread counts (the
+``threads`` arguments are kept for compatibility and change nothing).
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from .model import HybridModel, model_from_config
 from .solvers import (
     CLASSICAL,
     JUMP_ADAPTED,
+    EulerBlock,
     SampleBlock,
     build_refined_grid,
     classical_grid,
@@ -65,7 +67,7 @@ from .solvers import (
     evaluate_path,
     exact_linear_solution,
 )
-from ._timeutil import uniform_points
+from ._timeutil import match_indices, time_tolerance, uniform_points
 
 REFERENCE_CLOSED_FORM = "closed-form"
 REFERENCE_FINE_EM = "fine-em"
@@ -74,8 +76,9 @@ _DEFAULT_DELTAS = tuple(2.0 ** -k for k in range(4, 10))
 
 #: Samples per block of the batched recursion. Fixed, so that neither the
 #: sample count nor a thread count can change the arithmetic; large enough
-#: that one block's 2N coefficient calls per step serve many samples, small
-#: enough that a block's buffers stay a few MB.
+#: that each coefficient call of a block's one recursion (at most 2N per
+#: interval of the longest rung) serves many samples, small enough that a
+#: block's buffers stay a few MB.
 BLOCK_SIZE = 64
 
 
@@ -93,11 +96,12 @@ def derive_stream(master_seed: int, index: int) -> np.random.Generator:
 class ExperimentConfig:
     """Everything a strong-error experiment needs.
 
-    ``deltas`` must be a descending dyadic ladder (every entry a power-of-two
-    multiple of the smallest); moment orders must be at least 2; ``samples``
-    at least 2. The reference is the closed form when the model has one, or
-    a fine jump-adapted run ``2**ref_refinement`` times finer than the
-    smallest step.
+    ``deltas`` must be a descending dyadic ladder: every entry a power-of-two
+    multiple of the smallest, with each of its gridpoints within the time
+    tolerance of a gridpoint of the smallest step. Moment orders must be at
+    least 2; ``samples`` at least 2. The reference is the closed form when
+    the model has one, or a fine jump-adapted run ``2**ref_refinement``
+    times finer than the smallest step.
     """
 
     model: HybridModel
@@ -126,13 +130,19 @@ class ExperimentConfig:
             raise ConfigError("steps must lie in (0, T]")
         if any(a <= b for a, b in zip(deltas, deltas[1:])):
             raise ConfigError("step ladder must be strictly descending")
-        smallest = deltas[-1]
+        smallest, tol = deltas[-1], time_tolerance(self.horizon)
+        finest = uniform_points(self.horizon, smallest)
         for d in deltas:
             k = round(np.log2(d / smallest))
             if k < 0 or abs(d - smallest * 2.0 ** k) > 1e-12 * d:
                 raise ConfigError(
                     f"step {d} is not a power-of-two multiple of {smallest}: "
                     "the ladder must be dyadic"
+                )
+            if np.any(match_indices(finest, uniform_points(self.horizon, d), tol) < 0):
+                raise ConfigError(
+                    f"a gridpoint of step {d} misses the grid of step {smallest} by more "
+                    f"than {tol:g}: the ladder must be dyadic to within the time tolerance"
                 )
         unknown = set(self.schemes) - {JUMP_ADAPTED, CLASSICAL}
         if unknown or not self.schemes:
@@ -292,28 +302,42 @@ def _coupled_blocks(config: ExperimentConfig, fine_step: float):
         yield block
 
 
+def _solve_ladder(model: HybridModel, block: SampleBlock, deltas, schemes,
+                  reference_step: float | None = None):
+    """One Euler recursion for a block over every step, one grid per scheme.
+
+    A switch-adapted rung on ``reference_step``, when given, comes first.
+    Returns euler_block's iterator of EulerBlocks; it holds the only
+    reference to the grids, so each rung's are freed once it is expanded.
+    """
+    rungs = [[build_refined_grid(block, reference_step)]] if reference_step else []
+    rungs += [[build_refined_grid(block, delta) if scheme == JUMP_ADAPTED
+               else classical_grid(block, delta) for scheme in schemes] for delta in deltas]
+    return euler_block(model, rungs, block.points, block.bm_values)
+
+
 def _sup_errors(config: ExperimentConfig) -> np.ndarray:
     """sup_t |z - Z| over each sample's union grid, shaped (scheme, delta, sample).
 
-    All schemes at one step run as a single block, and so does the reference:
-    the closed form, or the switch-adapted recursion on the reference step.
-    Each grid is built once per block and step.
+    One Euler recursion per block advances every scheme at every step, and
+    the reference too when it is the switch-adapted run on the reference
+    step; the closed form runs once per block. Each grid is built once per
+    block and step.
     """
     schemes, deltas, model = config.schemes, config.deltas, config.model
+    fine_em = config.reference == REFERENCE_FINE_EM
     out = np.empty((len(schemes), len(deltas), config.samples))
     done = 0
     for block in _coupled_blocks(config, config.reference_step):
-        if config.reference == REFERENCE_CLOSED_FORM:
+        if fine_em:
+            solved = _solve_ladder(model, block, deltas, schemes, config.reference_step)
+            ref = next(solved).on_brownian_grids()
+        else:  # before the recursion, whose tables would add to its peak memory
             ref = exact_linear_solution(model, block).values.T
-        else:
-            fine = build_refined_grid(block, config.reference_step)
-            ref = euler_block(model, [fine], block.points, block.bm_values).on_brownian_grids()
+            solved = _solve_ladder(model, block, deltas, schemes)
         starts = np.concatenate([block.offsets[:-1] + s * len(block.points)
                                  for s in range(len(schemes))])
-        for di, delta in enumerate(deltas):
-            grids = [build_refined_grid(block, delta) if scheme == JUMP_ADAPTED
-                     else classical_grid(block, delta) for scheme in schemes]
-            approx = euler_block(model, grids, block.points, block.bm_values).on_brownian_grids()
+        for di, approx in enumerate(map(EulerBlock.on_brownian_grids, solved)):
             gap = approx.reshape(len(ref), len(schemes), -1) - ref[:, None]
             sups = np.maximum.reduceat(np.linalg.norm(gap, axis=0).ravel(), starts)
             out[:, di, done:done + len(block)] = sups.reshape(len(schemes), len(block))
@@ -421,9 +445,8 @@ def moment_check(config: ExperimentConfig, threads: int = 1,
     sups = np.empty((len(config.deltas), config.samples))
     done = 0
     for block in _coupled_blocks(config, config.finest_step):
-        for di, delta in enumerate(config.deltas):
-            solved = euler_block(config.model, [build_refined_grid(block, delta)],
-                                 block.points, block.bm_values)
+        for di, solved in enumerate(_solve_ladder(config.model, block, config.deltas,
+                                                  (JUMP_ADAPTED,))):
             norms = np.linalg.norm(solved.values, axis=0)
             sups[di, done:done + len(block)] = np.maximum.reduceat(norms, solved.offsets[:-1])
         done += len(block)
@@ -481,9 +504,8 @@ def local_error_scaling(config: ExperimentConfig, threads: int = 1) -> LocalErro
 
     cells = {(delta, p): [] for delta in config.deltas for p in (2, 4)}
     for block in _coupled_blocks(config, config.finest_step):
-        for delta in config.deltas:
-            solved = euler_block(config.model, [build_refined_grid(block, delta)],
-                                 block.points, block.bm_values)
+        for delta, solved in zip(config.deltas, _solve_ladder(config.model, block, config.deltas,
+                                                              (JUMP_ADAPTED,))):
             f_lo, q_lo = solved.cumulants(starts[delta])
             f_hi, q_hi = solved.cumulants(midpoints[delta])
             drift2 = np.sum((f_hi - f_lo) ** 2, axis=2)

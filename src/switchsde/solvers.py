@@ -14,8 +14,10 @@ Both schemes, and the fine-grid reference, run through one batched kernel,
 `euler_block`. Because the state argument is frozen inside each uniform
 interval, a step only needs the time and the Brownian increment each path
 spends in each regime during the interval; the classical scheme is the case
-where all of it falls on the skeleton regime. The kernel advances a block of
-paths at once with 2N coefficient calls per interval.
+where all of it falls on the skeleton regime. One kernel call advances a
+block of paths under every step of a ladder at once: one recursion over the
+longest rung's intervals, where iteration k advances the lanes of the rungs
+that have more than k intervals.
 
 The schemes consume pre-generated chain and Brownian paths and never draw
 randomness, which is what makes coupled-error measurement possible. A block
@@ -345,76 +347,114 @@ class EulerBlock:
         size = self.copies * len(self.points)
         if len(self.times) == size:  # every grid point is an event
             return self.values
-        is_event = np.zeros(size, dtype=np.int64)
-        is_event[self.bm_index] = 1
-        seg = np.cumsum(is_event) - 1
-        return _interpolate(
-            self.values, self.drift, self.diff, seg,
-            np.tile(self.points, self.copies) - np.take(self.times, seg),
-            np.tile(self.point_values.T, self.copies) - np.take(self.bm_values, seg, axis=1),
-        )
+        P = len(self.points)
+        out = np.empty((len(self.values), size))
+        bounds = np.searchsorted(self.bm_index, np.arange(self.copies + 1) * P)
+        for c in range(self.copies):  # one grid at a time keeps the temporaries small
+            lo, hi = bounds[c], bounds[c + 1]
+            seg = np.repeat(np.arange(lo, hi), np.diff(self.bm_index[lo:hi], append=(c + 1) * P))
+            out[:, c * P:(c + 1) * P] = _interpolate(
+                self.values, self.drift, self.diff, seg, self.points - np.take(self.times, seg),
+                self.point_values.T - np.take(self.bm_values, seg, axis=1),
+            )
+        return out
 
 
-def euler_block(model: HybridModel, grids, points, bm_values) -> EulerBlock:
-    """Advance a block of paths through the frozen-state Euler recursion.
+def euler_block(model: HybridModel, rungs, points, bm_values):
+    """Advance a block of paths through the frozen-state Euler recursion, all rungs at once.
 
-    The rows of ``grids``, stacked in order, are the block's rows; the grids
-    share one step and horizon and select their events from the union grid
-    ``points`` with Brownian values ``bm_values`` (P, d). Inside uniform
-    interval k the state argument stays frozen at Z_k, so with T_kj the time
-    row r spends in regime j during the interval and W_kj the Brownian
-    increment it gathers there,
+    Each rung is a sequence of grids that share one step and horizon; the
+    rows of its grids, stacked in order, are its lanes. Every grid selects
+    its events from the union grid ``points`` with Brownian values
+    ``bm_values`` (P, d). Inside uniform interval k a lane's state argument
+    stays frozen at Z_k, so with T_kj the time the lane spends in regime j
+    during the interval and W_kj the Brownian increment it gathers there,
 
         Z_{k+1} = Z_k + sum_j f(Z_k, j) T_kj + g(Z_k, j) W_kj,
 
-    summed in regime order, the drift term before the noise term. One flat
-    bincount over all rows' event segments builds T and W; the recursion
-    then makes 2N batched coefficient calls per interval for the whole
-    block (none for a regime no row visits in that interval). An event
-    inside an interval gets the same sum over the segments before it. Rows
-    never mix: a row's values do not depend on the other rows.
+    summed in regime order, the drift term before the noise term. Rungs are
+    independent recursions that share only the loop index: the lanes are
+    stacked with the rungs of more intervals first, and iteration k advances
+    the prefix of lanes whose rung has more than k intervals. So one block
+    runs max K intervals, each with 2 batched coefficient calls per regime
+    that an active lane visits. T and W live in a compact (k, j, lane)
+    table, summed over each lane's event segments in order. An event inside
+    an interval gets the same sum over the segments before it. Lanes never
+    mix: a lane's values do not depend on the other lanes or rungs.
+
+    Returns an iterator of one EulerBlock per rung, in the order given. It
+    builds each rung's per-event arrays only when asked for it, so a block
+    holds one rung's at a time; a rung with a non-finite value raises
+    NonFiniteError then.
     """
     n, d, N = model.state_dim, model.noise_dim, model.regime_count
-    grids = tuple(grids)
-    sizes = np.concatenate([np.diff(g.offsets) for g in grids])
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    E, R = int(offsets[-1]), len(sizes)
-    rows = _row_of(offsets)
-    times = np.concatenate([g.events for g in grids])
-    regimes = np.concatenate([g.regimes for g in grids]) - 1
-    owners = np.concatenate([g.owner_interval for g in grids])
-    bvals = np.take(bm_values, np.concatenate([g.union_index for g in grids]), axis=0)
-    if regimes.min() < 0 or regimes.max() >= N:
-        raise InvalidRegimeError(f"regime outside 1..{N}")
+    rungs = [tuple(grids) for grids in rungs]
+    counts = []  # intervals per rung
+    for grids in rungs:
+        steps = np.concatenate([g.owner_interval[g.offsets[1:] - 2] for g in grids]) + 1
+        if np.any(steps != steps[0]):
+            raise ConfigError("a rung needs one step and horizon for every row")
+        counts.append(int(steps[0]))
+        regimes = np.concatenate([g.regimes for g in grids])
+        if regimes.min() < 1 or regimes.max() > N:
+            raise InvalidRegimeError(f"regime outside 1..{N}")
+    order = sorted(range(len(rungs)), key=lambda r: -counts[r])
+    widths = [sum(len(g.offsets) - 1 for g in grids) for grids in rungs]  # lanes per rung
+    lane0 = dict(zip(order, np.cumsum([0] + [widths[r] for r in order]).tolist()))
+    L, K = sum(widths), counts[order[0]]
+    lane_counts = np.repeat([counts[r] for r in order], [widths[r] for r in order])
+    active = L - np.searchsorted(lane_counts[::-1], np.arange(K), side="right")
+    # interval k's cells (j, lane) start at base[k]; frozen row k, the lanes
+    # with at least k intervals, starts at fbase[k]
+    base = np.concatenate([[0], np.cumsum(N * active)])
+    fbase = np.concatenate([[0, L], L + np.cumsum(active)])
+    active_end = np.append(active, 0)  # a row's last event may own interval K
 
-    last = offsets[1:] - 1
-    steps = owners[last - 1] + 1
-    if np.any(steps != steps[0]):
-        raise ConfigError("a block needs one step and horizon for every row")
-    K = int(steps[0])
-    segs = np.ones(E, dtype=bool)
-    segs[last] = False
-    segs = np.flatnonzero(segs)
-    dt = times[segs + 1] - times[segs]
-    db = bvals[segs + 1] - bvals[segs]
-    bins = (owners[segs] * N + regimes[segs]) * R + rows[segs]  # (k, j, row), row fastest
-    occupation = np.bincount(bins, weights=dt, minlength=K * N * R).reshape(K * N, R, 1)
-    noise = np.stack(
-        [np.bincount(bins, weights=db[:, e], minlength=K * N * R) for e in range(d)], axis=-1
-    ).reshape(K * N, R, d, 1)
-    visited = (occupation[:, :, 0] > 0.0).any(axis=1).tolist()
+    # T and W: each cell sums its lane's segments in order, as a bincount would
+    occupation = np.zeros(base[-1])
+    noise = np.zeros((base[-1], d))
+    bins = {}  # (rung, grid): the cell of each segment
+    for r in order:
+        lane = lane0[r]
+        for c, grid in enumerate(rungs[r]):  # one grid at a time keeps temporaries small
+            seg = np.ones(len(grid), dtype=bool)
+            seg[grid.offsets[1:] - 1] = False
+            owners = grid.owner_interval
+            cells = base[owners] + (grid.regimes - 1) * active_end[owners]
+            cells += lane + _row_of(grid.offsets)
+            bins[r, c] = cells = cells[seg]
+            np.add.at(occupation, cells, np.diff(grid.events)[seg[:-1]])
+            db = np.diff(np.take(bm_values, grid.union_index, axis=0), axis=0)[seg[:-1]]
+            for e in range(d):  # a column at a time is several times faster
+                np.add.at(noise[:, e], cells, db[:, e])
+            lane += len(grid.offsets) - 1
+    del seg, owners, cells, db
+    # a regime no active lane spends time in costs no coefficient call
+    firsts = (base[:-1, None] + np.arange(N) * active[:, None]).ravel()
+    visited = np.logical_or.reduceat(occupation > 0.0, firsts).tolist()
 
-    frozen = np.empty((K + 1, R, n))
-    frozen[0] = model.initial_value
-    f_all = np.zeros((K * N, R, n))
-    g_all = np.zeros((K * N, R, n, d))
-    term = np.empty((R, n))
-    term_column = term[..., None]
-    f_rows, g_rows, occupied, noises = list(f_all), list(g_all), list(occupation), list(noise)
+    frozen = np.empty((fbase[-1], n))
+    frozen[:L] = model.initial_value
+    f_all = np.zeros((base[-1], n))
+    g_all = np.zeros((base[-1], n, d))
+    term = np.empty((L, n))
+    # every view the loop touches, built per run of intervals with one active count
+    f_rows, g_rows, occupied, noises, steps = [], [], [], [], []
+    runs = np.flatnonzero(np.diff(active, prepend=-1)).tolist() + [K]
+    z_prev = frozen[:L]
+    for k0, k1 in zip(runs[:-1], runs[1:]):
+        a, span = int(active[k0]), slice(base[k0], base[k1])
+        f_rows += list(f_all[span].reshape(-1, a, n))
+        g_rows += list(g_all[span].reshape(-1, a, n, d))
+        occupied += list(occupation[span].reshape(-1, a, 1))
+        noises += list(noise[span].reshape(-1, a, d, 1))
+        z_next = list(frozen[fbase[k0 + 1]:fbase[k1 + 1]].reshape(-1, a, n))
+        t, column = term[:a], term[:a, :, None]
+        steps += [(zk, z, t, column) for zk, z in zip([z_prev[:a]] + z_next[:-1], z_next)]
+        z_prev = z_next[-1]
     drift, diffusion = model.drift, model.diffusion
     kj = -1
-    for k in range(K):
-        zk, z = frozen[k], frozen[k + 1]
+    for zk, z, term_k, column in steps:
         z[...] = zk
         for j in range(1, N + 1):
             kj += 1
@@ -426,77 +466,97 @@ def euler_block(model: HybridModel, grids, points, bm_values) -> EulerBlock:
                 f_rows[kj][...] = f
                 g_rows[kj][...] = g
             except ValueError as exc:
+                a = len(zk)
                 raise DimensionMismatchError(
                     f"regime {j} coefficients do not broadcast to "
-                    f"drift ({R}, {n}) and diffusion ({R}, {n}, {d}): {exc}"
+                    f"drift ({a}, {n}) and diffusion ({a}, {n}, {d}): {exc}"
                 ) from None
-            np.add(z, np.multiply(f_rows[kj], occupied[kj], out=term), out=z)
-            np.matmul(g_rows[kj], noises[kj], out=term_column)
-            np.add(z, term, out=z)
-    del occupation, noise, occupied, noises  # lower the block's peak memory
+            np.add(z, np.multiply(f_rows[kj], occupied[kj], out=term_k), out=z)
+            np.matmul(g_rows[kj], noises[kj], out=column)
+            np.add(z, term_k, out=z)
+    del occupation, noise, occupied, noises, steps, f_rows, g_rows  # lower the peak memory
 
-    values = np.empty((n, E))
-    drift_e = np.zeros((n, E))
-    diff_e = np.zeros((n, d, E))
-    drift_e[:, segs] = np.take(f_all.reshape(-1, n), bins, axis=0).T
-    diff_e[:, :, segs] = np.take(g_all.reshape(-1, n, d), bins, axis=0).transpose(1, 2, 0)
-    del bins
-    first = np.ones(E, dtype=bool)
-    first[1:] = (owners[1:] != owners[:-1]) | (rows[1:] != rows[:-1])
-    cells = frozen.reshape(-1, n)
-    values[:, first] = np.take(cells, owners[first] * R + rows[first], axis=0).T
-    values[:, last] = frozen[K].T
-    inner = np.flatnonzero(~first)
-    inner = inner[inner != last[rows[inner]]]
-    if len(inner):
-        values[:, inner] = _inner_values(
-            inner, first, segs, dt, db, regimes, owners * R + rows, N, R, cells, f_all, g_all
-        ).T
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteError("scheme produced non-finite values")
-    bm_index = np.concatenate([g.union_index + c * len(points) for c, g in enumerate(grids)])
-    return EulerBlock(step=grids[0].step, copies=len(grids), offsets=offsets, times=times,
-                      values=values, drift=drift_e, diff=diff_e, bm_index=bm_index,
-                      bm_values=bvals.T, points=points, point_values=bm_values)
+    def expand(r):
+        grids, rungs[r] = rungs[r], None  # not needed again
+        offsets = np.concatenate([[0], np.cumsum(np.concatenate([np.diff(g.offsets)
+                                                                 for g in grids]))])
+        times = np.concatenate([g.events for g in grids])
+        owners = np.concatenate([g.owner_interval for g in grids])
+        bvals = np.take(bm_values, np.concatenate([g.union_index for g in grids]), axis=0)
+        cells = np.concatenate([bins.pop((r, c)) for c in range(len(grids))])
+        lanes = lane0[r] + _row_of(offsets)
+        E, last = len(times), offsets[1:] - 1
+        seg = np.ones(E, dtype=bool)
+        seg[last] = False
+        values = np.empty((n, E))
+        drift_e = np.zeros((n, E))
+        diff_e = np.zeros((n, d, E))
+        drift_e[:, seg] = np.take(f_all, cells, axis=0).T
+        diff_e[:, :, seg] = np.take(g_all, cells, axis=0).transpose(1, 2, 0)
+        del cells
+        first = np.ones(E, dtype=bool)
+        first[1:] = owners[1:] != owners[:-1]
+        first[offsets[:-1]] = True
+        values[:, first] = np.take(frozen, fbase[owners[first]] + lanes[first], axis=0).T
+        values[:, last] = frozen[fbase[counts[r]] + lanes[last]].T
+        inner = ~first
+        inner[last] = False
+        inner = np.flatnonzero(inner)
+        if len(inner):
+            k, at = owners[inner], lanes[inner]
+            values[:, inner] = _inner_values(
+                inner, np.flatnonzero(first), times, bvals,
+                np.concatenate([g.regimes for g in grids]) - 1, frozen[fbase[k] + at],
+                base[k] + at, active[k], N, f_all, g_all,
+            ).T
+        if not np.all(np.isfinite(values)):
+            raise NonFiniteError("scheme produced non-finite values")
+        bm_index = np.concatenate([g.union_index + c * len(points) for c, g in enumerate(grids)])
+        return EulerBlock(step=grids[0].step, copies=len(grids), offsets=offsets, times=times,
+                          values=values, drift=drift_e, diff=diff_e, bm_index=bm_index,
+                          bm_values=bvals.T, points=points, point_values=bm_values)
+
+    # a generator's frame, and with it the tables, is freed once it finishes
+    return (expand(r) for r in range(len(rungs)))
 
 
-def _inner_values(inner, first, segs, dt, db, regimes, cell, N, R, frozen, f_all, g_all):
+def _inner_values(inner, group_start, times, bvals, regimes, z, coeff, stride, N, f_all, g_all):
     """Values at events strictly inside a uniform interval.
 
     An inner event e of interval k gets Z_k + sum_j f_kj T_j(e) + g_kj W_j(e),
     with T_j(e) and W_j(e) the time and Brownian increment in regime j over
     the interval's segments before e, summed left to right exactly as the
-    bincount sums them. The sums run as a cumsum over a (group, position)
-    table holding only the intervals that contain inner events.
+    bincount sums them. ``group_start`` holds the first event of each row's
+    interval, ``z`` is Z_k of each inner event and its regime j coefficients
+    are row ``coeff + j * stride`` of ``f_all`` and ``g_all``. The sums run
+    as a cumsum over a (group, position) table holding only the intervals
+    that contain inner events, up to the last of them.
     """
-    n, d = f_all.shape[-1], db.shape[1]
-    group = np.cumsum(first) - 1
-    group_start = np.flatnonzero(first)
-    inner_group = group[inner]  # nondecreasing
-    busy = inner_group[np.concatenate([[True], inner_group[1:] != inner_group[:-1]])]
-    compact = np.full(len(group_start), -1)
-    compact[busy] = np.arange(len(busy))
-    seg_group = compact[group[segs]]
-    kept = np.flatnonzero(seg_group >= 0)
-    width = int((segs[kept] - group_start[group[segs[kept]]]).max()) + 1
-    seg_slot = seg_group[kept] * width + segs[kept] - group_start[group[segs[kept]]]
+    d = bvals.shape[1]
+    group = np.searchsorted(group_start, inner, side="right") - 1  # nondecreasing
+    new_group = np.concatenate([[True], group[1:] != group[:-1]])
+    lo = group_start[group[new_group]]
+    count = inner[np.append(np.flatnonzero(new_group)[1:], len(inner)) - 1] - lo
+    width = int(count.max())
+    busy = np.repeat(np.arange(len(lo)), count)  # the busy group of each segment kept
+    pos = np.arange(len(busy)) - np.repeat(np.cumsum(count) - count, count)
+    s, slot = lo[busy] + pos, busy * width + pos  # its event, and its slot in the table
     # the slot of the last segment before each inner event
-    inner_slot = compact[inner_group] * width + inner - group_start[inner_group] - 1
-    seg_regime, seg_dt, seg_db = regimes[segs[kept]], dt[kept], db[kept]
-    coeff = cell[inner] // R * N * R + cell[inner] % R
-    f_flat, g_flat = f_all.reshape(-1, n), g_all.reshape(-1, n, d)
-    z = np.take(frozen, cell[inner], axis=0)
-    for j in range(N):
+    inner_slot = (np.cumsum(new_group) - 1) * width + inner - group_start[group] - 1
+    seg_regime, seg_dt, seg_db = regimes[s], times[s + 1] - times[s], bvals[s + 1] - bvals[s]
+    t_table = np.empty((len(lo), width))
+    w_table = np.empty((len(lo), width, d))
+    for j in range(N):  # one pair of tables, summed in place, serves every regime
         mine = seg_regime == j
-        t_table = np.zeros(len(busy) * width)
-        w_table = np.zeros((len(busy) * width, d))
-        t_table[seg_slot[mine]] = seg_dt[mine]
-        w_table[seg_slot[mine]] = seg_db[mine]
-        t_part = np.take(np.cumsum(t_table.reshape(-1, width), axis=1).ravel(), inner_slot)
-        w_part = np.take(np.cumsum(w_table.reshape(-1, width, d), axis=1).reshape(-1, d),
-                         inner_slot, axis=0)
-        z = z + np.take(f_flat, coeff + j * R, axis=0) * t_part[:, None]
-        z = z + (np.take(g_flat, coeff + j * R, axis=0) @ w_part[:, :, None])[..., 0]
+        t_table.fill(0.0)
+        w_table.fill(0.0)
+        t_table.reshape(-1)[slot[mine]] = seg_dt[mine]
+        w_table.reshape(-1, d)[slot[mine]] = seg_db[mine]
+        t_part = np.take(np.cumsum(t_table, axis=1, out=t_table).reshape(-1), inner_slot)
+        w_part = np.take(np.cumsum(w_table, axis=1, out=w_table).reshape(-1, d), inner_slot,
+                         axis=0)
+        z = z + np.take(f_all, coeff + j * stride, axis=0) * t_part[:, None]
+        z = z + (np.take(g_all, coeff + j * stride, axis=0) @ w_part[:, :, None])[..., 0]
     return z
 
 
@@ -512,7 +572,7 @@ def em_jump_adapted(model: HybridModel, grid: RefinedGrid, bm: BrownianPath) -> 
     if np.any(index < 0):
         raise GridMismatchError(f"Brownian path lacks a value at t={grid.events[index < 0][0]}")
     grid = replace(grid, union_index=index)
-    return euler_block(model, [grid], bm.grid.points, bm.values).solution(0, JUMP_ADAPTED)
+    return next(euler_block(model, [[grid]], bm.grid.points, bm.values)).solution(0, JUMP_ADAPTED)
 
 
 def em_classical(model: HybridModel, skeleton, step: float, bm: BrownianPath) -> SolutionPath:
@@ -531,7 +591,7 @@ def em_classical(model: HybridModel, skeleton, step: float, bm: BrownianPath) ->
     grid = RefinedGrid(step=float(step), horizon=bm.grid.horizon, events=pts,
                        regimes=np.append(skeleton[:m], skeleton[m - 1]), owner_interval=index,
                        offsets=np.array([0, m + 1]), union_index=index)
-    return euler_block(model, [grid], pts, bm.values).solution(0, CLASSICAL)
+    return next(euler_block(model, [[grid]], pts, bm.values)).solution(0, CLASSICAL)
 
 
 def evaluate_path(solution: SolutionPath, bm: BrownianPath, times) -> np.ndarray:

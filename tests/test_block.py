@@ -171,7 +171,7 @@ def test_block_grids_match_per_path_oracles(sample):
 
     # with the same events, the block's rows solve as the oracle's grid does alone
     model = vector_model(n_states) if block.bm_values.shape[1] == 2 else linear
-    solved = euler_block(model, [refined], block.points, block.bm_values)
+    solved, = euler_block(model, [[refined]], block.points, block.bm_values)
     for row, (path, bm) in enumerate(zip(paths, bms)):
         r = row_slices(refined.offsets)[row]
         events, regimes, owners = oracles.refined_grid(path, step, horizon)
@@ -194,8 +194,8 @@ def test_cumulants_match_per_path_integrals(sample, times):
     n_states = int(max(p.states.max() for p in paths))
     model = vector_model(n_states) if block.bm_values.shape[1] == 2 else \
         s.LinearHybridModel(a=np.linspace(-1.0, 1.0, n_states), b=np.linspace(0.3, 0.9, n_states))
-    solved = euler_block(model, [s.build_refined_grid(block, step)], block.points,
-                         block.bm_values)
+    solved, = euler_block(model, [[s.build_refined_grid(block, step)]], block.points,
+                          block.bm_values)
     times = np.sort(np.concatenate([times, np.arange(0.0, 0.69, step) + 0.5 * step]))
     f, q = solved.cumulants(times)
     for row in range(len(paths)):
@@ -220,3 +220,42 @@ def test_sup_errors_builds_each_grid_once_per_block(monkeypatch):
     )
     harness._sup_errors(config)
     assert steps == [0.25, 0.125] * 3  # three blocks, two rungs
+
+
+RUNS = {"closed-form": harness._sup_errors, "fine-em": harness._sup_errors,
+        "moments": harness.moment_check, "local": harness.local_error_scaling}
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_one_recursion_per_block(monkeypatch, run):
+    """One kernel call per block; its drift calls are bounded by the longest rung alone."""
+    model = s.LinearHybridModel(a=[1.0, 2.0], b=[2.0, 1.0], z0=1.0)
+    drifts = []
+    drift = model.drift
+
+    def counted_drift(z, i):
+        drifts.append(i)
+        return drift(z, i)
+
+    model.drift = counted_drift
+    per_call = []
+    kernel = harness.euler_block
+
+    def counting(*args):
+        before = len(drifts)
+        solved = tuple(kernel(*args))
+        per_call.append(len(drifts) - before)
+        return iter(solved)
+
+    monkeypatch.setattr(harness, "euler_block", counting)
+    config = s.ExperimentConfig(
+        model=model, generator=s.validate_generator([[-1.0, 1.0], [2.0, -2.0]]), horizon=1.0,
+        p_values=(2,), deltas=(0.25, 0.125, 0.0625), samples=2 * harness.BLOCK_SIZE + 3,
+        reference="fine-em" if run == "fine-em" else "closed-form", ref_refinement=1,
+        schemes=(JUMP_ADAPTED, CLASSICAL),
+    )
+    RUNS[run](config)
+    longest = round(config.horizon / (config.reference_step if run == "fine-em"
+                                      else config.finest_step))
+    assert len(per_call) == 3  # three blocks
+    assert all(0 < calls <= model.regime_count * longest for calls in per_call)

@@ -232,6 +232,20 @@ def test_converge_rejects_non_dyadic_ladder(tmp_path):
     assert main(["converge", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+def test_converge_rejects_ladder_off_the_finest_grid(tmp_path):
+    # dyadic to 1e-12, but 0.25 misses the finest grid's 0.25000000000012
+    cfg = converge_config(tmp_path, deltas=[0.25, 0.1250000000000625])
+    assert main(["converge", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("deltas", [[0.25, 0.125], [0.3, 0.15]])
+def test_converge_runs_ladders_on_the_finest_grid(tmp_path, deltas):
+    cfg = converge_config(tmp_path, deltas=deltas)
+    assert main(["converge", "--config", cfg, "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "errors.csv") as fh:
+        assert len(fh.read().splitlines()) == 1 + 2 * len(deltas)
+
+
 def test_converge_thread_count_does_not_change_bytes(tmp_path):
     cfg = converge_config(tmp_path, samples=24)
     out_a, out_b = str(tmp_path / "t1"), str(tmp_path / "t8")
@@ -310,6 +324,14 @@ def test_solve_diverging_model_exits_4(tmp_path):
         model={"model": "linear", "a": [1e200, 1e200], "b": [0.0, 0.0], "z0": 1.0},
     )
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 4
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_converge_diverging_model_exits_4(tmp_path):
+    cfg = converge_config(
+        tmp_path, model={"model": "linear", "a": [1e200, 1e200], "b": [0.0, 0.0], "z0": 1.0},
+    )
+    assert main(["converge", "--config", cfg, "--out", str(tmp_path)]) == 4
 
 
 def test_contract_error_is_not_reported_as_config_error(tmp_path, monkeypatch):

@@ -71,6 +71,14 @@ def test_config_rejects_non_dyadic_ladder():
         linear_config(deltas=(0.1, 0.05, 0.03))
 
 
+def test_config_rejects_ladder_off_the_finest_grid():
+    # within 1e-12 of dyadic, but 0.25 is 1.25e-13 from the finest grid's nearest point
+    with pytest.raises(ConfigError):
+        linear_config(deltas=(0.25, 0.1250000000000625))
+    for deltas in ((0.25, 0.125), (0.3, 0.15)):
+        assert linear_config(deltas=deltas).deltas == deltas
+
+
 def test_config_rejects_ascending_ladder():
     with pytest.raises(ConfigError):
         linear_config(deltas=(0.125, 0.25))

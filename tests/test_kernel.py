@@ -11,16 +11,19 @@ from ``build_refined_grid``, switches within TIME_TOL of an event are
 checked separately, against integrals taken from the chain path alone.
 """
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import switchsde as s
 import switchsde.harness as harness
 from switchsde._timeutil import TIME_TOL, match_indices, time_tolerance
-from switchsde.solvers import CLASSICAL, JUMP_ADAPTED, SampleBlock, euler_block
+from switchsde.errors import NonFiniteError
+from switchsde.solvers import CLASSICAL, JUMP_ADAPTED, SampleBlock, classical_grid, euler_block
 
 RTOL = 1e-12
 
@@ -165,6 +168,20 @@ def test_schemes_match_per_event_loop(data):
     assert_close(classical.values, oracle_on_grid(model, points, skeleton, owners, coarse))
 
 
+def recording(model):
+    """The model with every drift call's regime and states recorded in a list."""
+    calls = []
+
+    def drift(z, i):
+        calls.append((i, z.copy()))
+        return model.drift(z, i)
+
+    wrapped = s.HybridModel(model.state_dim, model.noise_dim, model.regime_count, drift,
+                            model.diffusion, model.initial_value)
+    return wrapped, calls
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning", "ignore:overflow:RuntimeWarning")
 @given(st.data())
 def test_block_rows_do_not_mix(data):
     gen = data.draw(generators())
@@ -173,19 +190,84 @@ def test_block_rows_do_not_mix(data):
     paths = [data.draw(chain_paths(gen.n_states, horizon, step)) for _ in range(3)]
     bms = [brownian_for(p, step, model.noise_dim, seed) for seed, p in enumerate(paths)]
 
-    def solve(rows):
+    def solve(rows, model=model, values=tuple(bm.values for bm in bms)):
         sample = SampleBlock.stack([paths[r] for r in rows], [bms[r].grid for r in rows],
-                                   [bms[r].values for r in rows])
+                                   [values[r] for r in rows])
         grid = s.build_refined_grid(sample, step)
-        return euler_block(model, [grid], sample.points, sample.bm_values)
+        return euler_block(model, [[grid]], sample.points, sample.bm_values)
 
-    block = solve(range(3))
+    block = next(solve(range(3)))
     for row in range(3):
-        alone = solve([row])
+        alone = next(solve([row]))
         lo, hi = block.offsets[row], block.offsets[row + 1]
         assert np.array_equal(block.values[:, lo:hi], alone.values)
         assert np.array_equal(block.drift[:, lo:hi], alone.drift)
         assert np.array_equal(block.diff[:, :, lo:hi], alone.diff)
+
+    # a lane holding inf or NaN is reported, and leaves every other lane's states unchanged
+    bad = data.draw(st.integers(0, 2))
+    poisoned = [bm.values.copy() for bm in bms]
+    poisoned[bad][1:] = data.draw(st.sampled_from([np.inf, np.nan]))
+    clean_model, clean = recording(model)
+    next(solve(range(3), clean_model))
+    sick_model, sick = recording(model)
+    with pytest.raises(NonFiniteError):
+        next(solve(range(3), sick_model, poisoned))
+    assert [i for i, _ in sick] == [i for i, _ in clean]
+    others = [row for row in range(3) if row != bad]
+    for (_, want), (_, got) in zip(clean, sick):
+        assert np.array_equal(got[others], want[others])
+    assert not all(np.all(np.isfinite(z[bad])) for _, z in sick)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_ladder_lanes_match_one_call_per_rung(data):
+    """One call over a whole ladder gives each rung what a call of its own gives."""
+    gen = data.draw(generators())
+    model = model_for("vector", gen.n_states)
+    top = data.draw(st.sampled_from([0.25, 0.2, 0.1]))  # on T = 0.7 some rungs end early
+    deltas = tuple(top / 2**i for i in range(data.draw(st.integers(1, 4))))
+    schemes = data.draw(st.sampled_from([(JUMP_ADAPTED,), (CLASSICAL,), (JUMP_ADAPTED, CLASSICAL)]))
+    config = s.ExperimentConfig(
+        model=model, generator=gen, horizon=0.7, deltas=deltas,
+        samples=data.draw(st.integers(2, 4)), seed=data.draw(st.integers(0, 2**16)),
+        reference="fine-em", ref_refinement=1, schemes=schemes,
+    )
+    block = next(harness._coupled_blocks(config, config.reference_step))
+    rungs = [[s.build_refined_grid(block, delta) if scheme == JUMP_ADAPTED
+              else classical_grid(block, delta) for scheme in schemes] for delta in deltas]
+    if data.draw(st.booleans()):  # with the fine-EM reference's lanes
+        rungs.insert(data.draw(st.integers(0, len(rungs))),
+                     [s.build_refined_grid(block, config.reference_step)])
+    whole = list(euler_block(model, rungs, block.points, block.bm_values))
+    assert len(whole) == len(rungs)
+    for rung, got in zip(rungs, whole):
+        want = next(euler_block(model, [rung], block.points, block.bm_values))
+        assert got.step == rung[0].step and got.copies == len(rung)
+        for field in ("offsets", "times", "values", "drift", "diff", "bm_index", "bm_values"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        assert np.array_equal(got.on_brownian_grids(), want.on_brownian_grids())
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [0, 1, 2])
+def test_a_diverging_rung_is_reported_wherever_it_stands(bad):
+    """A rung whose lanes overflow raises NonFiniteError; the rungs before it are finite."""
+    model = s.LinearHybridModel(a=[1.0, 2.0], b=[0.5, 0.3], z0=1.0)
+    config = s.ExperimentConfig(
+        model=model, generator=s.validate_generator([[-1.0, 1.0], [2.0, -2.0]]), horizon=1.0,
+        deltas=(0.25, 0.125, 0.0625), samples=3, seed=bad,
+    )
+    block = next(harness._coupled_blocks(config, config.finest_step))
+    rungs = [[s.build_refined_grid(block, delta)] for delta in (0.0625, 0.25, 0.125)]
+    grid = rungs[bad][0]
+    rungs[bad] = [dataclasses.replace(grid, events=grid.events * 1e300)]  # overflows its lanes
+    solved = euler_block(model, rungs, block.points, block.bm_values)
+    for _ in range(bad):
+        assert np.all(np.isfinite(next(solved).values))
+    with pytest.raises(NonFiniteError):
+        next(solved)
 
 
 def oracle_sup_errors(config):
