@@ -72,10 +72,14 @@ DEFAULT_CONFIG = {
 
 
 def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    tmp = f"{path}.{os.getpid()}.tmp"  # one per process: concurrent runs cannot collide
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write or the rename failed
+            os.remove(tmp)
 
 
 def _emit(path: str, render) -> None:

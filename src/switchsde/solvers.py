@@ -32,7 +32,7 @@ reproducing the discrete values at the solver's own event times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -95,6 +95,7 @@ class SampleBlock:
     points: np.ndarray
     offsets: np.ndarray
     bm_values: np.ndarray | None = None
+    _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def stack(cls, chains, grids, bm_values=None) -> SampleBlock:
@@ -142,13 +143,19 @@ class SampleBlock:
         return self.states_at(self.rows, mid)
 
     def on_grid(self, step: float) -> np.ndarray:
-        """Mask of the union points on the uniform grid of ``step``, T included."""
+        """Read-only mask of the union points on the uniform grid of ``step``, T included."""
+        if step not in self._masks:  # built once per block and step
+            self._masks[step] = self._grid_mask(step)
+        return self._masks[step]
+
+    def _grid_mask(self, step: float) -> np.ndarray:
         tol = time_tolerance(self.horizon)
         on_grid = np.abs(np.rint(self.points / step) * step - self.points) <= tol
         on_grid[self.offsets[1:] - 1] = True
         count = np.add.reduceat(on_grid, self.offsets[:-1], dtype=np.int64)
         if np.any(count != len(uniform_points(self.horizon, step))):
             raise GridMismatchError(f"a union grid lacks a gridpoint of step {step}")
+        on_grid.setflags(write=False)
         return on_grid
 
 
@@ -410,7 +417,7 @@ def euler_block(model: HybridModel, rungs, points, bm_values):
     fbase = np.concatenate([[0, L], L + np.cumsum(active)])
     active_end = np.append(active, 0)  # a row's last event may own interval K
 
-    # T and W: each cell sums its lane's segments in order, as a bincount would
+    # T and W: each cell sums its lane's segments in order
     occupation = np.zeros(base[-1])
     noise = np.zeros((base[-1], d))
     bins = {}  # (rung, grid): the cell of each segment
@@ -505,7 +512,7 @@ def euler_block(model: HybridModel, rungs, points, bm_values):
         if len(inner):
             k, at = owners[inner], lanes[inner]
             values[:, inner] = _inner_values(
-                inner, np.flatnonzero(first), times, bvals,
+                inner, times, bvals,
                 np.concatenate([g.regimes for g in grids]) - 1, frozen[fbase[k] + at],
                 base[k] + at, active[k], N, f_all, g_all,
             ).T
@@ -520,43 +527,45 @@ def euler_block(model: HybridModel, rungs, points, bm_values):
     return (expand(r) for r in range(len(rungs)))
 
 
-def _inner_values(inner, group_start, times, bvals, regimes, z, coeff, stride, N, f_all, g_all):
+def _inner_values(inner, times, bvals, regimes, z, coeff, stride, N, f_all, g_all):
     """Values at events strictly inside a uniform interval.
 
     An inner event e of interval k gets Z_k + sum_j f_kj T_j(e) + g_kj W_j(e),
     with T_j(e) and W_j(e) the time and Brownian increment in regime j over
-    the interval's segments before e, summed left to right exactly as the
-    bincount sums them. ``group_start`` holds the first event of each row's
-    interval, ``z`` is Z_k of each inner event and its regime j coefficients
-    are row ``coeff + j * stride`` of ``f_all`` and ``g_all``. The sums run
-    as a cumsum over a (group, position) table holding only the intervals
-    that contain inner events, up to the last of them.
+    the interval's segments before e, summed left to right. ``z`` is Z_k and
+    its regime j coefficients are row ``coeff + j * stride`` of ``f_all`` and
+    ``g_all``.
+
+    Segment e - 1 owns one cell of one table, with a (dt, dB) column per
+    regime. Cells are ordered by the segment's position in its interval,
+    then by the interval's rank: intervals with more segments rank first, so
+    those that reach position p are a prefix. Adding position p - 1's prefix
+    to position p, for p = 1, 2, ..., leaves in each cell the sums up to its
+    segment; another regime's segment adds an exact 0.0.
     """
-    d = bvals.shape[1]
-    group = np.searchsorted(group_start, inner, side="right") - 1  # nondecreasing
-    new_group = np.concatenate([[True], group[1:] != group[:-1]])
-    lo = group_start[group[new_group]]
-    count = inner[np.append(np.flatnonzero(new_group)[1:], len(inner)) - 1] - lo
-    width = int(count.max())
-    busy = np.repeat(np.arange(len(lo)), count)  # the busy group of each segment kept
-    pos = np.arange(len(busy)) - np.repeat(np.cumsum(count) - count, count)
-    s, slot = lo[busy] + pos, busy * width + pos  # its event, and its slot in the table
-    # the slot of the last segment before each inner event
-    inner_slot = (np.cumsum(new_group) - 1) * width + inner - group_start[group] - 1
-    seg_regime, seg_dt, seg_db = regimes[s], times[s + 1] - times[s], bvals[s + 1] - bvals[s]
-    t_table = np.empty((len(lo), width))
-    w_table = np.empty((len(lo), width, d))
-    for j in range(N):  # one pair of tables, summed in place, serves every regime
-        mine = seg_regime == j
-        t_table.fill(0.0)
-        w_table.fill(0.0)
-        t_table.reshape(-1)[slot[mine]] = seg_dt[mine]
-        w_table.reshape(-1, d)[slot[mine]] = seg_db[mine]
-        t_part = np.take(np.cumsum(t_table, axis=1, out=t_table).reshape(-1), inner_slot)
-        w_part = np.take(np.cumsum(w_table, axis=1, out=w_table).reshape(-1, d), inner_slot,
-                         axis=0)
-        z = z + np.take(f_all, coeff + j * stride, axis=0) * t_part[:, None]
-        z = z + (np.take(g_all, coeff + j * stride, axis=0) @ w_part[:, :, None])[..., 0]
+    # an interval's inner events directly follow its first event, and a first
+    # or last event parts them from the next interval's
+    new = np.diff(inner, prepend=-1) > 1
+    group = np.cumsum(new) - 1
+    pos = inner - inner[new][group]
+    count = np.bincount(group)  # segments per interval
+    order = np.argsort(-count, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    reach = np.searchsorted(-count[order], -np.arange(count[order[0]]))  # intervals reaching p
+    off = np.concatenate([[0], np.cumsum(reach)])
+    cell = off[pos] + rank[group]
+    table = np.zeros((len(inner), N, 1 + bvals.shape[1]))
+    flat, at = table.reshape(len(inner) * N, -1), cell * N + regimes[inner - 1]
+    for c, column in enumerate([times, *bvals.T]):  # a column at a time is faster
+        flat[at, c] = np.take(column, inner) - np.take(column, inner - 1)
+    for prev, lo, a in zip(off[:-2].tolist(), off[1:-1].tolist(), reach[1:].tolist()):
+        np.add(table[lo:lo + a], table[prev:prev + a], out=table[lo:lo + a])
+    del group, pos, at  # lower the peak memory
+    table = np.take(table, cell, axis=0)
+    for j in range(N):
+        z = z + np.take(f_all, coeff + j * stride, axis=0) * table[:, j, :1]
+        z = z + (np.take(g_all, coeff + j * stride, axis=0) @ table[:, j, 1:, None])[..., 0]
     return z
 
 

@@ -7,7 +7,8 @@ package did before: the refined grid by merging the step's gridpoints with
 the path's switching times, the classical grid from the path's skeleton,
 the closed form over the Brownian path's own grid, and the drift and
 diffusion integrals of one solution. Each segment's regime is the chain
-state at its midpoint.
+state at its midpoint. `inner_values` is the Euler kernel's step for events
+inside an interval done with one padded table per regime.
 """
 
 import numpy as np
@@ -75,3 +76,38 @@ def piecewise_cumulants(sol, times):
     seg = np.clip(np.searchsorted(events, times, side="right") - 1, 0, len(events) - 2)
     off = times - events[seg]
     return cum_f[seg] + sol.seg_drift[seg] * off[:, None], cum_q[seg] + q_seg[seg] * off
+
+
+def inner_values(inner, times, bvals, regimes, z, coeff, stride, N, f_all, g_all):
+    """`solvers._inner_values` by one (interval, position) table per regime.
+
+    Each interval that holds inner events gets a row as wide as the widest
+    of them, and the row's cumulative sum gives the time and Brownian
+    increment in the regime over the segments before each inner event.
+    """
+    d = bvals.shape[1]
+    new_group = np.diff(inner, prepend=-1) > 1  # an interval's inner events follow its first
+    lo = inner[new_group] - 1  # the interval's first event
+    start = lo[np.cumsum(new_group) - 1]
+    count = inner[np.append(np.flatnonzero(new_group)[1:], len(inner)) - 1] - lo
+    width = int(count.max())
+    busy = np.repeat(np.arange(len(lo)), count)  # the busy group of each segment kept
+    pos = np.arange(len(busy)) - np.repeat(np.cumsum(count) - count, count)
+    s, slot = lo[busy] + pos, busy * width + pos  # its event, and its slot in the table
+    # the slot of the last segment before each inner event
+    inner_slot = (np.cumsum(new_group) - 1) * width + inner - start - 1
+    seg_regime, seg_dt, seg_db = regimes[s], times[s + 1] - times[s], bvals[s + 1] - bvals[s]
+    t_table = np.empty((len(lo), width))
+    w_table = np.empty((len(lo), width, d))
+    for j in range(N):  # one pair of tables, summed in place, serves every regime
+        mine = seg_regime == j
+        t_table.fill(0.0)
+        w_table.fill(0.0)
+        t_table.reshape(-1)[slot[mine]] = seg_dt[mine]
+        w_table.reshape(-1, d)[slot[mine]] = seg_db[mine]
+        t_part = np.take(np.cumsum(t_table, axis=1, out=t_table).reshape(-1), inner_slot)
+        w_part = np.take(np.cumsum(w_table, axis=1, out=w_table).reshape(-1, d), inner_slot,
+                         axis=0)
+        z = z + np.take(f_all, coeff + j * stride, axis=0) * t_part[:, None]
+        z = z + (np.take(g_all, coeff + j * stride, axis=0) @ w_part[:, :, None])[..., 0]
+    return z

@@ -21,6 +21,9 @@ compared only where the grids are equal. The classical grids and the
 closed form agree exactly.
 """
 
+import json
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +33,7 @@ import oracles
 import switchsde as s
 import switchsde.harness as harness
 from switchsde._timeutil import time_tolerance
+from switchsde.cli import main
 from switchsde.errors import RegimeNotConstantError
 from switchsde.solvers import CLASSICAL, JUMP_ADAPTED, SampleBlock, classical_grid, euler_block
 
@@ -220,6 +224,38 @@ def test_sup_errors_builds_each_grid_once_per_block(monkeypatch):
     )
     harness._sup_errors(config)
     assert steps == [0.25, 0.125] * 3  # three blocks, two rungs
+
+
+def test_each_grid_mask_is_computed_once_per_block_and_step(monkeypatch, tmp_path):
+    config = s.ExperimentConfig(
+        model=s.LinearHybridModel(a=[1.0, 2.0], b=[2.0, 1.0], z0=1.0),
+        generator=s.validate_generator([[-1.0, 1.0], [2.0, -2.0]]), horizon=1.0,
+        deltas=(0.25, 0.125), samples=2 * harness.BLOCK_SIZE + 3, reference="closed-form",
+        schemes=(JUMP_ADAPTED, CLASSICAL),
+    )
+    cfg = tmp_path / "solve.json"
+    cfg.write_text(json.dumps({"step": 0.125, "seed": 4}))
+
+    def run(out):
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / out)]) == 0
+        files = sorted(os.listdir(tmp_path / out))
+        return harness._sup_errors(config), [(tmp_path / out / f).read_bytes() for f in files]
+
+    with monkeypatch.context() as patch:  # a mask computed on every call
+        patch.setattr(SampleBlock, "on_grid", SampleBlock._grid_mask)
+        want = run("uncached")
+    steps = []
+    compute = SampleBlock._grid_mask
+
+    def counting(block, step):
+        steps.append(step)
+        return compute(block, step)
+
+    monkeypatch.setattr(SampleBlock, "_grid_mask", counting)
+    sups, files = run("cached")
+    assert np.array_equal(sups, want[0]) and files == want[1]
+    # solve's one block with one step, then three blocks of two steps, each read by both schemes
+    assert steps == [0.125] + [0.25, 0.125] * 3
 
 
 RUNS = {"closed-form": harness._sup_errors, "fine-em": harness._sup_errors,

@@ -71,6 +71,22 @@ def test_missing_config_file_exits_2(tmp_path):
     assert main(["chain", "simulate", "--config", str(tmp_path / "nope.json")]) == 2
 
 
+def test_failed_write_leaves_old_file_and_no_temp_file(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    first = write_config(tmp_path, generator=TWO_STATE, horizon=10.0, seed=1)
+    assert main(["chain", "simulate", "--config", first, "--out", str(out)]) == 0
+    before = (out / "chain.csv").read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    second = write_config(tmp_path, "second.json", generator=TWO_STATE, horizon=10.0, seed=2)
+    assert main(["chain", "simulate", "--config", second, "--out", str(out)]) == 2
+    assert (out / "chain.csv").read_bytes() == before
+    assert sorted(os.listdir(out)) == ["chain.csv"]
+
+
 # --- chain validate ---------------------------------------------------------------
 
 

@@ -12,6 +12,7 @@ checked separately, against integrals taken from the chain path alone.
 """
 
 import dataclasses
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -19,25 +20,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import switchsde as s
 import switchsde.harness as harness
+import switchsde.solvers as solvers
 from switchsde._timeutil import TIME_TOL, match_indices, time_tolerance
 from switchsde.errors import NonFiniteError
 from switchsde.solvers import CLASSICAL, JUMP_ADAPTED, SampleBlock, classical_grid, euler_block
 
 RTOL = 1e-12
+MEMORY_BOUND_MB = 25  # about twice the 11.6 MB peak of the burst block below
 
 
 # --- inputs -------------------------------------------------------------------------
 
 
 @st.composite
-def generators(draw):
+def generators(draw, rates=(0.0, 0.5, 1.5, 3.0)):
     """Generators with N <= 4 states, sometimes with an absorbing state."""
     n = draw(st.integers(1, 4))
-    rates = np.array(
-        [[draw(st.sampled_from([0.0, 0.5, 1.5, 3.0])) for _ in range(n)] for _ in range(n)]
-    )
+    rates = np.array([[draw(st.sampled_from(rates)) for _ in range(n)] for _ in range(n)])
     np.fill_diagonal(rates, 0.0)
     if n > 1 and draw(st.booleans()):
         rates[draw(st.integers(0, n - 1))] = 0.0
@@ -268,6 +270,67 @@ def test_a_diverging_rung_is_reported_wherever_it_stands(bad):
         assert np.all(np.isfinite(next(solved).values))
     with pytest.raises(NonFiniteError):
         next(solved)
+
+
+# --- the values at events inside an interval ----------------------------------------
+
+
+@settings(max_examples=50)
+@given(st.data())
+def test_inner_values_match_the_per_regime_tables(data):
+    """The kernel's values inside an interval are the per-regime tables' bit for bit.
+
+    Rates up to 2000 put hundreds of segments in some intervals and one in
+    others; the last row has switches within TIME_TOL of a gridpoint.
+    """
+    gen = data.draw(generators(rates=(0.0, 2.0, 300.0, 2000.0)))
+    horizon, model, top = 0.7, model_for("vector", gen.n_states), data.draw(steps)
+    deltas = [top / 2**i for i in range(3)]
+    seed = data.draw(st.integers(0, 2**16))
+    paths = [s.simulate_exact_path(gen, 1, horizon, np.random.default_rng([seed, row]))
+             for row in range(3)]
+    paths.append(data.draw(chain_paths(gen.n_states, horizon, top)))
+    bms = [brownian_for(p, deltas[-1], 2, [seed, row]) for row, p in enumerate(paths)]
+    block = SampleBlock.stack(paths, [bm.grid for bm in bms], [bm.values for bm in bms])
+    rungs = [[s.build_refined_grid(block, delta), classical_grid(block, delta)]
+             for delta in deltas]
+    got = list(euler_block(model, rungs, block.points, block.bm_values))
+    with mock.patch.object(solvers, "_inner_values", oracles.inner_values):
+        want = list(euler_block(model, rungs, block.points, block.bm_values))
+    for g, w in zip(got, want):
+        assert np.array_equal(g.values, w.values)
+        assert np.array_equal(g.on_brownian_grids(), w.on_brownian_grids())
+
+
+def test_a_burst_of_switches_needs_memory_linear_in_the_switches():
+    """16 rows, one with 20k switches inside one interval of the coarsest step.
+
+    Tables as wide as the busiest interval, one row for every interval with
+    events inside it, took a peak of 72 MB here; the kernel's temporaries
+    grow with the events inside intervals, for a peak of 12 MB.
+    """
+    horizon, deltas = 1.0, [2.0**-k for k in range(4, 10)]
+    rng = np.random.default_rng(5)
+    fine = s.uniform_grid(horizon, deltas[-1])
+    paths, bms = [], []
+    for row in range(16):
+        times = rng.uniform(0.5, 0.5625, 20000) if row == 0 else rng.uniform(0.0, horizon, 30)
+        times = np.append(0.0, np.sort(times))
+        paths.append(s.ChainPath(horizon=horizon, switch_times=times,
+                                 states=1 + np.arange(len(times)) % 3))
+        union = s.merge_grids(fine, s.make_grid(np.append(times, horizon)))
+        bms.append(s.generate_increments(union, 1, rng))
+    block = SampleBlock.stack(paths, [bm.grid for bm in bms], [bm.values for bm in bms])
+    model = s.LinearHybridModel(a=[1.0, 2.0, -0.5], b=[2.0, 1.0, 0.5], z0=1.0)
+    rungs = [[s.build_refined_grid(block, delta)] for delta in deltas]
+    tracemalloc.start()
+    try:
+        solved = list(euler_block(model, rungs, block.points, block.bm_values))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(solved) == len(deltas)
+    assert peak < MEMORY_BOUND_MB * 1e6, peak
 
 
 def oracle_sup_errors(config):
