@@ -29,6 +29,7 @@ from .ctmc import generator_from_json, simulate_exact_path
 from .errors import ConfigError, JumpBudgetError, NonFiniteError
 from .harness import (
     REFERENCE_CLOSED_FORM,
+    _solve_ladder,
     config_from_dict,
     coupled_sample,
     derive_stream,
@@ -37,16 +38,7 @@ from .harness import (
     validate_chain_statistics,
 )
 from .model import model_from_config
-from .solvers import (
-    CLASSICAL,
-    JUMP_ADAPTED,
-    SampleBlock,
-    SolutionPath,
-    build_refined_grid,
-    classical_grid,
-    euler_block,
-    exact_linear_solution,
-)
+from .solvers import CLASSICAL, JUMP_ADAPTED, SampleBlock, SolutionPath, exact_linear_solution
 
 EXIT_OK = 0
 EXIT_STAT_FAIL = 1
@@ -163,7 +155,7 @@ def cmd_solve(args) -> int:
         )
     schemes = list(cfg.get("schemes", [JUMP_ADAPTED, CLASSICAL]))
     unknown = set(schemes) - {JUMP_ADAPTED, CLASSICAL}
-    if unknown:
+    if unknown or not schemes:
         raise ConfigError(f"unknown schemes {sorted(unknown)}")
     reference = cfg.get("reference", REFERENCE_CLOSED_FORM if model.has_closed_form() else "none")
     if reference not in (REFERENCE_CLOSED_FORM, "none"):
@@ -192,10 +184,8 @@ def cmd_solve(args) -> int:
 
     write("chain.csv", chain.to_csv)
     write("brownian.csv", bm.to_csv)
-    for scheme in schemes:
-        grid = (build_refined_grid if scheme == JUMP_ADAPTED else classical_grid)(block, step)
-        solved, = euler_block(model, [[grid]], block.points, block.bm_values)
-        write_uniform(scheme, solved.values.T[on_grid[grid.union_index]])
+    for scheme, solved in zip(schemes, _solve_ladder(model, block, [step], schemes)):
+        write_uniform(scheme, solved.values.T[on_grid[solved.bm_index]])
     if reference == REFERENCE_CLOSED_FORM:
         write_uniform("reference", exact_linear_solution(model, block).values[on_grid])
 

@@ -163,15 +163,18 @@ def validate_generator(rates) -> GeneratorMatrix:
 
 
 def generator_from_json(source) -> GeneratorMatrix:
-    """Read a generator from JSON ``{"states": N, "rates": [[...], ...]}``."""
+    """Read a generator from JSON ``{"states": N, "rates": [[...], ...]}``.
+
+    ``source`` is the parsed object, a JSON string or a file holding one.
+    """
     if isinstance(source, (str, bytes)):
-        data = json.loads(source)
-    elif isinstance(source, dict):
-        data = source
-    else:
-        data = json.load(source)
+        source = json.loads(source)
+    elif hasattr(source, "read"):
+        source = json.load(source)
+    if not isinstance(source, dict):
+        raise ConfigError(f"generator must be a JSON object, got {type(source).__name__}")
     try:
-        rates, declared = data["rates"], int(data["states"])
+        rates, declared = source["rates"], int(source["states"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"generator needs 'states' and 'rates': {exc!r}") from None
     gen = validate_generator(rates)

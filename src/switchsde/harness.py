@@ -18,12 +18,13 @@ is reported with a delta-method standard error, and the convergence order is
 the least-squares slope of log2 eps against log2 delta.
 
 Samples run in blocks of BLOCK_SIZE consecutive indices. One batched Euler
-recursion per block advances every sample under every scheme at every step
-size, and the fine-EM reference with them; it runs over the intervals of the
-longest rung, and each rung's lanes drop out after its last interval. Each
-sample's arithmetic is independent of its block, and the block size is a
-constant, so results are bit-identical across reruns and thread counts (the
-``threads`` arguments are kept for compatibility and change nothing).
+recursion per block advances every sample on one grid per (step, scheme)
+pair, and on the fine-EM reference grid with them; it runs over the
+intervals of the finest grid, and each grid's lanes drop out after its last
+interval. Each sample's arithmetic is independent of its block, and the
+block size is a constant, so results are bit-identical across reruns and
+thread counts. Only ``run_strong_error`` takes a ``threads`` argument, kept
+for the callers that pass it, and it changes nothing.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ _DEFAULT_DELTAS = tuple(2.0 ** -k for k in range(4, 10))
 #: Samples per block of the batched recursion. Fixed, so that neither the
 #: sample count nor a thread count can change the arithmetic; large enough
 #: that each coefficient call of a block's one recursion (at most 2N per
-#: interval of the longest rung) serves many samples, small enough that a
+#: interval of the finest grid) serves many samples, small enough that a
 #: block's buffers stay a few MB.
 BLOCK_SIZE = 64
 
@@ -174,6 +175,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a parsed JSON experiment description."""
     from .ctmc import generator_from_json
 
+    p_values = data.get("p", [2])
+    if not isinstance(p_values, list) or not all(type(p) is int for p in p_values):
+        raise ConfigError(f"p must be a list of integers, got {p_values!r}")
     try:
         gen = generator_from_json(data["generator"])
         model = model_from_config(data["model"], initial_regime=int(data.get("initial_regime", 1)))
@@ -181,7 +185,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             model=model,
             generator=gen,
             horizon=float(data.get("horizon", 1.0)),
-            p_values=tuple(int(p) for p in data.get("p", [2])),
+            p_values=tuple(p_values),
             deltas=tuple(float(d) for d in data.get("deltas", _DEFAULT_DELTAS)),
             samples=int(data.get("samples", 1000)),
             seed=int(data.get("seed", 0)),
@@ -304,16 +308,16 @@ def _coupled_blocks(config: ExperimentConfig, fine_step: float):
 
 def _solve_ladder(model: HybridModel, block: SampleBlock, deltas, schemes,
                   reference_step: float | None = None):
-    """One Euler recursion for a block over every step, one grid per scheme.
+    """One Euler recursion for a block: one grid per (step, scheme), in that order.
 
-    A switch-adapted rung on ``reference_step``, when given, comes first.
+    A switch-adapted grid on ``reference_step``, when given, comes first.
     Returns euler_block's iterator of EulerBlocks; it holds the only
-    reference to the grids, so each rung's are freed once it is expanded.
+    reference to the grids, so each is freed once it is expanded.
     """
-    rungs = [[build_refined_grid(block, reference_step)]] if reference_step else []
-    rungs += [[build_refined_grid(block, delta) if scheme == JUMP_ADAPTED
-               else classical_grid(block, delta) for scheme in schemes] for delta in deltas]
-    return euler_block(model, rungs, block.points, block.bm_values)
+    grids = [build_refined_grid(block, reference_step)] if reference_step else []
+    grids += [build_refined_grid(block, delta) if scheme == JUMP_ADAPTED
+              else classical_grid(block, delta) for delta in deltas for scheme in schemes]
+    return euler_block(model, grids, block.points, block.bm_values)
 
 
 def _sup_errors(config: ExperimentConfig) -> np.ndarray:
@@ -326,7 +330,7 @@ def _sup_errors(config: ExperimentConfig) -> np.ndarray:
     """
     schemes, deltas, model = config.schemes, config.deltas, config.model
     fine_em = config.reference == REFERENCE_FINE_EM
-    out = np.empty((len(schemes), len(deltas), config.samples))
+    out = np.empty((len(deltas) * len(schemes), config.samples))  # in the ladder's order
     done = 0
     for block in _coupled_blocks(config, config.reference_step):
         if fine_em:
@@ -335,14 +339,11 @@ def _sup_errors(config: ExperimentConfig) -> np.ndarray:
         else:  # before the recursion, whose tables would add to its peak memory
             ref = exact_linear_solution(model, block).values.T
             solved = _solve_ladder(model, block, deltas, schemes)
-        starts = np.concatenate([block.offsets[:-1] + s * len(block.points)
-                                 for s in range(len(schemes))])
-        for di, approx in enumerate(map(EulerBlock.on_brownian_grids, solved)):
-            gap = approx.reshape(len(ref), len(schemes), -1) - ref[:, None]
-            sups = np.maximum.reduceat(np.linalg.norm(gap, axis=0).ravel(), starts)
-            out[:, di, done:done + len(block)] = sups.reshape(len(schemes), len(block))
+        for i, approx in enumerate(map(EulerBlock.on_brownian_grids, solved)):
+            gap = np.linalg.norm(approx - ref, axis=0)
+            out[i, done:done + len(block)] = np.maximum.reduceat(gap, block.offsets[:-1])
         done += len(block)
-    return out
+    return out.reshape(len(deltas), len(schemes), -1).swapaxes(0, 1)
 
 
 def run_strong_error(config: ExperimentConfig, threads: int = 1) -> ErrorReport:
@@ -433,14 +434,12 @@ class MomentReport:
         return out
 
 
-def moment_check(config: ExperimentConfig, threads: int = 1,
-                 growth_flag_factor: float = 2.0) -> MomentReport:
+def moment_check(config: ExperimentConfig, growth_flag_factor: float = 2.0) -> MomentReport:
     """Estimate E sup_t |Z(t)|^p for the switch-adapted scheme across the ladder.
 
     Uses the same coupling as the error run, so across-ladder variation
     reflects discretization alone. Ratios beyond ``growth_flag_factor`` are
-    reported by ``flagged()``. ``threads`` is accepted for compatibility and
-    changes nothing.
+    reported by ``flagged()``.
     """
     sups = np.empty((len(config.deltas), config.samples))
     done = 0
@@ -478,7 +477,7 @@ class LocalErrorReport:
         return [pt for pt in self.points if pt.p == p]
 
 
-def local_error_scaling(config: ExperimentConfig, threads: int = 1) -> LocalErrorReport:
+def local_error_scaling(config: ExperimentConfig) -> LocalErrorReport:
     """Measure the gap between the continuous scheme and its frozen argument.
 
     At the midpoint m of a uniform interval starting at t_k, the scheme has
@@ -489,8 +488,7 @@ def local_error_scaling(config: ExperimentConfig, threads: int = 1) -> LocalErro
     integrated out analytically (|A|^2 + Q for p = 2; the matching Gaussian
     moment formula for p = 4), which removes the one-draw noise that would
     otherwise swamp the max over midpoints. The maximum over midpoints of
-    the cell means should scale like delta^(p/2). ``threads`` is accepted for
-    compatibility and changes nothing.
+    the cell means should scale like delta^(p/2).
     """
     if any(p not in (2, 4) for p in config.p_values):
         raise ConfigError("local-error scaling supports moment orders 2 and 4")

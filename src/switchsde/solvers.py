@@ -15,8 +15,8 @@ Both schemes, and the fine-grid reference, run through one batched kernel,
 interval, a step only needs the time and the Brownian increment each path
 spends in each regime during the interval; the classical scheme is the case
 where all of it falls on the skeleton regime. One kernel call advances a
-block of paths under every step of a ladder at once: one recursion over the
-longest rung's intervals, where iteration k advances the lanes of the rungs
+block of paths on every grid of a ladder at once: one recursion over the
+longest grid's intervals, where iteration k advances the lanes of the grids
 that have more than k intervals.
 
 The schemes consume pre-generated chain and Brownian paths and never draw
@@ -65,14 +65,13 @@ def _row_of(offsets) -> np.ndarray:
 def _row_cumsum(values, offsets) -> np.ndarray:
     """Cumulative sums of ``values`` along axis 0 within each row.
 
-    The rows are summed along a zero-padded table, so each one rounds
-    exactly as its own cumulative sum would, in a block of any size.
+    Each row is its own cumulative sum, so it rounds the same in a block of
+    any size, and the temporaries are no larger than the result.
     """
-    rows = _row_of(offsets)
-    cols = np.arange(len(values)) - offsets[rows]
-    table = np.zeros((len(offsets) - 1, int(cols.max()) + 1) + values.shape[1:])
-    table[rows, cols] = values
-    return np.cumsum(table, axis=1)[rows, cols]
+    out = np.empty_like(values)
+    for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
+        np.cumsum(values[lo:hi], axis=0, out=out[lo:hi])
+    return out
 
 
 @dataclass(frozen=True)
@@ -299,13 +298,11 @@ class EulerBlock:
     are the frozen coefficients on the segment that starts at event e, zero
     on each row's last event, so the continuous scheme at time t in
     [e, next event) is ``values[:, e] + drift[:, e] (t - e) + diff[:, :, e] (B(t) - B(e))``.
-    The rows are ``copies`` stacked grids over one union grid, ``points``
-    with Brownian values ``point_values``; event e is point ``bm_index[e]``
-    of the union grid repeated ``copies`` times.
+    The rows are one grid's, over the union grid ``points`` with Brownian
+    values ``point_values``; event e is point ``bm_index[e]``.
     """
 
     step: float
-    copies: int
     offsets: np.ndarray
     times: np.ndarray
     values: np.ndarray
@@ -347,66 +344,56 @@ class EulerBlock:
         return f.reshape(R, len(times), -1), (cum[seg, -1] + q[seg] * off).reshape(R, -1)
 
     def on_brownian_grids(self) -> np.ndarray:
-        """Continuous-scheme values at every point of the repeated union grid.
-
-        Returns (n, copies * P): the union grid once per stacked grid.
-        """
-        size = self.copies * len(self.points)
-        if len(self.times) == size:  # every grid point is an event
+        """Continuous-scheme values at every point of the union grid: (n, P)."""
+        if len(self.times) == len(self.points):  # every union point is an event
             return self.values
-        P = len(self.points)
-        out = np.empty((len(self.values), size))
-        bounds = np.searchsorted(self.bm_index, np.arange(self.copies + 1) * P)
-        for c in range(self.copies):  # one grid at a time keeps the temporaries small
-            lo, hi = bounds[c], bounds[c + 1]
-            seg = np.repeat(np.arange(lo, hi), np.diff(self.bm_index[lo:hi], append=(c + 1) * P))
-            out[:, c * P:(c + 1) * P] = _interpolate(
-                self.values, self.drift, self.diff, seg, self.points - np.take(self.times, seg),
-                self.point_values.T - np.take(self.bm_values, seg, axis=1),
-            )
-        return out
+        seg = np.repeat(np.arange(len(self.times)),
+                        np.diff(self.bm_index, append=len(self.points)))
+        return _interpolate(
+            self.values, self.drift, self.diff, seg, self.points - np.take(self.times, seg),
+            self.point_values.T - np.take(self.bm_values, seg, axis=1),
+        )
 
 
-def euler_block(model: HybridModel, rungs, points, bm_values):
-    """Advance a block of paths through the frozen-state Euler recursion, all rungs at once.
+def euler_block(model: HybridModel, grids, points, bm_values):
+    """Advance a block of paths through the frozen-state Euler recursion, all grids at once.
 
-    Each rung is a sequence of grids that share one step and horizon; the
-    rows of its grids, stacked in order, are its lanes. Every grid selects
-    its events from the union grid ``points`` with Brownian values
-    ``bm_values`` (P, d). Inside uniform interval k a lane's state argument
-    stays frozen at Z_k, so with T_kj the time the lane spends in regime j
-    during the interval and W_kj the Brownian increment it gathers there,
+    Each grid has one step and horizon for all its rows, and its rows are
+    its lanes. Every grid selects its events from the union grid ``points``
+    with Brownian values ``bm_values`` (P, d). Inside uniform interval k a
+    lane's state argument stays frozen at Z_k, so with T_kj the time the
+    lane spends in regime j during the interval and W_kj the Brownian
+    increment it gathers there,
 
         Z_{k+1} = Z_k + sum_j f(Z_k, j) T_kj + g(Z_k, j) W_kj,
 
-    summed in regime order, the drift term before the noise term. Rungs are
+    summed in regime order, the drift term before the noise term. Grids are
     independent recursions that share only the loop index: the lanes are
-    stacked with the rungs of more intervals first, and iteration k advances
-    the prefix of lanes whose rung has more than k intervals. So one block
+    stacked with the grids of more intervals first, and iteration k advances
+    the prefix of lanes whose grid has more than k intervals. So one block
     runs max K intervals, each with 2 batched coefficient calls per regime
     that an active lane visits. T and W live in a compact (k, j, lane)
     table, summed over each lane's event segments in order. An event inside
     an interval gets the same sum over the segments before it. Lanes never
-    mix: a lane's values do not depend on the other lanes or rungs.
+    mix: a lane's values do not depend on the other lanes or grids.
 
-    Returns an iterator of one EulerBlock per rung, in the order given. It
-    builds each rung's per-event arrays only when asked for it, so a block
-    holds one rung's at a time; a rung with a non-finite value raises
+    Returns an iterator of one EulerBlock per grid, in the order given. It
+    builds each grid's per-event arrays only when asked for it, so a block
+    holds one grid's at a time; a grid with a non-finite value raises
     NonFiniteError then.
     """
     n, d, N = model.state_dim, model.noise_dim, model.regime_count
-    rungs = [tuple(grids) for grids in rungs]
-    counts = []  # intervals per rung
-    for grids in rungs:
-        steps = np.concatenate([g.owner_interval[g.offsets[1:] - 2] for g in grids]) + 1
+    grids = list(grids)
+    counts = []  # intervals per grid
+    for g in grids:
+        steps = g.owner_interval[g.offsets[1:] - 2] + 1
         if np.any(steps != steps[0]):
-            raise ConfigError("a rung needs one step and horizon for every row")
+            raise ConfigError("a grid needs one step and horizon for every row")
         counts.append(int(steps[0]))
-        regimes = np.concatenate([g.regimes for g in grids])
-        if regimes.min() < 1 or regimes.max() > N:
+        if g.regimes.min() < 1 or g.regimes.max() > N:
             raise InvalidRegimeError(f"regime outside 1..{N}")
-    order = sorted(range(len(rungs)), key=lambda r: -counts[r])
-    widths = [sum(len(g.offsets) - 1 for g in grids) for grids in rungs]  # lanes per rung
+    order = sorted(range(len(grids)), key=lambda r: -counts[r])
+    widths = [len(g.offsets) - 1 for g in grids]  # lanes per grid
     lane0 = dict(zip(order, np.cumsum([0] + [widths[r] for r in order]).tolist()))
     L, K = sum(widths), counts[order[0]]
     lane_counts = np.repeat([counts[r] for r in order], [widths[r] for r in order])
@@ -420,21 +407,19 @@ def euler_block(model: HybridModel, rungs, points, bm_values):
     # T and W: each cell sums its lane's segments in order
     occupation = np.zeros(base[-1])
     noise = np.zeros((base[-1], d))
-    bins = {}  # (rung, grid): the cell of each segment
-    for r in order:
-        lane = lane0[r]
-        for c, grid in enumerate(rungs[r]):  # one grid at a time keeps temporaries small
-            seg = np.ones(len(grid), dtype=bool)
-            seg[grid.offsets[1:] - 1] = False
-            owners = grid.owner_interval
-            cells = base[owners] + (grid.regimes - 1) * active_end[owners]
-            cells += lane + _row_of(grid.offsets)
-            bins[r, c] = cells = cells[seg]
-            np.add.at(occupation, cells, np.diff(grid.events)[seg[:-1]])
-            db = np.diff(np.take(bm_values, grid.union_index, axis=0), axis=0)[seg[:-1]]
-            for e in range(d):  # a column at a time is several times faster
-                np.add.at(noise[:, e], cells, db[:, e])
-            lane += len(grid.offsets) - 1
+    bins = {}  # grid: the cell of each segment
+    for r in order:  # one grid at a time keeps temporaries small
+        grid = grids[r]
+        seg = np.ones(len(grid), dtype=bool)
+        seg[grid.offsets[1:] - 1] = False
+        owners = grid.owner_interval
+        cells = base[owners] + (grid.regimes - 1) * active_end[owners]
+        cells += lane0[r] + _row_of(grid.offsets)
+        bins[r] = cells = cells[seg]
+        np.add.at(occupation, cells, np.diff(grid.events)[seg[:-1]])
+        db = np.diff(np.take(bm_values, grid.union_index, axis=0), axis=0)[seg[:-1]]
+        for e in range(d):  # a column at a time is several times faster
+            np.add.at(noise[:, e], cells, db[:, e])
     del seg, owners, cells, db
     # a regime no active lane spends time in costs no coefficient call
     firsts = (base[:-1, None] + np.arange(N) * active[:, None]).ravel()
@@ -484,13 +469,10 @@ def euler_block(model: HybridModel, rungs, points, bm_values):
     del occupation, noise, occupied, noises, steps, f_rows, g_rows  # lower the peak memory
 
     def expand(r):
-        grids, rungs[r] = rungs[r], None  # not needed again
-        offsets = np.concatenate([[0], np.cumsum(np.concatenate([np.diff(g.offsets)
-                                                                 for g in grids]))])
-        times = np.concatenate([g.events for g in grids])
-        owners = np.concatenate([g.owner_interval for g in grids])
-        bvals = np.take(bm_values, np.concatenate([g.union_index for g in grids]), axis=0)
-        cells = np.concatenate([bins.pop((r, c)) for c in range(len(grids))])
+        grid, grids[r] = grids[r], None  # not needed again
+        offsets, times, owners = grid.offsets, grid.events, grid.owner_interval
+        bvals = np.take(bm_values, grid.union_index, axis=0)
+        cells = bins.pop(r)
         lanes = lane0[r] + _row_of(offsets)
         E, last = len(times), offsets[1:] - 1
         seg = np.ones(E, dtype=bool)
@@ -512,19 +494,17 @@ def euler_block(model: HybridModel, rungs, points, bm_values):
         if len(inner):
             k, at = owners[inner], lanes[inner]
             values[:, inner] = _inner_values(
-                inner, times, bvals,
-                np.concatenate([g.regimes for g in grids]) - 1, frozen[fbase[k] + at],
+                inner, times, bvals, grid.regimes - 1, frozen[fbase[k] + at],
                 base[k] + at, active[k], N, f_all, g_all,
             ).T
         if not np.all(np.isfinite(values)):
             raise NonFiniteError("scheme produced non-finite values")
-        bm_index = np.concatenate([g.union_index + c * len(points) for c, g in enumerate(grids)])
-        return EulerBlock(step=grids[0].step, copies=len(grids), offsets=offsets, times=times,
-                          values=values, drift=drift_e, diff=diff_e, bm_index=bm_index,
+        return EulerBlock(step=grid.step, offsets=offsets, times=times, values=values,
+                          drift=drift_e, diff=diff_e, bm_index=grid.union_index,
                           bm_values=bvals.T, points=points, point_values=bm_values)
 
     # a generator's frame, and with it the tables, is freed once it finishes
-    return (expand(r) for r in range(len(rungs)))
+    return (expand(r) for r in range(len(grids)))
 
 
 def _inner_values(inner, times, bvals, regimes, z, coeff, stride, N, f_all, g_all):
@@ -581,7 +561,7 @@ def em_jump_adapted(model: HybridModel, grid: RefinedGrid, bm: BrownianPath) -> 
     if np.any(index < 0):
         raise GridMismatchError(f"Brownian path lacks a value at t={grid.events[index < 0][0]}")
     grid = replace(grid, union_index=index)
-    return next(euler_block(model, [[grid]], bm.grid.points, bm.values)).solution(0, JUMP_ADAPTED)
+    return next(euler_block(model, [grid], bm.grid.points, bm.values)).solution(0, JUMP_ADAPTED)
 
 
 def em_classical(model: HybridModel, skeleton, step: float, bm: BrownianPath) -> SolutionPath:
@@ -600,7 +580,7 @@ def em_classical(model: HybridModel, skeleton, step: float, bm: BrownianPath) ->
     grid = RefinedGrid(step=float(step), horizon=bm.grid.horizon, events=pts,
                        regimes=np.append(skeleton[:m], skeleton[m - 1]), owner_interval=index,
                        offsets=np.array([0, m + 1]), union_index=index)
-    return next(euler_block(model, [[grid]], pts, bm.values)).solution(0, CLASSICAL)
+    return next(euler_block(model, [grid], pts, bm.values)).solution(0, CLASSICAL)
 
 
 def evaluate_path(solution: SolutionPath, bm: BrownianPath, times) -> np.ndarray:

@@ -175,7 +175,7 @@ def test_block_grids_match_per_path_oracles(sample):
 
     # with the same events, the block's rows solve as the oracle's grid does alone
     model = vector_model(n_states) if block.bm_values.shape[1] == 2 else linear
-    solved, = euler_block(model, [[refined]], block.points, block.bm_values)
+    solved, = euler_block(model, [refined], block.points, block.bm_values)
     for row, (path, bm) in enumerate(zip(paths, bms)):
         r = row_slices(refined.offsets)[row]
         events, regimes, owners = oracles.refined_grid(path, step, horizon)
@@ -198,7 +198,7 @@ def test_cumulants_match_per_path_integrals(sample, times):
     n_states = int(max(p.states.max() for p in paths))
     model = vector_model(n_states) if block.bm_values.shape[1] == 2 else \
         s.LinearHybridModel(a=np.linspace(-1.0, 1.0, n_states), b=np.linspace(0.3, 0.9, n_states))
-    solved, = euler_block(model, [[s.build_refined_grid(block, step)]], block.points,
+    solved, = euler_block(model, [s.build_refined_grid(block, step)], block.points,
                           block.bm_values)
     times = np.sort(np.concatenate([times, np.arange(0.0, 0.69, step) + 0.5 * step]))
     f, q = solved.cumulants(times)
@@ -295,3 +295,20 @@ def test_one_recursion_per_block(monkeypatch, run):
                                       else config.finest_step))
     assert len(per_call) == 3  # three blocks
     assert all(0 < calls <= model.regime_count * longest for calls in per_call)
+
+
+def test_solve_runs_every_scheme_in_one_recursion(monkeypatch, tmp_path):
+    """`switchsde solve` with both schemes makes one kernel call, one grid per scheme."""
+    grids = []
+    kernel = harness.euler_block
+
+    def counting(model, step_grids, *args):
+        step_grids = list(step_grids)
+        grids.append([g.step for g in step_grids])
+        return kernel(model, step_grids, *args)
+
+    monkeypatch.setattr(harness, "euler_block", counting)
+    cfg = tmp_path / "solve.json"
+    cfg.write_text(json.dumps({"step": 0.125, "seed": 4, "schemes": [JUMP_ADAPTED, CLASSICAL]}))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert grids == [[0.125, 0.125]]

@@ -360,6 +360,20 @@ def test_contract_error_is_not_reported_as_config_error(tmp_path, monkeypatch):
         main(["converge", "--config", cfg, "--out", str(tmp_path)])
 
 
+@pytest.mark.parametrize("command", ["converge", "solve", "chain simulate"])
+def test_list_form_generator_exits_2(tmp_path, command):
+    cfg = converge_config(tmp_path, generator=[[-1.0, 1.0], [2.0, -2.0]])
+    assert main([*command.split(), "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("p", ["24", [2.5], 2], ids=["string", "float", "scalar"])
+def test_converge_rejects_p_that_is_not_a_list_of_integers(tmp_path, p):
+    cfg = converge_config(tmp_path, p=p)
+    out = tmp_path / "out"
+    assert main(["converge", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists() or os.listdir(out) == []
+
+
 def test_initial_regime_outside_chain_exits_2(tmp_path):
     cfg = write_config(tmp_path, generator=TWO_STATE, initial_regime=3)
     assert main(["chain", "simulate", "--config", cfg, "--out", str(tmp_path)]) == 2

@@ -30,6 +30,7 @@ from switchsde.solvers import CLASSICAL, JUMP_ADAPTED, SampleBlock, classical_gr
 
 RTOL = 1e-12
 MEMORY_BOUND_MB = 25  # about twice the 11.6 MB peak of the burst block below
+CLOSED_FORM_BOUND_MB = 40  # about twice the closed form's 20 MB peak on its burst block
 
 
 # --- inputs -------------------------------------------------------------------------
@@ -196,7 +197,7 @@ def test_block_rows_do_not_mix(data):
         sample = SampleBlock.stack([paths[r] for r in rows], [bms[r].grid for r in rows],
                                    [values[r] for r in rows])
         grid = s.build_refined_grid(sample, step)
-        return euler_block(model, [[grid]], sample.points, sample.bm_values)
+        return euler_block(model, [grid], sample.points, sample.bm_values)
 
     block = next(solve(range(3)))
     for row in range(3):
@@ -225,7 +226,7 @@ def test_block_rows_do_not_mix(data):
 @settings(max_examples=60)
 @given(st.data())
 def test_ladder_lanes_match_one_call_per_rung(data):
-    """One call over a whole ladder gives each rung what a call of its own gives."""
+    """One call over a whole ladder gives each grid what a call of its own gives."""
     gen = data.draw(generators())
     model = model_for("vector", gen.n_states)
     top = data.draw(st.sampled_from([0.25, 0.2, 0.1]))  # on T = 0.7 some rungs end early
@@ -237,16 +238,16 @@ def test_ladder_lanes_match_one_call_per_rung(data):
         reference="fine-em", ref_refinement=1, schemes=schemes,
     )
     block = next(harness._coupled_blocks(config, config.reference_step))
-    rungs = [[s.build_refined_grid(block, delta) if scheme == JUMP_ADAPTED
-              else classical_grid(block, delta) for scheme in schemes] for delta in deltas]
+    grids = [s.build_refined_grid(block, delta) if scheme == JUMP_ADAPTED
+             else classical_grid(block, delta) for delta in deltas for scheme in schemes]
     if data.draw(st.booleans()):  # with the fine-EM reference's lanes
-        rungs.insert(data.draw(st.integers(0, len(rungs))),
-                     [s.build_refined_grid(block, config.reference_step)])
-    whole = list(euler_block(model, rungs, block.points, block.bm_values))
-    assert len(whole) == len(rungs)
-    for rung, got in zip(rungs, whole):
-        want = next(euler_block(model, [rung], block.points, block.bm_values))
-        assert got.step == rung[0].step and got.copies == len(rung)
+        grids.insert(data.draw(st.integers(0, len(grids))),
+                     s.build_refined_grid(block, config.reference_step))
+    whole = list(euler_block(model, grids, block.points, block.bm_values))
+    assert len(whole) == len(grids)
+    for grid, got in zip(grids, whole):
+        want = next(euler_block(model, [grid], block.points, block.bm_values))
+        assert got.step == grid.step
         for field in ("offsets", "times", "values", "drift", "diff", "bm_index", "bm_values"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
         assert np.array_equal(got.on_brownian_grids(), want.on_brownian_grids())
@@ -255,17 +256,16 @@ def test_ladder_lanes_match_one_call_per_rung(data):
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("bad", [0, 1, 2])
 def test_a_diverging_rung_is_reported_wherever_it_stands(bad):
-    """A rung whose lanes overflow raises NonFiniteError; the rungs before it are finite."""
+    """A grid whose lanes overflow raises NonFiniteError; the grids before it are finite."""
     model = s.LinearHybridModel(a=[1.0, 2.0], b=[0.5, 0.3], z0=1.0)
     config = s.ExperimentConfig(
         model=model, generator=s.validate_generator([[-1.0, 1.0], [2.0, -2.0]]), horizon=1.0,
         deltas=(0.25, 0.125, 0.0625), samples=3, seed=bad,
     )
     block = next(harness._coupled_blocks(config, config.finest_step))
-    rungs = [[s.build_refined_grid(block, delta)] for delta in (0.0625, 0.25, 0.125)]
-    grid = rungs[bad][0]
-    rungs[bad] = [dataclasses.replace(grid, events=grid.events * 1e300)]  # overflows its lanes
-    solved = euler_block(model, rungs, block.points, block.bm_values)
+    grids = [s.build_refined_grid(block, delta) for delta in (0.0625, 0.25, 0.125)]
+    grids[bad] = dataclasses.replace(grids[bad], events=grids[bad].events * 1e300)  # overflows
+    solved = euler_block(model, grids, block.points, block.bm_values)
     for _ in range(bad):
         assert np.all(np.isfinite(next(solved).values))
     with pytest.raises(NonFiniteError):
@@ -292,14 +292,47 @@ def test_inner_values_match_the_per_regime_tables(data):
     paths.append(data.draw(chain_paths(gen.n_states, horizon, top)))
     bms = [brownian_for(p, deltas[-1], 2, [seed, row]) for row, p in enumerate(paths)]
     block = SampleBlock.stack(paths, [bm.grid for bm in bms], [bm.values for bm in bms])
-    rungs = [[s.build_refined_grid(block, delta), classical_grid(block, delta)]
-             for delta in deltas]
-    got = list(euler_block(model, rungs, block.points, block.bm_values))
+    grids = [grid(block, delta) for delta in deltas
+             for grid in (s.build_refined_grid, classical_grid)]
+    got = list(euler_block(model, grids, block.points, block.bm_values))
     with mock.patch.object(solvers, "_inner_values", oracles.inner_values):
-        want = list(euler_block(model, rungs, block.points, block.bm_values))
+        want = list(euler_block(model, grids, block.points, block.bm_values))
     for g, w in zip(got, want):
         assert np.array_equal(g.values, w.values)
         assert np.array_equal(g.on_brownian_grids(), w.on_brownian_grids())
+
+
+def burst_block(rows: int, burst: int, others: int, seed: int) -> SampleBlock:
+    """A block on T = 1 with its union grids on the step 2**-9.
+
+    Row 0 has ``burst`` switches inside [0.5, 0.5625), one interval of the
+    step 2**-4; every other row has ``others`` switches over [0, T].
+    """
+    horizon = 1.0
+    rng = np.random.default_rng(seed)
+    fine = s.uniform_grid(horizon, 2.0**-9)
+    paths, bms = [], []
+    for row in range(rows):
+        times = rng.uniform(0.5, 0.5625, burst) if row == 0 else rng.uniform(0.0, horizon, others)
+        times = np.append(0.0, np.sort(times))
+        paths.append(s.ChainPath(horizon=horizon, switch_times=times,
+                                 states=1 + np.arange(len(times)) % 3))
+        union = s.merge_grids(fine, s.make_grid(np.append(times, horizon)))
+        bms.append(s.generate_increments(union, 1, rng))
+    return SampleBlock.stack(paths, [bm.grid for bm in bms], [bm.values for bm in bms])
+
+
+BURST_MODEL = s.LinearHybridModel(a=[1.0, 2.0, -0.5], b=[2.0, 1.0, 0.5], z0=1.0)
+
+
+def peak_memory(fn):
+    """(fn(), the peak of the memory it allocated in bytes) under tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_a_burst_of_switches_needs_memory_linear_in_the_switches():
@@ -309,28 +342,26 @@ def test_a_burst_of_switches_needs_memory_linear_in_the_switches():
     events inside it, took a peak of 72 MB here; the kernel's temporaries
     grow with the events inside intervals, for a peak of 12 MB.
     """
-    horizon, deltas = 1.0, [2.0**-k for k in range(4, 10)]
-    rng = np.random.default_rng(5)
-    fine = s.uniform_grid(horizon, deltas[-1])
-    paths, bms = [], []
-    for row in range(16):
-        times = rng.uniform(0.5, 0.5625, 20000) if row == 0 else rng.uniform(0.0, horizon, 30)
-        times = np.append(0.0, np.sort(times))
-        paths.append(s.ChainPath(horizon=horizon, switch_times=times,
-                                 states=1 + np.arange(len(times)) % 3))
-        union = s.merge_grids(fine, s.make_grid(np.append(times, horizon)))
-        bms.append(s.generate_increments(union, 1, rng))
-    block = SampleBlock.stack(paths, [bm.grid for bm in bms], [bm.values for bm in bms])
-    model = s.LinearHybridModel(a=[1.0, 2.0, -0.5], b=[2.0, 1.0, 0.5], z0=1.0)
-    rungs = [[s.build_refined_grid(block, delta)] for delta in deltas]
-    tracemalloc.start()
-    try:
-        solved = list(euler_block(model, rungs, block.points, block.bm_values))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    deltas = [2.0**-k for k in range(4, 10)]
+    block = burst_block(16, 20000, 30, seed=5)
+    grids = [s.build_refined_grid(block, delta) for delta in deltas]
+    solved, peak = peak_memory(
+        lambda: list(euler_block(BURST_MODEL, grids, block.points, block.bm_values)))
     assert len(solved) == len(deltas)
     assert peak < MEMORY_BOUND_MB * 1e6, peak
+
+
+def test_a_burst_of_switches_costs_the_closed_form_memory_linear_in_its_points():
+    """64 rows, one with 200k switches: about 252k union points in all.
+
+    A table that padded every row to the widest one peaked at 219 MB here
+    for a 2 MB result. One cumulative sum per row peaks at 20 MB, and at
+    12 MB once the block's row, switch and regime arrays have been built.
+    """
+    block = burst_block(64, 200_000, 300, seed=7)
+    solution, peak = peak_memory(lambda: s.exact_linear_solution(BURST_MODEL, block))
+    assert len(solution.values) == len(block.points)
+    assert peak < CLOSED_FORM_BOUND_MB * 1e6, peak
 
 
 def oracle_sup_errors(config):
