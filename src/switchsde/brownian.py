@@ -3,7 +3,7 @@
 One Brownian realization per Monte Carlo sample is generated on the finest
 (union) grid and then aggregated onto every coarser grid a solver needs, so
 all schemes and the reference solution are driven by the same noise. The
-cumulative path values are the primary representation: increments are stored
+cumulative path values are the only representation: increments are computed
 as differences of the anchored cumulative values, which makes aggregation a
 pure index-subsetting operation and keeps shared times bit-identical across
 resolutions.
@@ -104,19 +104,19 @@ class BrownianPath:
     """
 
     grid: TimeGrid
-    increments: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        m = len(self.grid) - 1
-        if self.values.ndim != 2 or self.values.shape[0] != m + 1:
+        if self.values.ndim != 2 or self.values.shape[0] != len(self.grid):
             raise InvalidGridError("values must have one row per grid point")
-        if self.increments.shape != (m, self.values.shape[1]):
-            raise InvalidGridError("increment/value shapes do not match the grid")
         if np.any(self.values[0] != 0.0):
             raise InvalidGridError("path must start at 0")
-        self.increments.setflags(write=False)
         self.values.setflags(write=False)
+
+    @property
+    def increments(self) -> np.ndarray:
+        """The increment over each grid interval, one row per interval."""
+        return np.diff(self.values, axis=0)
 
     @property
     def dim(self) -> int:
@@ -135,8 +135,9 @@ def path_from_increments(grid: TimeGrid, increments) -> BrownianPath:
     inc = np.asarray(increments, dtype=np.float64)
     if inc.ndim == 1:
         inc = inc[:, None]
-    values = np.vstack([np.zeros((1, inc.shape[1])), np.cumsum(inc, axis=0)])
-    return BrownianPath(grid=grid, increments=np.diff(values, axis=0), values=values)
+    values = np.zeros((len(inc) + 1, inc.shape[1]))
+    np.cumsum(inc, axis=0, out=values[1:])
+    return BrownianPath(grid=grid, values=values)
 
 
 def generate_increments(grid: TimeGrid, d: int, rng: np.random.Generator) -> BrownianPath:
@@ -159,5 +160,4 @@ def aggregate_increments(fine: BrownianPath, coarse: TimeGrid) -> BrownianPath:
     if np.any(idx < 0):
         missing = coarse.points[idx < 0][0]
         raise NotRefinementError(f"coarse point {missing} absent from fine grid")
-    values = fine.values[idx].copy()
-    return BrownianPath(grid=coarse, increments=np.diff(values, axis=0), values=values)
+    return BrownianPath(grid=coarse, values=fine.values[idx])

@@ -34,10 +34,10 @@ from .harness import (
     coupled_sample,
     derive_stream,
     run_strong_error,
+    setting,
     summary_text,
     validate_chain_statistics,
 )
-from .model import model_from_config
 from .solvers import CLASSICAL, JUMP_ADAPTED, SampleBlock, SolutionPath, exact_linear_solution
 
 EXIT_OK = 0
@@ -87,15 +87,15 @@ def _load_config(args) -> dict:
             user = json.load(fh)
         if not isinstance(user, dict):
             raise ConfigError("config file must hold a JSON object")
-        version = user.get("schema_version", SCHEMA_VERSION)
+        version = setting(user, "schema_version", int, SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise ConfigError(f"unsupported schema_version {version}")
         cfg.update(user)
     if args.seed is not None:
         cfg["seed"] = args.seed
     if getattr(args, "smoke", False):
-        cfg["samples"] = min(int(cfg.get("samples", 1000)), 32)
-        cfg["deltas"] = sorted(cfg["deltas"], reverse=True)[:3]
+        cfg["samples"] = min(setting(cfg, "samples", int), 32)
+        cfg["deltas"] = sorted(setting(cfg, "deltas", [float]), reverse=True)[:3]
     return cfg
 
 
@@ -107,12 +107,10 @@ def _out_dir(args) -> str:
 
 def cmd_chain_simulate(args) -> int:
     cfg = _load_config(args)
-    gen = generator_from_json(cfg["generator"])
-    horizon = float(cfg["horizon"])
-    rng = derive_stream(int(cfg["seed"]), 0)
     path = simulate_exact_path(
-        gen, int(cfg.get("initial_regime", 1)), horizon, rng,
-        max_switches=int(cfg.get("jump_budget", 10**6)),
+        generator_from_json(cfg["generator"]), setting(cfg, "initial_regime", int),
+        setting(cfg, "horizon", float), derive_stream(setting(cfg, "seed", int), 0),
+        max_switches=setting(cfg, "jump_budget", int, 10**6),
     )
     out = _out_dir(args)
     target = os.path.join(out, "chain.csv")
@@ -123,12 +121,11 @@ def cmd_chain_simulate(args) -> int:
 
 def cmd_chain_validate(args) -> int:
     cfg = _load_config(args)
-    gen = generator_from_json(cfg["generator"])
     report = validate_chain_statistics(
-        gen,
-        step=float(cfg.get("step", 0.1)),
-        samples=int(cfg.get("samples", 10**5)),
-        seed=int(cfg["seed"]),
+        generator_from_json(cfg["generator"]),
+        step=setting(cfg, "step", float),
+        samples=setting(cfg, "samples", int),
+        seed=setting(cfg, "seed", int),
     )
     out = _out_dir(args)
     target = os.path.join(out, "chain_validation.csv")
@@ -143,30 +140,18 @@ def cmd_chain_validate(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
-    gen = generator_from_json(cfg["generator"])
-    model = model_from_config(cfg["model"], initial_regime=int(cfg.get("initial_regime", 1)))
-    horizon = float(cfg["horizon"])
-    step = float(cfg.get("step", 2.0**-4))
-    if not 0.0 < step <= horizon:
-        raise ConfigError(f"step must lie in (0, T], got {step}")
-    if model.regime_count != gen.n_states:
-        raise ConfigError(
-            f"model has {model.regime_count} regimes but the generator has {gen.n_states} states"
-        )
-    schemes = list(cfg.get("schemes", [JUMP_ADAPTED, CLASSICAL]))
-    unknown = set(schemes) - {JUMP_ADAPTED, CLASSICAL}
-    if unknown or not schemes:
-        raise ConfigError(f"unknown schemes {sorted(unknown)}")
-    reference = cfg.get("reference", REFERENCE_CLOSED_FORM if model.has_closed_form() else "none")
-    if reference not in (REFERENCE_CLOSED_FORM, "none"):
+    reference = cfg.get("reference")  # solve writes the closed form or none
+    if reference == "none":
+        del cfg["reference"]
+    elif reference not in (None, REFERENCE_CLOSED_FORM):
         raise ConfigError(f"solve writes a {REFERENCE_CLOSED_FORM!r} reference or 'none', "
                           f"not {reference!r}")
-    if reference == REFERENCE_CLOSED_FORM and not model.has_closed_form():
-        raise ConfigError("closed-form reference requested for a model without one")
+    config = config_from_dict(dict(cfg, deltas=[setting(cfg, "step", float)]))
+    model, step = config.model, config.finest_step
 
-    ugrid = uniform_grid(horizon, step)
-    chain, bm = coupled_sample(gen, model, horizon, ugrid, derive_stream(int(cfg["seed"]), 0),
-                               max_switches=int(cfg.get("jump_budget", 10**6)))
+    ugrid = uniform_grid(config.horizon, step)
+    chain, bm = coupled_sample(config.generator, model, config.horizon, ugrid,
+                               derive_stream(config.seed, 0), config.jump_budget)
     block = SampleBlock.stack([chain], [bm.grid], [bm.values])
     on_grid = block.on_grid(step)
 
@@ -184,9 +169,10 @@ def cmd_solve(args) -> int:
 
     write("chain.csv", chain.to_csv)
     write("brownian.csv", bm.to_csv)
-    for scheme, solved in zip(schemes, _solve_ladder(model, block, [step], schemes)):
+    for scheme, solved in zip(config.schemes,
+                              _solve_ladder(model, block, config.deltas, config.schemes)):
         write_uniform(scheme, solved.values.T[on_grid[solved.bm_index]])
-    if reference == REFERENCE_CLOSED_FORM:
+    if reference != "none" and config.reference == REFERENCE_CLOSED_FORM:
         write_uniform("reference", exact_linear_solution(model, block).values[on_grid])
 
     for t in written:

@@ -200,35 +200,18 @@ def matrix_exponential(gen: GeneratorMatrix, t: float) -> TransitionMatrix:
     return TransitionMatrix(step=t, probs=p)
 
 
-def _closed_class_count(rates: np.ndarray) -> int:
-    """Number of closed communicating classes of the jump structure."""
-    n = rates.shape[0]
-    adj = rates > 0.0
-    np.fill_diagonal(adj, True)
-    reach = adj.copy()
-    for _ in range(max(1, int(np.ceil(np.log2(n)))) + 1):
-        reach = reach | (reach.astype(np.int64) @ reach.astype(np.int64) > 0)
-    comm = reach & reach.T
-    seen = np.zeros(n, dtype=bool)
-    closed = 0
-    for i in range(n):
-        if seen[i]:
-            continue
-        members = comm[i]
-        seen |= members
-        # closed iff nothing reachable from the class lies outside it
-        if not np.any(reach[members] & ~members):
-            closed += 1
-    return closed
-
-
 def stationary_distribution(gen: GeneratorMatrix) -> np.ndarray:
     """Probability vector pi with pi @ rates = 0, by direct linear solve.
 
     Raises ReducibleError when the generator has more than one closed
-    communicating class (no unique stationary law).
+    communicating class (no unique stationary law): a strongly connected
+    component of the jump graph that no jump leaves.
     """
-    if _closed_class_count(gen.rates) > 1:
+    from scipy.sparse.csgraph import connected_components  # only chain validation needs it
+
+    count, labels = connected_components(gen.rates > 0.0, connection="strong")
+    src, dst = np.nonzero(gen.rates > 0.0)
+    if count - len(np.unique(labels[src[labels[src] != labels[dst]]])) > 1:
         raise ReducibleError("generator has multiple closed communicating classes")
     n = gen.n_states
     system = np.vstack([gen.rates.T, np.ones((1, n))])
@@ -264,8 +247,8 @@ def simulate_exact_path(
     The uniforms are drawn in chunks of (hold, jump) pairs; the generator
     is then rewound and advanced by exactly the count used.
     """
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
+    if not horizon > 0.0:
+        raise ConfigError(f"horizon must be positive, got {horizon}")
     n = gen.n_states
     if not 1 <= initial <= n:
         raise InvalidRegimeError(f"initial state {initial} outside 1..{n}")

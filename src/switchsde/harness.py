@@ -29,6 +29,7 @@ for the callers that pass it, and it changes nothing.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,7 @@ from .brownian import (
 from .ctmc import (
     ChainPath,
     GeneratorMatrix,
+    generator_from_json,
     matrix_exponential,
     simulate_exact_path,
     skeleton_from_path,
@@ -171,35 +173,46 @@ class ExperimentConfig:
         return self.finest_step
 
 
+def setting(data: dict, key: str, kind, default=None):
+    """``data[key]``, or ``default`` when it is absent, checked to be of ``kind``.
+
+    ``int`` takes a JSON integer only (a bool, 40.0, a string or null is a
+    ConfigError), ``float`` any finite JSON number, returned as a float;
+    ``[int]`` and ``[float]`` take a list of them, returned as a tuple.
+    """
+    value = data.get(key, default)
+    if isinstance(kind, list):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        return tuple(setting({key: v}, key, kind[0]) for v in value)
+    if (isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float))
+            or not abs(value) <= sys.float_info.max):
+        noun = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"{key} must be {noun}, got {value!r}")
+    return kind(value)
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a parsed JSON experiment description."""
-    from .ctmc import generator_from_json
-
-    p_values = data.get("p", [2])
-    if not isinstance(p_values, list) or not all(type(p) is int for p in p_values):
-        raise ConfigError(f"p must be a list of integers, got {p_values!r}")
     try:
-        gen = generator_from_json(data["generator"])
-        model = model_from_config(data["model"], initial_regime=int(data.get("initial_regime", 1)))
-        cfg = ExperimentConfig(
+        model = model_from_config(data["model"],
+                                  initial_regime=setting(data, "initial_regime", int, 1))
+        return ExperimentConfig(
             model=model,
-            generator=gen,
-            horizon=float(data.get("horizon", 1.0)),
-            p_values=tuple(p_values),
-            deltas=tuple(float(d) for d in data.get("deltas", _DEFAULT_DELTAS)),
-            samples=int(data.get("samples", 1000)),
-            seed=int(data.get("seed", 0)),
+            generator=generator_from_json(data["generator"]),
+            horizon=setting(data, "horizon", float, 1.0),
+            p_values=setting(data, "p", [int], [2]),
+            deltas=setting(data, "deltas", [float], _DEFAULT_DELTAS),
+            samples=setting(data, "samples", int, 1000),
+            seed=setting(data, "seed", int, 0),
             reference=data.get("reference", REFERENCE_CLOSED_FORM
                                if model.has_closed_form() else REFERENCE_FINE_EM),
-            ref_refinement=int(data.get("refinement_exponent", 6)),
+            ref_refinement=setting(data, "refinement_exponent", int, 6),
             schemes=tuple(data.get("schemes", [JUMP_ADAPTED])),
-            jump_budget=int(data.get("jump_budget", 10**6)),
+            jump_budget=setting(data, "jump_budget", int, 10**6),
         )
-    except ConfigError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid experiment config: {exc}") from exc
-    return cfg
 
 
 @dataclass(frozen=True)
@@ -276,7 +289,7 @@ def estimate_order(errors) -> tuple:
 
 
 def coupled_sample(generator: GeneratorMatrix, model: HybridModel, horizon: float,
-                   fine: TimeGrid, rng: np.random.Generator, max_switches: int = 10**6) -> tuple:
+                   fine: TimeGrid, rng: np.random.Generator, max_switches: int) -> tuple:
     """One coupled draw: a chain path, then a Brownian path on its union grid.
 
     The chain path starts in the model's initial regime and may switch at
@@ -591,6 +604,8 @@ def validate_chain_statistics(
 
     if samples < 1000:
         raise ConfigError("need at least 1000 skeleton samples")
+    if not step > 0.0:
+        raise ConfigError(f"skeleton step must be positive, got {step}")
     rng = derive_stream(seed, 0)
     horizon = samples * step
     chain = simulate_exact_path(gen, 1, horizon, rng, max_switches=max_switches)

@@ -9,6 +9,8 @@ the closed form over the Brownian path's own grid, and the drift and
 diffusion integrals of one solution. Each segment's regime is the chain
 state at its midpoint. `inner_values` is the Euler kernel's step for events
 inside an interval done with one padded table per regime.
+`closed_class_count` is the reachability count of closed classes that
+`switchsde.stationary_distribution` replaced with strongly connected components.
 """
 
 import numpy as np
@@ -111,3 +113,25 @@ def inner_values(inner, times, bvals, regimes, z, coeff, stride, N, f_all, g_all
         z = z + np.take(f_all, coeff + j * stride, axis=0) * t_part[:, None]
         z = z + (np.take(g_all, coeff + j * stride, axis=0) @ w_part[:, :, None])[..., 0]
     return z
+
+
+def closed_class_count(rates):
+    """Number of closed communicating classes of the jump structure, by reachability."""
+    n = rates.shape[0]
+    adj = rates > 0.0
+    np.fill_diagonal(adj, True)
+    reach = adj.copy()
+    for _ in range(max(1, int(np.ceil(np.log2(n)))) + 1):
+        reach = reach | (reach.astype(np.int64) @ reach.astype(np.int64) > 0)
+    comm = reach & reach.T
+    seen = np.zeros(n, dtype=bool)
+    closed = 0
+    for i in range(n):
+        if seen[i]:
+            continue
+        members = comm[i]
+        seen |= members
+        # closed iff nothing reachable from the class lies outside it
+        if not np.any(reach[members] & ~members):
+            closed += 1
+    return closed

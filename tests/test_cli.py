@@ -2,11 +2,13 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from switchsde.cli import main
+from switchsde.cli import DEFAULT_CONFIG, main
+from switchsde.harness import config_from_dict
 from switchsde.errors import GridMismatchError, NonFiniteError
 
 TWO_STATE = {"states": 2, "rates": [[-1.0, 1.0], [2.0, -2.0]]}
@@ -394,3 +396,63 @@ def test_jump_budget_bounds_every_command(tmp_path, command):
     roomy = write_config(tmp_path, "roomy.json", generator=FAST_THREE_STATE, model=FAST_MODEL,
                          samples=4, deltas=[2.0**-3, 2.0**-4], jump_budget=5000)
     assert main([command, "--config", roomy, "--out", str(tmp_path / "roomy")]) == 0
+
+
+# --- every command reads its settings through one checked reader -------------------
+
+SIMULATE, VALIDATE, SOLVE, CONVERGE = "chain simulate", "chain validate", "solve", "converge"
+MALFORMED = [  # (key, value, the commands that read the key)
+    ("schema_version", True, [SIMULATE, VALIDATE, SOLVE, CONVERGE]),
+    ("samples", 40.9, [VALIDATE, SOLVE, CONVERGE]),
+    ("seed", "7", [SIMULATE, VALIDATE, SOLVE, CONVERGE]),
+    ("seed", "x", [SIMULATE, VALIDATE, SOLVE, CONVERGE]),
+    ("refinement_exponent", True, [SOLVE, CONVERGE]),
+    ("jump_budget", 12.5, [SIMULATE, SOLVE, CONVERGE]),
+    ("initial_regime", True, [SIMULATE, SOLVE, CONVERGE]),
+    ("horizon", "abc", [SIMULATE, SOLVE, CONVERGE]),
+    ("step", None, [VALIDATE, SOLVE]),
+    ("deltas", ["0.5"], [CONVERGE]),
+    ("horizon", 0, [SIMULATE, SOLVE, CONVERGE]),
+    ("step", 0, [VALIDATE, SOLVE]),
+]
+
+
+@pytest.mark.parametrize("command, key, value", [
+    pytest.param(command, key, value, id=f"{command}-{key}={json.dumps(value)}")
+    for key, value, commands in MALFORMED for command in commands
+])
+def test_malformed_or_out_of_range_value_exits_2_before_writing(tmp_path, command, key, value):
+    cfg = write_config(tmp_path, **{key: value})
+    out = tmp_path / "out"
+    assert main([*command.split(), "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists() or os.listdir(out) == []
+
+
+@pytest.mark.parametrize("extra", [{"samples": 40.9}, {"deltas": ["0.5", 0.25]}])
+def test_smoke_reads_samples_and_deltas_through_the_checked_reader(tmp_path, extra):
+    cfg = converge_config(tmp_path, **extra)
+    out = tmp_path / "out"
+    assert main(["converge", "--config", cfg, "--out", str(out), "--smoke"]) == 2
+    assert not out.exists() or os.listdir(out) == []
+
+
+@pytest.mark.parametrize("extra", [{"samples": 1}, {"p": [1]}])
+def test_solve_accepts_only_what_converge_accepts(tmp_path, extra):
+    cfg = write_config(tmp_path, generator=TWO_STATE, step=0.25, **extra)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert main(["converge", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists() or os.listdir(out) == []
+
+
+def test_readme_config_section_matches_the_code():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("Config file (JSON", 1)[1].split("\n## ", 1)[0]
+    example = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+    config = config_from_dict(example)
+    assert config.samples == example["samples"] and config.deltas == tuple(example["deltas"])
+    shared = example.keys() & DEFAULT_CONFIG.keys()
+    assert shared >= {"seed", "horizon", "generator", "model", "deltas", "samples", "step"}
+    assert {k: example[k] for k in shared} == {k: DEFAULT_CONFIG[k] for k in shared}
+    typed = {line.split("`")[1] for line in section.splitlines() if line.startswith("| `")}
+    assert typed == example.keys() | DEFAULT_CONFIG.keys() | {"refinement_exponent"}

@@ -16,9 +16,11 @@ import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 import switchsde as s
 import switchsde.ctmc as ctmc
 from switchsde.errors import (
+    ConfigError,
     InvalidRegimeError,
     JumpBudgetError,
     NegativeOffDiagonalError,
@@ -181,6 +183,22 @@ def test_stationary_transient_state_allowed():
     assert np.abs(s.stationary_distribution(g) - [0.0, 1.0]).max() < 1e-12
 
 
+@given(st.integers(1, 7), st.integers(0, 2**32 - 1), st.sampled_from([0.1, 0.25, 0.5]))
+def test_reducible_exactly_when_the_oracle_counts_several_closed_classes(n, seed, density):
+    rng = np.random.default_rng(seed)
+    rates = np.where(rng.random((n, n)) < density, rng.uniform(0.1, 3.0, (n, n)), 0.0)
+    np.fill_diagonal(rates, 0.0)
+    np.fill_diagonal(rates, -rates.sum(axis=1))
+    gen = s.validate_generator(rates)
+    if oracles.closed_class_count(gen.rates) > 1:
+        with pytest.raises(ReducibleError):
+            s.stationary_distribution(gen)
+    else:
+        pi = s.stationary_distribution(gen)
+        assert abs(pi.sum() - 1.0) < 1e-12
+        assert np.abs(pi @ gen.rates).max() < 1e-9
+
+
 # --- simulate_exact_path ---------------------------------------------------------
 
 
@@ -241,6 +259,12 @@ def test_path_determinism(gen):
 def test_initial_state_validated(gen):
     with pytest.raises(InvalidRegimeError):
         s.simulate_exact_path(gen, 3, 1.0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("horizon", [0.0, -1.0, float("nan")])
+def test_non_positive_horizon_is_a_config_error(gen, horizon):
+    with pytest.raises(ConfigError):
+        s.simulate_exact_path(gen, 1, horizon, np.random.default_rng(0))
 
 
 # --- chunked simulation against the per-switch loop --------------------------------

@@ -10,6 +10,7 @@ import pytest
 
 import switchsde as s
 from switchsde.errors import ConfigError, DegenerateFitError, NonPositiveErrorValues
+from switchsde.harness import setting
 from switchsde.solvers import CLASSICAL, JUMP_ADAPTED
 
 GEN = s.validate_generator([[-1.0, 1.0], [2.0, -2.0]])
@@ -121,6 +122,29 @@ def test_config_from_dict_roundtrip():
     assert cfg.p_values == (2, 4)
     assert cfg.samples == 16
     assert cfg.schemes == ("jump-adapted", "classical")
+
+
+@pytest.mark.parametrize("data, kind, want", [
+    ({"k": 3}, int, 3),
+    ({"k": 3}, float, 3.0),
+    ({"k": 0.5}, float, 0.5),
+    ({}, int, 7),
+    ({"k": [2, 4]}, [int], (2, 4)),
+    ({"k": [1, 0.5]}, [float], (1.0, 0.5)),
+])
+def test_setting_reads_integers_and_finite_numbers(data, kind, want):
+    assert repr(setting(data, "k", kind, 7)) == repr(want)  # 3.0 where a float is asked for
+
+
+@pytest.mark.parametrize("data, kind", [
+    ({"k": 40.0}, int), ({"k": True}, int), ({"k": "7"}, int), ({"k": None}, int), ({}, int),
+    ({"k": False}, float), ({"k": "0.5"}, float), ({"k": float("nan")}, float),
+    ({"k": float("inf")}, float), ({"k": 10**400}, float),
+    ({"k": 2}, [int]), ({"k": "24"}, [int]), ({"k": [2.5]}, [int]), ({"k": ["0.5"]}, [float]),
+])
+def test_setting_rejects_every_other_value(data, kind):
+    with pytest.raises(ConfigError):
+        setting(data, "k", kind)
 
 
 # --- run_strong_error ----------------------------------------------------------------
@@ -328,7 +352,7 @@ def test_chain_validation_propagates_other_stationary_errors(monkeypatch):
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    code = "import sys, switchsde; print('scipy.stats' in sys.modules)"
+    code = "import sys, switchsde; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, timeout=120, check=True)
@@ -338,6 +362,12 @@ def test_import_leaves_scipy_stats_unloaded():
 def test_chain_validation_rejects_tiny_sample_count():
     with pytest.raises(ConfigError):
         s.validate_chain_statistics(GEN, step=0.1, samples=10, seed=0)
+
+
+@pytest.mark.parametrize("step", [0.0, -0.1, float("nan")])
+def test_chain_validation_rejects_a_step_that_is_not_positive(step):
+    with pytest.raises(ConfigError):
+        s.validate_chain_statistics(GEN, step=step, samples=1000, seed=0)
 
 
 # --- seeding ---------------------------------------------------------------------------
