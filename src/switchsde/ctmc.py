@@ -26,6 +26,7 @@ from .errors import (
     OutOfHorizonError,
     ReducibleError,
     RowSumViolationError,
+    setting,
 )
 
 ROW_SUM_TOL = 1e-12
@@ -142,13 +143,19 @@ class ChainPath:
 def validate_generator(rates) -> GeneratorMatrix:
     """Check generator structure and normalize the diagonal exactly.
 
-    Off-diagonals must be nonnegative and each row must sum to zero within
-    1e-12; the diagonal is then recomputed as minus the off-diagonal row sum
-    so downstream arithmetic sees exact zero row sums.
+    ``rates`` (rows or an array) must be a finite square matrix whose
+    off-diagonals are nonnegative and whose rows sum to zero within 1e-12;
+    the diagonal is then recomputed as minus the off-diagonal row sum so
+    downstream arithmetic sees exact zero row sums.
     """
-    mat = np.array(rates, dtype=np.float64)
+    try:
+        mat = np.array(rates, dtype=np.float64)
+    except ValueError as exc:  # ragged rows, or an entry that is not a number
+        raise NonSquareError(f"rate matrix must be a square matrix of numbers: {exc}") from None
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise NonSquareError(f"rate matrix must be square, got shape {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise ConfigError("rates must be finite")
     n = mat.shape[0]
     for i in range(n):
         for j in range(n):
@@ -165,19 +172,14 @@ def validate_generator(rates) -> GeneratorMatrix:
 def generator_from_json(source) -> GeneratorMatrix:
     """Read a generator from JSON ``{"states": N, "rates": [[...], ...]}``.
 
-    ``source`` is the parsed object, a JSON string or a file holding one.
+    ``source`` is the parsed object or a JSON string.
     """
     if isinstance(source, (str, bytes)):
         source = json.loads(source)
-    elif hasattr(source, "read"):
-        source = json.load(source)
     if not isinstance(source, dict):
         raise ConfigError(f"generator must be a JSON object, got {type(source).__name__}")
-    try:
-        rates, declared = source["rates"], int(source["states"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"generator needs 'states' and 'rates': {exc!r}") from None
-    gen = validate_generator(rates)
+    declared = setting(source, "states", int)
+    gen = validate_generator(setting(source, "rates", [[float]]))
     if declared != gen.n_states:
         raise NonSquareError(
             f"declared {declared} states but rate matrix is {gen.n_states}x{gen.n_states}"

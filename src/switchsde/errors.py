@@ -4,6 +4,8 @@ Every error raised by switchsde derives from :class:`SwitchSdeError`, so
 callers can catch the package's failures without catching unrelated bugs.
 """
 
+import sys
+
 
 class SwitchSdeError(Exception):
     """Base class for all switchsde errors."""
@@ -15,6 +17,25 @@ class ConfigError(SwitchSdeError):
     The input-validation errors below (a malformed generator, a regime
     outside 1..N) derive from it, so the CLI reports them as config errors.
     """
+
+
+def setting(data: dict, key: str, kind, default=None):
+    """``data[key]``, or ``default`` when it is absent, checked to be of ``kind``.
+
+    ``int`` takes a JSON integer only (a bool, 40.0, a string or null is a
+    ConfigError), ``float`` any finite JSON number, returned as a float;
+    ``[kind]`` a list of them, returned as a tuple, so ``[[float]]`` is a matrix.
+    """
+    value = data.get(key, default)
+    if isinstance(kind, list):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        return tuple(setting({key: v}, key, kind[0]) for v in value)
+    if (isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float))
+            or not abs(value) <= sys.float_info.max):
+        noun = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"{key} must be {noun}, got {value!r}")
+    return kind(value)
 
 
 # --- generator / chain errors -------------------------------------------------

@@ -29,7 +29,6 @@ for the callers that pass it, and it changes nothing.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +54,8 @@ from .ctmc import (
     skeleton_from_path,
     stationary_distribution,
 )
-from .errors import ConfigError, DegenerateFitError, NonPositiveErrorValues, ReducibleError
+from .errors import (ConfigError, DegenerateFitError, NonPositiveErrorValues, ReducibleError,
+                     setting)
 from .model import HybridModel, model_from_config
 from .solvers import (
     CLASSICAL,
@@ -171,25 +171,6 @@ class ExperimentConfig:
         if self.reference == REFERENCE_FINE_EM:
             return self.finest_step / 2.0 ** self.ref_refinement
         return self.finest_step
-
-
-def setting(data: dict, key: str, kind, default=None):
-    """``data[key]``, or ``default`` when it is absent, checked to be of ``kind``.
-
-    ``int`` takes a JSON integer only (a bool, 40.0, a string or null is a
-    ConfigError), ``float`` any finite JSON number, returned as a float;
-    ``[int]`` and ``[float]`` take a list of them, returned as a tuple.
-    """
-    value = data.get(key, default)
-    if isinstance(kind, list):
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{key} must be a list, got {value!r}")
-        return tuple(setting({key: v}, key, kind[0]) for v in value)
-    if (isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float))
-            or not abs(value) <= sys.float_info.max):
-        noun = "an integer" if kind is int else "a finite number"
-        raise ConfigError(f"{key} must be {noun}, got {value!r}")
-    return kind(value)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -412,6 +393,9 @@ def summary_text(report: ErrorReport) -> str:
 
 # --- moment stability -------------------------------------------------------
 
+#: The across-ladder ratio of a sup-moment that `MomentReport.flagged` reports.
+GROWTH_FLAG_FACTOR = 2.0
+
 
 @dataclass(frozen=True)
 class MomentPoint:
@@ -425,7 +409,6 @@ class MomentReport:
     """Empirical E sup_t |Z(t)|^p across the step ladder."""
 
     points: tuple
-    growth_flag_factor: float
 
     def points_for(self, p: int) -> list:
         return [pt for pt in self.points if pt.p == p]
@@ -438,20 +421,20 @@ class MomentReport:
         return all(np.isfinite(pt.sup_moment) for pt in self.points)
 
     def flagged(self) -> list:
-        """(p, ratio) pairs whose across-ladder variation exceeds the factor."""
+        """(p, ratio) pairs whose across-ladder variation exceeds GROWTH_FLAG_FACTOR."""
         out = []
         for p in sorted({pt.p for pt in self.points}):
             ratio = self.max_ratio(p)
-            if not np.isfinite(ratio) or ratio > self.growth_flag_factor:
+            if not np.isfinite(ratio) or ratio > GROWTH_FLAG_FACTOR:
                 out.append((p, ratio))
         return out
 
 
-def moment_check(config: ExperimentConfig, growth_flag_factor: float = 2.0) -> MomentReport:
+def moment_check(config: ExperimentConfig) -> MomentReport:
     """Estimate E sup_t |Z(t)|^p for the switch-adapted scheme across the ladder.
 
     Uses the same coupling as the error run, so across-ladder variation
-    reflects discretization alone. Ratios beyond ``growth_flag_factor`` are
+    reflects discretization alone. Ratios beyond ``GROWTH_FLAG_FACTOR`` are
     reported by ``flagged()``.
     """
     sups = np.empty((len(config.deltas), config.samples))
@@ -466,7 +449,7 @@ def moment_check(config: ExperimentConfig, growth_flag_factor: float = 2.0) -> M
     for p in config.p_values:
         for di, delta in enumerate(config.deltas):
             points.append(MomentPoint(p, delta, float(np.mean(sups[di] ** p))))
-    return MomentReport(points=tuple(points), growth_flag_factor=growth_flag_factor)
+    return MomentReport(points=tuple(points))
 
 
 # --- local (one-step) error scaling -----------------------------------------

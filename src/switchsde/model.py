@@ -10,7 +10,8 @@ must be pure and reentrant, and they are batch-first: the solvers call
 ``Z`` of shape (B, n), and the results must broadcast to (B, n) and
 (B, n, d). A constant such as a Python float broadcasts too.
 `drift_eval`/`diffusion_eval` evaluate one state as a batch of one and
-return the (n,) and (n, d) shapes.
+return the (n,) and (n, d) shapes. The probes are batch calls too: one drift
+and one diffusion call per regime on all their points.
 
 Two families ship with the package: a per-regime linear model (which has a
 conditional closed-form solution, used as the strong-error reference) and a
@@ -27,6 +28,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidRegimeError,
     NonFiniteError,
+    setting,
 )
 
 
@@ -80,22 +82,20 @@ class LinearHybridModel(HybridModel):
     """
 
     def __init__(self, a, b, z0=1.0, initial_regime=1):
-        self.a = np.asarray(a, dtype=np.float64)
-        self.b = np.asarray(b, dtype=np.float64)
-        if self.a.shape != self.b.shape or self.a.ndim != 1:
+        a = self.a = np.asarray(a, dtype=np.float64)
+        b = self.b = np.asarray(b, dtype=np.float64)
+        if a.shape != b.shape or a.ndim != 1:
             raise ConfigError("a and b must be 1-d arrays of equal length")
-        if not np.isscalar(z0) and np.size(z0) != 1:
-            raise ConfigError("z0 must be a scalar")
-        if float(np.asarray(z0).ravel()[0]) <= 0.0:
-            raise ConfigError("z0 must be positive")
-        a_arr, b_arr = self.a, self.b
+        z0 = np.ravel(z0).astype(np.float64)  # a copy, so the caller's array stays theirs
+        if z0.shape != (1,) or not z0[0] > 0.0:
+            raise ConfigError(f"z0 must be a positive scalar, got {z0}")
         super().__init__(
             state_dim=1,
             noise_dim=1,
-            regime_count=len(a_arr),
-            drift=lambda z, i: a_arr[i - 1] * z,
-            diffusion=lambda z, i: (b_arr[i - 1] * z)[..., None],
-            initial_value=[float(np.asarray(z0).ravel()[0])],
+            regime_count=len(a),
+            drift=lambda z, i: a[i - 1] * z,
+            diffusion=lambda z, i: (b[i - 1] * z)[..., None],
+            initial_value=z0,
             initial_regime=initial_regime,
         )
 
@@ -111,18 +111,17 @@ class TrigHybridModel(HybridModel):
     """
 
     def __init__(self, a, b, c, z0=1.0, initial_regime=1):
-        self.a = np.asarray(a, dtype=np.float64)
-        self.b = np.asarray(b, dtype=np.float64)
-        self.c = np.asarray(c, dtype=np.float64)
-        if not (self.a.shape == self.b.shape == self.c.shape) or self.a.ndim != 1:
+        a = self.a = np.asarray(a, dtype=np.float64)
+        b = self.b = np.asarray(b, dtype=np.float64)
+        c = self.c = np.asarray(c, dtype=np.float64)
+        if not (a.shape == b.shape == c.shape) or a.ndim != 1:
             raise ConfigError("a, b, c must be 1-d arrays of equal length")
-        a_arr, b_arr, c_arr = self.a, self.b, self.c
         super().__init__(
             state_dim=1,
             noise_dim=1,
-            regime_count=len(a_arr),
-            drift=lambda z, i: a_arr[i - 1] * np.sin(z) + c_arr[i - 1],
-            diffusion=lambda z, i: (b_arr[i - 1] * np.cos(z))[..., None],
+            regime_count=len(a),
+            drift=lambda z, i: a[i - 1] * np.sin(z) + c[i - 1],
+            diffusion=lambda z, i: (b[i - 1] * np.cos(z))[..., None],
             initial_value=[float(z0)],
             initial_regime=initial_regime,
         )
@@ -131,66 +130,63 @@ class TrigHybridModel(HybridModel):
 def model_from_config(cfg: dict, initial_regime: int = 1) -> HybridModel:
     """Build a shipped model from its JSON description.
 
-    Supported forms:
+    Supported forms, each coefficient a list of finite numbers:
       {"model": "linear", "a": [...], "b": [...], "z0": ...}
       {"model": "trig", "a": [...], "b": [...], "c": [...], "z0": ...}
     """
-    try:
-        kind = cfg["model"]
-    except (KeyError, TypeError):
-        raise ConfigError("model config needs a 'model' key") from None
-    try:
-        if kind == "linear":
-            return LinearHybridModel(
-                a=cfg["a"], b=cfg["b"], z0=cfg.get("z0", 1.0), initial_regime=initial_regime
-            )
-        if kind == "trig":
-            return TrigHybridModel(
-                a=cfg["a"], b=cfg["b"], c=cfg["c"], z0=cfg.get("z0", 1.0),
-                initial_regime=initial_regime,
-            )
-    except KeyError as exc:
-        raise ConfigError(f"{kind} model config lacks {exc}") from None
-    raise ConfigError(f"unknown model kind {kind!r}")
+    shipped = {"linear": (LinearHybridModel, "ab"), "trig": (TrigHybridModel, "abc")}
+    kind = cfg.get("model") if isinstance(cfg, dict) else None
+    if not isinstance(kind, str) or kind not in shipped:
+        raise ConfigError(f"model config needs a 'model' key of {sorted(shipped)}, got {kind!r}")
+    cls, keys = shipped[kind]
+    return cls(*(setting(cfg, key, [float]) for key in keys),
+               z0=setting(cfg, "z0", float, 1.0), initial_regime=initial_regime)
 
 
-def _check_regime(model: HybridModel, i: int) -> None:
+def _evaluate(model: HybridModel, name: str, Z, i: int) -> np.ndarray:
+    """One call of the coefficient ``name`` on the (B, n) batch Z in regime i.
+
+    A single state is a batch of one. Returns a new (B, n) drift or (B, n, d)
+    diffusion array, after checking the regime, the broadcast and finiteness.
+    """
     if not 1 <= i <= model.regime_count:
         raise InvalidRegimeError(f"regime {i} outside 1..{model.regime_count}")
-
-
-def _eval_one(model: HybridModel, coefficient, name: str, z, i: int, shape) -> np.ndarray:
-    """Call a coefficient on the batch [z] and validate its (1, *shape) broadcast."""
-    _check_regime(model, i)
-    z = np.atleast_1d(np.asarray(z, dtype=np.float64))
-    out = np.asarray(coefficient(z[None, :], i), dtype=np.float64)
+    Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
+    shape = (len(Z), model.state_dim) + ((model.noise_dim,) if name == "diffusion" else ())
+    out = np.asarray(getattr(model, name)(Z, i), dtype=np.float64)
     try:
-        out = np.broadcast_to(out, (1,) + shape)[0].copy()
+        out = np.broadcast_to(out, shape).copy()
     except ValueError:
-        raise DimensionMismatchError(
-            f"{name} returned shape {out.shape}, expected one broadcastable to {(1,) + shape}"
-        ) from None
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteError(f"{name} produced non-finite values at z={z}, regime {i}")
+        raise DimensionMismatchError(f"{name} returned shape {out.shape}, expected one "
+                                     f"broadcastable to {shape}") from None
+    if not np.isfinite(out).all():
+        raise NonFiniteError(f"{name} produced non-finite values in regime {i}")
     return out
 
 
 def drift_eval(model: HybridModel, z, i: int) -> np.ndarray:
     """Evaluate the drift as a length-n vector, validating shape and finiteness."""
-    return _eval_one(model, model.drift, "drift", z, i, (model.state_dim,))
+    return _evaluate(model, "drift", z, i)[0]
 
 
 def diffusion_eval(model: HybridModel, z, i: int) -> np.ndarray:
     """Evaluate the diffusion as an n x d matrix, validating shape and finiteness."""
-    return _eval_one(model, model.diffusion, "diffusion", z, i,
-                     (model.state_dim, model.noise_dim))
+    return _evaluate(model, "diffusion", z, i)[0]
 
 
-def _draw_points(box, n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    lo, hi = box
-    lo = np.broadcast_to(np.asarray(lo, dtype=np.float64), (n,))
-    hi = np.broadcast_to(np.asarray(hi, dtype=np.float64), (n,))
-    return lo + (hi - lo) * rng.random((count, n))
+def _worst_norms(model: HybridModel, box, count: int, rng, rows) -> tuple:
+    """Draw ``count`` points in the box and call each coefficient once per
+    regime on them all. Returns the norm of each row of ``rows(points)`` and
+    the largest norm of that row of ``rows(f)`` or ``rows(g)`` over the regimes."""
+    rng = rng or np.random.default_rng()
+    lo, hi = (np.asarray(edge, dtype=np.float64) for edge in box)
+    pts = lo + (hi - lo) * rng.random((count, model.state_dim))
+    worst = 0.0
+    for i in range(1, model.regime_count + 1):
+        for name in ("drift", "diffusion"):
+            values = rows(_evaluate(model, name, pts, i))
+            worst = np.maximum(worst, np.linalg.norm(values.reshape(len(values), -1), axis=1))
+    return np.linalg.norm(rows(pts), axis=1), worst
 
 
 def lipschitz_probe(
@@ -207,19 +203,8 @@ def lipschitz_probe(
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    rng = rng or np.random.default_rng()
-    pts = _draw_points(box, model.state_dim, 2 * samples, rng)
-    best = 0.0
-    for k in range(samples):
-        z, zbar = pts[2 * k], pts[2 * k + 1]
-        gap = float(np.linalg.norm(z - zbar))
-        if gap == 0.0:
-            continue
-        for i in range(1, model.regime_count + 1):
-            df = np.linalg.norm(drift_eval(model, z, i) - drift_eval(model, zbar, i))
-            dg = np.linalg.norm(diffusion_eval(model, z, i) - diffusion_eval(model, zbar, i))
-            best = max(best, max(df, dg) / gap)
-    return best
+    gap, worst = _worst_norms(model, box, 2 * samples, rng, lambda v: v[0::2] - v[1::2])
+    return float((worst[gap > 0.0] / gap[gap > 0.0]).max(initial=0.0))
 
 
 def growth_probe(
@@ -236,13 +221,5 @@ def growth_probe(
     """
     if samples < 1:
         raise ValueError("need at least 1 sample")
-    rng = rng or np.random.default_rng()
-    pts = _draw_points(box, model.state_dim, samples, rng)
-    best = 0.0
-    for z in pts:
-        denom = 1.0 + float(np.linalg.norm(z))
-        for i in range(1, model.regime_count + 1):
-            nf = np.linalg.norm(drift_eval(model, z, i))
-            ng = np.linalg.norm(diffusion_eval(model, z, i))
-            best = max(best, max(nf, ng) / denom)
-    return best
+    size, worst = _worst_norms(model, box, samples, rng, lambda v: v)
+    return float((worst / (1.0 + size)).max())

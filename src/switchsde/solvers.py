@@ -224,24 +224,20 @@ class SolutionPath:
             fileobj.write(f"{t:.17g},{cells}\n")
 
 
-def build_refined_grid(sample, step: float, horizon: float | None = None) -> RefinedGrid:
+def build_refined_grid(sample, step: float) -> RefinedGrid:
     """The switch-adapted scheme's events: the step's gridpoints and the switches.
 
     ``sample`` is a SampleBlock, or one ChainPath, whose union grid is then
-    its switching times merged into the step's uniform grid (``horizon``
-    defaults to the path's). A row's events are its union points on the
-    step's grid, its T, and every point across which the segment regime
-    (`SampleBlock.regimes`) changes. A switch within tolerance of another
+    its switching times merged into the step's uniform grid on its horizon.
+    A row's events are its union points on the step's grid, its T, and every
+    point across which the segment regime (`SampleBlock.regimes`) changes. A switch within tolerance of another
     point is represented by that point, and the segment it opens still runs
     in its regime. The event count never exceeds
     floor(T / step) + segments + 1.
     """
-    if isinstance(sample, ChainPath):
-        horizon = sample.horizon if horizon is None else float(horizon)
-        if not 0.0 < step <= horizon:
-            raise ConfigError(f"step must lie in (0, T], got {step}")
-        union = merge_grids(uniform_grid(horizon, step),
-                            make_grid(np.append(sample.switch_times, horizon)))
+    if isinstance(sample, ChainPath):  # uniform_grid checks the step
+        union = merge_grids(uniform_grid(sample.horizon, step),
+                            make_grid(np.append(sample.switch_times, sample.horizon)))
         sample = SampleBlock.stack([sample], [union])
     on_grid = sample.on_grid(step)
     regimes = sample.regimes

@@ -11,6 +11,8 @@ state at its midpoint. `inner_values` is the Euler kernel's step for events
 inside an interval done with one padded table per regime.
 `closed_class_count` is the reachability count of closed classes that
 `switchsde.stationary_distribution` replaced with strongly connected components.
+`lipschitz_probe` and `growth_probe` are the model probes with one
+coefficient call per point and regime, on the same draw of points.
 """
 
 import numpy as np
@@ -135,3 +137,37 @@ def closed_class_count(rates):
         if not np.any(reach[members] & ~members):
             closed += 1
     return closed
+
+
+def _box_points(box, n, count, rng):
+    lo = np.broadcast_to(np.asarray(box[0], dtype=np.float64), (n,))
+    hi = np.broadcast_to(np.asarray(box[1], dtype=np.float64), (n,))
+    return lo + (hi - lo) * rng.random((count, n))
+
+
+def lipschitz_probe(model, box, samples, rng):
+    """`switchsde.lipschitz_probe` one pair of points and one regime at a time."""
+    pts = _box_points(box, model.state_dim, 2 * samples, rng)
+    best = 0.0
+    for k in range(samples):
+        z, zbar = pts[2 * k], pts[2 * k + 1]
+        gap = float(np.linalg.norm(z - zbar))
+        if gap == 0.0:
+            continue
+        for i in range(1, model.regime_count + 1):
+            df = np.linalg.norm(s.drift_eval(model, z, i) - s.drift_eval(model, zbar, i))
+            dg = np.linalg.norm(s.diffusion_eval(model, z, i) - s.diffusion_eval(model, zbar, i))
+            best = max(best, max(df, dg) / gap)
+    return best
+
+
+def growth_probe(model, box, samples, rng):
+    """`switchsde.growth_probe` one point and one regime at a time."""
+    best = 0.0
+    for z in _box_points(box, model.state_dim, samples, rng):
+        denom = 1.0 + float(np.linalg.norm(z))
+        for i in range(1, model.regime_count + 1):
+            nf = np.linalg.norm(s.drift_eval(model, z, i))
+            ng = np.linalg.norm(s.diffusion_eval(model, z, i))
+            best = max(best, max(nf, ng) / denom)
+    return best

@@ -428,6 +428,35 @@ def test_malformed_or_out_of_range_value_exits_2_before_writing(tmp_path, comman
     assert not out.exists() or os.listdir(out) == []
 
 
+EVERY, MODEL_READERS = [SIMULATE, VALIDATE, SOLVE, CONVERGE], [SOLVE, CONVERGE]
+MALFORMED_INSIDE = [  # (the raw JSON of one config entry, the commands that read it)
+    ('"generator": {"states": 2.9, "rates": [[-1.0, 1.0], [2.0, -2.0]]}', EVERY),
+    ('"generator": {"states": 2, "rates": [["-1", "1"], [2.0, -2.0]]}', EVERY),
+    ('"generator": {"states": 2, "rates": [[-1.0, null], [2.0, -2.0]]}', EVERY),
+    ('"generator": {"states": 2, "rates": [[-1.0, 1.0], [2.0]]}', EVERY),
+    ('"model": {"model": "linear", "a": ["1", true], "b": [2.0, 1.0]}', MODEL_READERS),
+    ('"model": {"model": "linear", "a": [1.0, null], "b": [2.0, 1.0]}', MODEL_READERS),
+    ('"model": {"model": "linear", "a": [1.0, 1e400], "b": [2.0, 1.0]}', MODEL_READERS),
+    ('"model": {"model": "linear", "a": [1.0, 2.0], "b": [2.0, 1.0], "z0": "1.5"}',
+     MODEL_READERS),
+    ('"model": {"model": "linear", "a": [1.0, 2.0], "b": [2.0, 1.0], "z0": [1.5]}',
+     MODEL_READERS),
+    ('"model": {"model": "trig", "a": [1.0, 2.0], "b": [0.5, 1.0]}', MODEL_READERS),
+]
+
+
+@pytest.mark.parametrize("command, entry", [
+    pytest.param(command, entry, id=f"{command}-{entry}")
+    for entry, commands in MALFORMED_INSIDE for command in commands
+])
+def test_malformed_generator_or_model_value_exits_2_before_writing(tmp_path, command, entry):
+    cfg = tmp_path / "config.json"
+    cfg.write_text("{" + entry + "}")
+    out = tmp_path / "out"
+    assert main([*command.split(), "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists() or os.listdir(out) == []
+
+
 @pytest.mark.parametrize("extra", [{"samples": 40.9}, {"deltas": ["0.5", 0.25]}])
 def test_smoke_reads_samples_and_deltas_through_the_checked_reader(tmp_path, extra):
     cfg = converge_config(tmp_path, **extra)

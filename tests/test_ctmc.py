@@ -75,6 +75,16 @@ def test_validate_rejects_nonsquare():
         s.validate_generator([[-1.0, 1.0]])
 
 
+@pytest.mark.parametrize("rates, error", [
+    ([[-1.0, 1.0], [2.0]], NonSquareError),
+    (np.array([[-1.0, 1.0], [np.nan, -2.0]]), ConfigError),
+    (np.array([[-1.0, np.inf], [2.0, -2.0]]), ConfigError),
+], ids=["ragged", "nan", "inf"])
+def test_validate_rejects_ragged_or_non_finite_rates(rates, error):
+    with pytest.raises(error):
+        s.validate_generator(rates)
+
+
 def test_validate_rejects_bad_row_sum():
     with pytest.raises(RowSumViolationError):
         s.validate_generator([[-1.0, 2.0], [2.0, -2.0]])

@@ -157,7 +157,7 @@ def test_schemes_match_per_event_loop(data):
     path = data.draw(chain_paths(gen.n_states, horizon, step))
     bm = brownian_for(path, step, model.noise_dim, data.draw(st.integers(0, 2**16)))
 
-    grid = s.build_refined_grid(path, step, horizon)
+    grid = s.build_refined_grid(path, step)
     sol = s.em_jump_adapted(model, grid, bm)
     oracle = oracle_on_grid(model, grid.events, grid.regimes, grid.owner_interval, bm)
     at = match_indices(bm.grid.points, grid.events, time_tolerance(horizon))
@@ -380,13 +380,13 @@ def oracle_sup_errors(config):
         if config.reference == "closed-form":
             ref = s.exact_linear_solution(model, chain, bm).values
         else:
-            fine = s.build_refined_grid(chain, config.reference_step, horizon)
+            fine = s.build_refined_grid(chain, config.reference_step)
             ref = oracle_on_grid(model, fine.events, fine.regimes, fine.owner_interval, bm)
         scale = max(scale, float(np.max(np.abs(ref))))
         for si, scheme in enumerate(config.schemes):
             for di, delta in enumerate(config.deltas):
                 if scheme == JUMP_ADAPTED:
-                    grid = s.build_refined_grid(chain, delta, horizon)
+                    grid = s.build_refined_grid(chain, delta)
                     events, regimes, owners = grid.events, grid.regimes, grid.owner_interval
                 else:
                     _, events, regimes, owners = classical_inputs(chain, delta, horizon)
@@ -459,7 +459,7 @@ def test_switches_near_events_run_in_the_regime_they_open(data):
     constant = s.HybridModel(state_dim=1, noise_dim=1, regime_count=n_states,
                              drift=lambda z, i: c[i - 1], diffusion=lambda z, i: 0.0,
                              initial_value=[0.0])
-    sol = s.em_jump_adapted(constant, s.build_refined_grid(path, step, horizon), bm)
+    sol = s.em_jump_adapted(constant, s.build_refined_grid(path, step), bm)
     assert np.max(np.abs(s.evaluate_path(sol, bm, ug.points)[:, 0] - want)) <= atol
 
     linear = s.LinearHybridModel(a=c, b=np.zeros(n_states), z0=1.0)

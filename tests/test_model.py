@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 import switchsde as s
 from switchsde.errors import (
     ConfigError,
@@ -120,7 +121,7 @@ def test_growth_probe_zero_model():
     zero = s.HybridModel(
         state_dim=1, noise_dim=1, regime_count=1,
         drift=lambda z, i: 0.0 * z,
-        diffusion=lambda z, i: 0.0 * z,
+        diffusion=lambda z, i: (0.0 * z)[..., None],
         initial_value=[1.0],
     )
     assert s.growth_probe(zero, samples=100, rng=np.random.default_rng(3)) == 0.0
@@ -130,12 +131,47 @@ def test_growth_probe_flags_superlinear_model():
     quad = s.HybridModel(
         state_dim=1, noise_dim=1, regime_count=1,
         drift=lambda z, i: z * z,
-        diffusion=lambda z, i: 0.0 * z,
+        diffusion=lambda z, i: (0.0 * z)[..., None],
         initial_value=[1.0],
     )
     est = s.growth_probe(quad, box=(-10.0, 10.0), samples=3000,
                          rng=np.random.default_rng(4))
     assert est > 5.0  # far above the scale of any Lipschitz model on this box
+
+
+def vector_model():
+    """An n = d = 2 model whose coefficients are BLAS products, like perfbench's vector-fine."""
+    a = np.array([[[-1.0, 0.5], [0.25, -2.0]], [[0.5, 0.0], [-1.0, 1.5]]])
+    sig = np.array([[[0.3, 0.1], [0.0, 0.4]], [[0.2, -0.1], [0.5, 0.3]]])
+    return s.HybridModel(state_dim=2, noise_dim=2, regime_count=2,
+                         drift=lambda z, i: z @ a[i - 1].T,
+                         diffusion=lambda z, i: z[..., :, None] * sig[i - 1],
+                         initial_value=[1.0, 0.5])
+
+
+PROBE_MODELS = {
+    "linear": lambda: s.LinearHybridModel(a=[1.0, 2.0, -0.5], b=[2.0, 1.0, 0.5], z0=1.0),
+    "trig": lambda: s.TrigHybridModel(a=[1.0, 2.0], b=[0.5, 1.0], c=[0.1, -0.1], z0=1.0),
+    "vector": vector_model,
+}
+
+
+@pytest.mark.parametrize("name", PROBE_MODELS)
+@pytest.mark.parametrize("probe", ["lipschitz_probe", "growth_probe"])
+def test_probe_is_one_call_per_coefficient_and_regime_and_matches_the_per_point_loop(
+        probe, name):
+    model = PROBE_MODELS[name]()
+    calls = []
+    for attr in ("drift", "diffusion"):
+        fn = getattr(model, attr)
+        setattr(model, attr, lambda z, i, fn=fn: calls.append(len(z)) or fn(z, i))
+    got = getattr(s, probe)(model, samples=300, rng=np.random.default_rng(6))
+    assert len(calls) == 2 * model.regime_count
+    want = getattr(oracles, probe)(model, (-10.0, 10.0), 300, np.random.default_rng(6))
+    if name == "vector":  # a BLAS product may round a row differently in a bigger batch
+        assert got == pytest.approx(want, rel=1e-12)
+    else:
+        assert got == want
 
 
 def test_evaluation_is_pure(linear):
