@@ -60,8 +60,8 @@ from .model import (
 from .solvers import (
     CLASSICAL,
     JUMP_ADAPTED,
+    EulerBlock,
     RefinedGrid,
-    SolutionPath,
     build_refined_grid,
     em_classical,
     em_jump_adapted,

@@ -118,16 +118,17 @@ class BrownianPath:
         """The increment over each grid interval, one row per interval."""
         return np.diff(self.values, axis=0)
 
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
     def to_csv(self, fileobj) -> None:
-        header = ",".join(["time"] + [f"B_{j + 1}" for j in range(self.dim)])
-        fileobj.write(header + "\n")
-        for t, row in zip(self.grid.points, self.values):
-            cells = ",".join(f"{v:.17g}" for v in row)
-            fileobj.write(f"{t:.17g},{cells}\n")
+        write_path_csv(fileobj, self.grid.points, self.values, "B")
+
+
+def write_path_csv(fileobj, times, values, name: str) -> None:
+    """CSV rows ``time,<name>_1,...,<name>_k``: ``times`` and the rows of ``values``, 17 digits."""
+    header = ",".join(["time"] + [f"{name}_{j + 1}" for j in range(values.shape[1])])
+    fileobj.write(header + "\n")
+    for t, row in zip(times, values):
+        cells = ",".join(f"{v:.17g}" for v in row)
+        fileobj.write(f"{t:.17g},{cells}\n")
 
 
 def path_from_increments(grid: TimeGrid, increments) -> BrownianPath:

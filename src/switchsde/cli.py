@@ -24,7 +24,7 @@ import json
 import os
 import sys
 
-from .brownian import uniform_grid
+from .brownian import uniform_grid, write_path_csv
 from .ctmc import generator_from_json, simulate_exact_path
 from .errors import ConfigError, JumpBudgetError, NonFiniteError
 from .harness import (
@@ -38,7 +38,7 @@ from .harness import (
     summary_text,
     validate_chain_statistics,
 )
-from .solvers import CLASSICAL, JUMP_ADAPTED, SampleBlock, SolutionPath, exact_linear_solution
+from .solvers import CLASSICAL, JUMP_ADAPTED, SampleBlock, exact_linear_solution
 
 EXIT_OK = 0
 EXIT_STAT_FAIL = 1
@@ -164,16 +164,16 @@ def cmd_solve(args) -> int:
         written.append(target)
 
     def write_uniform(tag, values):  # values at the uniform gridpoints
-        solution = SolutionPath(times=ugrid.points, values=values, scheme_tag=tag)
-        write(f"solution_{tag.replace('-', '_')}.csv", solution.to_csv)
+        write(f"solution_{tag.replace('-', '_')}.csv",
+              lambda fh: write_path_csv(fh, ugrid.points, values, "z"))
 
     write("chain.csv", chain.to_csv)
     write("brownian.csv", bm.to_csv)
     for scheme, solved in zip(config.schemes,
                               _solve_ladder(model, block, config.deltas, config.schemes)):
-        write_uniform(scheme, solved.values.T[on_grid[solved.bm_index]])
+        write_uniform(scheme, solved.values[on_grid[solved.bm_index]])
     if reference != "none" and config.reference == REFERENCE_CLOSED_FORM:
-        write_uniform("reference", exact_linear_solution(model, block).values[on_grid])
+        write_uniform("reference", exact_linear_solution(model, block)[on_grid])
 
     for t in written:
         print(t)

@@ -251,6 +251,8 @@ def simulate_exact_path(
     """
     if not horizon > 0.0:
         raise ConfigError(f"horizon must be positive, got {horizon}")
+    if max_switches < 0:
+        raise ConfigError(f"the switch budget must be non-negative, got {max_switches}")
     n = gen.n_states
     if not 1 <= initial <= n:
         raise InvalidRegimeError(f"initial state {initial} outside 1..{n}")

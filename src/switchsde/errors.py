@@ -23,17 +23,19 @@ def setting(data: dict, key: str, kind, default=None):
     """``data[key]``, or ``default`` when it is absent, checked to be of ``kind``.
 
     ``int`` takes a JSON integer only (a bool, 40.0, a string or null is a
-    ConfigError), ``float`` any finite JSON number, returned as a float;
-    ``[kind]`` a list of them, returned as a tuple, so ``[[float]]`` is a matrix.
+    ConfigError), ``float`` any finite JSON number, returned as a float, and
+    ``str`` a JSON string; ``[kind]`` a list of them, returned as a tuple, so
+    ``[[float]]`` is a matrix.
     """
     value = data.get(key, default)
     if isinstance(kind, list):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{key} must be a list, got {value!r}")
         return tuple(setting({key: v}, key, kind[0]) for v in value)
-    if (isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float))
-            or not abs(value) <= sys.float_info.max):
-        noun = "an integer" if kind is int else "a finite number"
+    types, noun = {int: (int, "an integer"), float: ((int, float), "a finite number"),
+                   str: (str, "a string")}[kind]
+    if (isinstance(value, bool) or not isinstance(value, types)
+            or (kind is not str and not abs(value) <= sys.float_info.max)):
         raise ConfigError(f"{key} must be {noun}, got {value!r}")
     return kind(value)
 

@@ -21,10 +21,12 @@ Samples run in blocks of BLOCK_SIZE consecutive indices. One batched Euler
 recursion per block advances every sample on one grid per (step, scheme)
 pair, and on the fine-EM reference grid with them; it runs over the
 intervals of the finest grid, and each grid's lanes drop out after its last
-interval. Each sample's arithmetic is independent of its block, and the
-block size is a constant, so results are bit-identical across reruns and
-thread counts. Only ``run_strong_error`` takes a ``threads`` argument, kept
-for the callers that pass it, and it changes nothing.
+interval. Each grid comes back as one `EulerBlock`, the record the one-path
+schemes return too, and a sample's sup error reads its row. Each sample's
+arithmetic is independent of its block, and the block size is a constant,
+so results are bit-identical across reruns and thread counts. Only
+``run_strong_error`` takes a ``threads`` argument, kept for the callers
+that pass it, and it changes nothing.
 """
 
 from __future__ import annotations
@@ -92,6 +94,8 @@ def derive_stream(master_seed: int, index: int) -> np.random.Generator:
     give reproducible, statistically independent streams that are safe to
     consume in parallel.
     """
+    if master_seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {master_seed}")
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))
 
 
@@ -126,6 +130,9 @@ class ExperimentConfig:
             raise ConfigError("need at least 2 samples")
         if not self.p_values or any(p < 2 for p in self.p_values):
             raise ConfigError("moment orders must all be at least 2")
+        for name, entries in (("moment order", self.p_values), ("scheme", self.schemes)):
+            if len(set(entries)) != len(entries):
+                raise ConfigError(f"a {name} is listed twice in {list(entries)}")
         if not self.deltas:
             raise ConfigError("empty step ladder")
         deltas = tuple(float(d) for d in self.deltas)
@@ -189,7 +196,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             reference=data.get("reference", REFERENCE_CLOSED_FORM
                                if model.has_closed_form() else REFERENCE_FINE_EM),
             ref_refinement=setting(data, "refinement_exponent", int, 6),
-            schemes=tuple(data.get("schemes", [JUMP_ADAPTED])),
+            schemes=setting(data, "schemes", [str], [JUMP_ADAPTED]),
             jump_budget=setting(data, "jump_budget", int, 10**6),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -331,10 +338,10 @@ def _sup_errors(config: ExperimentConfig) -> np.ndarray:
             solved = _solve_ladder(model, block, deltas, schemes, config.reference_step)
             ref = next(solved).on_brownian_grids()
         else:  # before the recursion, whose tables would add to its peak memory
-            ref = exact_linear_solution(model, block).values.T
+            ref = exact_linear_solution(model, block)
             solved = _solve_ladder(model, block, deltas, schemes)
         for i, approx in enumerate(map(EulerBlock.on_brownian_grids, solved)):
-            gap = np.linalg.norm(approx - ref, axis=0)
+            gap = np.linalg.norm(approx - ref, axis=1)
             out[i, done:done + len(block)] = np.maximum.reduceat(gap, block.offsets[:-1])
         done += len(block)
     return out.reshape(len(deltas), len(schemes), -1).swapaxes(0, 1)
@@ -442,7 +449,7 @@ def moment_check(config: ExperimentConfig) -> MomentReport:
     for block in _coupled_blocks(config, config.finest_step):
         for di, solved in enumerate(_solve_ladder(config.model, block, config.deltas,
                                                   (JUMP_ADAPTED,))):
-            norms = np.linalg.norm(solved.values, axis=0)
+            norms = np.linalg.norm(solved.values, axis=1)
             sups[di, done:done + len(block)] = np.maximum.reduceat(norms, solved.offsets[:-1])
         done += len(block)
     points = []
@@ -567,13 +574,12 @@ def _occupancy_batches(chain: ChainPath, n_states: int, n_batches: int) -> np.nd
     return occ
 
 
-def validate_chain_statistics(
-    gen: GeneratorMatrix,
-    step: float,
-    samples: int,
-    seed: int,
-    max_switches: int = 10**7,
-) -> ChainValidationReport:
+#: The switch budget of the one long path that `validate_chain_statistics` simulates.
+VALIDATION_SWITCH_BUDGET = 10**7
+
+
+def validate_chain_statistics(gen: GeneratorMatrix, step: float, samples: int,
+                              seed: int) -> ChainValidationReport:
     """Statistical checks of the exact chain simulator against theory.
 
     Simulates one long path with ``samples`` skeleton steps and checks
@@ -591,7 +597,7 @@ def validate_chain_statistics(
         raise ConfigError(f"skeleton step must be positive, got {step}")
     rng = derive_stream(seed, 0)
     horizon = samples * step
-    chain = simulate_exact_path(gen, 1, horizon, rng, max_switches=max_switches)
+    chain = simulate_exact_path(gen, 1, horizon, rng, max_switches=VALIDATION_SWITCH_BUDGET)
     n = gen.n_states
     checks = []
 

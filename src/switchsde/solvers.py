@@ -24,10 +24,12 @@ randomness, which is what makes coupled-error measurement possible. A block
 of coupled samples is one `SampleBlock`: flat chain paths and union grids.
 Every event of every scheme, step and reference is a union-grid point, so
 the event grids of a whole block are index masks over it, built with a
-fixed number of array operations however many rows the block has. Each
-returned SolutionPath carries its per-segment coefficients so the continuous
-interpolant can be evaluated anywhere the Brownian path is realized, exactly
-reproducing the discrete values at the solver's own event times.
+fixed number of array operations however many rows the block has. The
+kernel's solutions are one `EulerBlock` per grid, and the one-path schemes
+return a one-row block. A block carries its per-segment coefficients so the
+continuous interpolant can be evaluated anywhere the Brownian path is
+realized, exactly reproducing the discrete values at the solver's own event
+times.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ from .model import HybridModel, LinearHybridModel
 
 JUMP_ADAPTED = "jump-adapted"
 CLASSICAL = "classical"
-EXACT_LINEAR = "exact-linear"
 
 
 def _row_of(offsets) -> np.ndarray:
@@ -188,42 +189,6 @@ class RefinedGrid:
         return len(self.events)
 
 
-@dataclass(frozen=True)
-class SolutionPath:
-    """A discrete solution with enough segment data to interpolate it.
-
-    ``values[k]`` approximates the state at ``times[k]``. For solver outputs
-    the per-segment arrays record the frozen coefficient arguments actually
-    used on [times[i], times[i+1]), which lets the continuous version of the
-    scheme be evaluated off-grid; oracle paths carry no segment data.
-    """
-
-    times: np.ndarray
-    values: np.ndarray
-    scheme_tag: str
-    step: float | None = None
-    seg_drift: np.ndarray | None = None
-    seg_diff: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.values.shape[0] != len(self.times):
-            raise ValueError("one value row per time required")
-        for arr in (self.times, self.values, self.seg_drift, self.seg_diff):
-            if arr is not None:
-                arr.setflags(write=False)
-
-    @property
-    def state_dim(self) -> int:
-        return self.values.shape[1]
-
-    def to_csv(self, fileobj) -> None:
-        header = ",".join(["time"] + [f"z_{j + 1}" for j in range(self.state_dim)])
-        fileobj.write(header + "\n")
-        for t, row in zip(self.times, self.values):
-            cells = ",".join(f"{v:.17g}" for v in row)
-            fileobj.write(f"{t:.17g},{cells}\n")
-
-
 def build_refined_grid(sample, step: float) -> RefinedGrid:
     """The switch-adapted scheme's events: the step's gridpoints and the switches.
 
@@ -270,32 +235,36 @@ def classical_grid(block: SampleBlock, step: float) -> RefinedGrid:
     )
 
 
-def _interpolate(values, drift, diff, seg, dt, db) -> np.ndarray:
-    """Continuous-scheme values Z(e) + f (t - e) + g (B(t) - B(e)), state-major.
+def _interpolate(block, seg, dt, db) -> np.ndarray:
+    """Continuous-scheme values Z(e) + f (t - e) + g (B(t) - B(e)) of ``block``: (Q, n).
 
-    ``values`` and ``drift`` are (n, E), ``diff`` is (n, d, E) over events e;
     ``seg`` picks the event each query starts from, ``dt`` (Q,) and ``db``
-    (d, Q) are the query's elapsed time and Brownian displacement. Returns
-    (n, Q).
+    (d, Q) are the query's elapsed time and Brownian displacement. The
+    arithmetic runs on the state-major memory behind the block's views, so
+    numpy's loops run along the queries.
     """
-    g = np.take(diff, seg, axis=2)
+    g = np.take(block.diff.transpose(1, 2, 0), seg, axis=2)
     noise = g[:, 0] * db[0]
     for e in range(1, len(db)):
         noise = noise + g[:, e] * db[e]
-    return np.take(values, seg, axis=1) + np.take(drift, seg, axis=1) * dt + noise
+    return (np.take(block.values.T, seg, axis=1) + np.take(block.drift.T, seg, axis=1) * dt
+            + noise).T
 
 
 @dataclass(frozen=True)
 class EulerBlock:
     """Solutions of one Euler recursion over a block of rows, one row per path.
 
-    Per-event arrays are state-major and concatenated over rows; row r owns
-    events ``offsets[r]:offsets[r + 1]``. ``drift[:, e]`` and ``diff[:, :, e]``
-    are the frozen coefficients on the segment that starts at event e, zero
-    on each row's last event, so the continuous scheme at time t in
-    [e, next event) is ``values[:, e] + drift[:, e] (t - e) + diff[:, :, e] (B(t) - B(e))``.
-    The rows are one grid's, over the union grid ``points`` with Brownian
-    values ``point_values``; event e is point ``bm_index[e]``.
+    Per-event arrays are indexed by event first and concatenated over rows:
+    row r owns events ``offsets[r]:offsets[r + 1]``, at ``times``. ``values``
+    and ``drift`` are (E, n), ``diff`` (E, n, d) and ``bm_values`` (E, d).
+    ``drift[e]`` and ``diff[e]`` are the frozen coefficients on the segment
+    that starts at event e, zero on each row's last event, so the continuous
+    scheme at t in [e, next event) is ``values[e] + drift[e] (t - e) + diff[e] (B(t) - B(e))``.
+    The memory behind ``values``, ``drift`` and ``diff`` is state-major, so
+    whole-block arithmetic runs along the events. The rows are one grid's,
+    over the union grid ``points`` with Brownian values ``point_values``;
+    event e is point ``bm_index[e]``. The one-path schemes return a one-row block.
     """
 
     step: float
@@ -309,46 +278,33 @@ class EulerBlock:
     points: np.ndarray
     point_values: np.ndarray
 
-    def solution(self, row: int, scheme_tag: str) -> SolutionPath:
-        lo, hi = self.offsets[row], self.offsets[row + 1]
-        return SolutionPath(
-            times=self.times[lo:hi],
-            values=self.values[:, lo:hi].T,
-            scheme_tag=scheme_tag,
-            step=self.step,
-            seg_drift=self.drift[:, lo:hi - 1].T,
-            seg_diff=self.diff[:, :, lo:hi - 1].transpose(2, 0, 1),
-        )
-
     def cumulants(self, times) -> tuple:
         """Integrals over [0, t] of the frozen drift and of the squared frozen
         diffusion, for every row at each of ``times``: (R, len(times), n) and
         (R, len(times)). Both are piecewise linear in t.
         """
         R = len(self.offsets) - 1
-        q = np.einsum("ndi,ndi->i", self.diff, self.diff)
+        q = np.einsum("ind,ind->i", self.diff, self.diff)
         # each segment's integral at its end; a row's first gets the previous
         # row's last event, where drift and diffusion are zero
-        inc = np.zeros((len(self.times), len(self.drift) + 1))
-        inc[1:] = np.vstack([self.drift, q]).T[:-1] * np.diff(self.times)[:, None]
+        inc = np.zeros((len(self.times), self.drift.shape[1] + 1))
+        inc[1:] = np.column_stack([self.drift, q])[:-1] * np.diff(self.times)[:, None]
         cum = _row_cumsum(inc, self.offsets)
         query = np.tile(times, R)
         seg = np.searchsorted(_row_of(self.offsets) + 1j * self.times,
                               np.repeat(np.arange(R), len(times)) + 1j * query, side="right") - 1
         off = query - self.times[seg]
-        f = cum[seg, :-1] + self.drift[:, seg].T * off[:, None]
+        f = cum[seg, :-1] + self.drift[seg] * off[:, None]
         return f.reshape(R, len(times), -1), (cum[seg, -1] + q[seg] * off).reshape(R, -1)
 
     def on_brownian_grids(self) -> np.ndarray:
-        """Continuous-scheme values at every point of the union grid: (n, P)."""
+        """Continuous-scheme values at every point of the union grid: (P, n)."""
         if len(self.times) == len(self.points):  # every union point is an event
             return self.values
         seg = np.repeat(np.arange(len(self.times)),
                         np.diff(self.bm_index, append=len(self.points)))
-        return _interpolate(
-            self.values, self.drift, self.diff, seg, self.points - np.take(self.times, seg),
-            self.point_values.T - np.take(self.bm_values, seg, axis=1),
-        )
+        return _interpolate(self, seg, self.points - np.take(self.times, seg),
+                            self.point_values.T - np.take(self.bm_values.T, seg, axis=1))
 
 
 def euler_block(model: HybridModel, grids, points, bm_values):
@@ -495,9 +451,10 @@ def euler_block(model: HybridModel, grids, points, bm_values):
             ).T
         if not np.all(np.isfinite(values)):
             raise NonFiniteError("scheme produced non-finite values")
-        return EulerBlock(step=grid.step, offsets=offsets, times=times, values=values,
-                          drift=drift_e, diff=diff_e, bm_index=grid.union_index,
-                          bm_values=bvals.T, points=points, point_values=bm_values)
+        return EulerBlock(step=grid.step, offsets=offsets, times=times, values=values.T,
+                          drift=drift_e.T, diff=diff_e.transpose(2, 0, 1),
+                          bm_index=grid.union_index, bm_values=bvals, points=points,
+                          point_values=bm_values)
 
     # a generator's frame, and with it the tables, is freed once it finishes
     return (expand(r) for r in range(len(grids)))
@@ -545,23 +502,23 @@ def _inner_values(inner, times, bvals, regimes, z, coeff, stride, N, f_all, g_al
     return z
 
 
-def em_jump_adapted(model: HybridModel, grid: RefinedGrid, bm: BrownianPath) -> SolutionPath:
-    """Run the switch-adapted Euler scheme over the refined events.
+def em_jump_adapted(model: HybridModel, grid: RefinedGrid, bm: BrownianPath) -> EulerBlock:
+    """Run the switch-adapted Euler scheme over the refined events of one path.
 
     The coefficients are evaluated at the frozen state (the value at the
     last uniform gridpoint) and the current regime; the frozen state
     advances only when an event crosses into the next uniform interval.
-    The Brownian path may live on any grid containing every event.
+    The Brownian path may live on any grid containing every event. Returns
+    a one-row EulerBlock.
     """
     index = match_indices(bm.grid.points, grid.events, time_tolerance(bm.grid.horizon))
     if np.any(index < 0):
         raise GridMismatchError(f"Brownian path lacks a value at t={grid.events[index < 0][0]}")
-    grid = replace(grid, union_index=index)
-    return next(euler_block(model, [grid], bm.grid.points, bm.values)).solution(0, JUMP_ADAPTED)
+    return next(euler_block(model, [replace(grid, union_index=index)], bm.grid.points, bm.values))
 
 
-def em_classical(model: HybridModel, skeleton, step: float, bm: BrownianPath) -> SolutionPath:
-    """Run the classical Euler scheme on the uniform grid of ``bm``.
+def em_classical(model: HybridModel, skeleton, step: float, bm: BrownianPath) -> EulerBlock:
+    """Run the classical Euler scheme on the uniform grid of ``bm``: a one-row EulerBlock.
 
     ``skeleton[k]`` is the regime frozen over the k-th step; its length must
     equal the step count (or exceed it by one when it also records the state
@@ -576,19 +533,17 @@ def em_classical(model: HybridModel, skeleton, step: float, bm: BrownianPath) ->
     grid = RefinedGrid(step=float(step), horizon=bm.grid.horizon, events=pts,
                        regimes=np.append(skeleton[:m], skeleton[m - 1]), owner_interval=index,
                        offsets=np.array([0, m + 1]), union_index=index)
-    return next(euler_block(model, [grid], pts, bm.values)).solution(0, CLASSICAL)
+    return next(euler_block(model, [grid], pts, bm.values))
 
 
-def evaluate_path(solution: SolutionPath, bm: BrownianPath, times) -> np.ndarray:
-    """Continuous-scheme values at arbitrary realized times, vectorized.
+def evaluate_path(solution: EulerBlock, bm: BrownianPath, times) -> np.ndarray:
+    """Continuous-scheme values of a one-row solution at arbitrary realized times: (Q, n).
 
     For t in [times[i], times[i+1]) the value is the segment's left value
     plus its frozen drift times the elapsed time plus its frozen diffusion
     applied to the Brownian displacement; at the last time it is the last
-    value. Requires solver segment data and B realized at every queried time.
+    value. Requires B realized at every queried time and every event.
     """
-    if solution.seg_drift is None:
-        raise ValueError("solution carries no segment data")
     query = np.atleast_1d(np.asarray(times, dtype=np.float64))
     tol = time_tolerance(float(bm.grid.horizon))
     q_idx = match_indices(bm.grid.points, query, tol)
@@ -598,20 +553,13 @@ def evaluate_path(solution: SolutionPath, bm: BrownianPath, times) -> np.ndarray
     if np.any(ev_idx < 0):
         raise TimeNotRealizedError("Brownian path does not cover the solution grid")
     seg = np.maximum(np.searchsorted(solution.times, query, side="right") - 1, 0)
-    zero = np.zeros((1,) + solution.seg_diff.shape[1:])
-    return _interpolate(
-        solution.values.T,
-        np.concatenate([solution.seg_drift, zero[:, :, 0]]).T,
-        np.concatenate([solution.seg_diff, zero]).transpose(1, 2, 0),
-        seg,
-        query - solution.times[seg],
-        (bm.values[q_idx] - bm.values[ev_idx[seg]]).T,
-    ).T
+    return _interpolate(solution, seg, query - solution.times[seg],
+                        (bm.values[q_idx] - bm.values[ev_idx[seg]]).T)
 
 
 def exact_linear_solution(model: LinearHybridModel, sample, bm: BrownianPath | None = None
-                          ) -> SolutionPath:
-    """Conditional closed-form solution of the linear model on the union grid.
+                          ) -> np.ndarray:
+    """Conditional closed-form solution of the linear model on the union grid: (P, 1).
 
     ``sample`` is a ChainPath driven by ``bm``, on ``bm``'s grid, or a
     SampleBlock, whose rows then come back concatenated. Over each grid
@@ -639,5 +587,4 @@ def exact_linear_solution(model: LinearHybridModel, sample, bm: BrownianPath | N
     log_steps[1:] = (a - 0.5 * b * b) * np.diff(pts) + b * np.diff(sample.bm_values[:, 0])
     log_steps[sample.offsets[:-1]] = 0.0
     z0 = float(model.initial_value[0])
-    values = (z0 * np.exp(_row_cumsum(log_steps, sample.offsets))).reshape(-1, 1)
-    return SolutionPath(times=pts, values=values, scheme_tag=EXACT_LINEAR)
+    return (z0 * np.exp(_row_cumsum(log_steps, sample.offsets))).reshape(-1, 1)

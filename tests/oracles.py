@@ -69,17 +69,20 @@ def exact_linear(model, path, bm):
     return float(model.initial_value[0]) * np.exp(log_path)
 
 
-def piecewise_cumulants(sol, times):
-    """Integrals over [0, t] of a solution's frozen drift and squared frozen diffusion."""
-    events = sol.times
+def piecewise_cumulants(events, drift, diff, times):
+    """Integrals over [0, t] of one path's frozen drift and squared frozen diffusion.
+
+    ``drift`` (E - 1, n) and ``diff`` (E - 1, n, d) hold the coefficients on
+    the segments between the E ``events``.
+    """
     dt_seg = np.diff(events)
-    q_seg = np.einsum("ind,ind->i", sol.seg_diff, sol.seg_diff)
-    cum_f = np.vstack([np.zeros((1, sol.state_dim)),
-                       np.cumsum(sol.seg_drift * dt_seg[:, None], axis=0)])
+    q_seg = np.einsum("ind,ind->i", diff, diff)
+    cum_f = np.vstack([np.zeros((1, drift.shape[1])),
+                       np.cumsum(drift * dt_seg[:, None], axis=0)])
     cum_q = np.concatenate([[0.0], np.cumsum(q_seg * dt_seg)])
     seg = np.clip(np.searchsorted(events, times, side="right") - 1, 0, len(events) - 2)
     off = times - events[seg]
-    return cum_f[seg] + sol.seg_drift[seg] * off[:, None], cum_q[seg] + q_seg[seg] * off
+    return cum_f[seg] + drift[seg] * off[:, None], cum_q[seg] + q_seg[seg] * off
 
 
 def inner_values(inner, times, bvals, regimes, z, coeff, stride, N, f_all, g_all):

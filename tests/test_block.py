@@ -170,7 +170,7 @@ def test_block_grids_match_per_path_oracles(sample):
         with pytest.raises(RegimeNotConstantError):
             s.exact_linear_solution(linear, block)
     else:
-        got = s.exact_linear_solution(linear, block).values[:, 0]
+        got = s.exact_linear_solution(linear, block)[:, 0]
         assert np.array_equal(got, np.concatenate(want))
 
     # with the same events, the block's rows solve as the oracle's grid does alone
@@ -188,7 +188,7 @@ def test_block_grids_match_per_path_oracles(sample):
                              union_index=np.zeros(len(events), dtype=np.int64))
         want = s.em_jump_adapted(model, grid, bm).values
         scale = max(1.0, float(np.max(np.abs(want))))
-        assert np.max(np.abs(solved.values[:, r].T - want)) <= 1e-12 * scale
+        assert np.max(np.abs(solved.values[r] - want)) <= 1e-12 * scale
 
 
 @given(blocks(), st.lists(st.floats(0.0, 0.69), min_size=1, max_size=6))
@@ -203,7 +203,9 @@ def test_cumulants_match_per_path_integrals(sample, times):
     times = np.sort(np.concatenate([times, np.arange(0.0, 0.69, step) + 0.5 * step]))
     f, q = solved.cumulants(times)
     for row in range(len(paths)):
-        want_f, want_q = oracles.piecewise_cumulants(solved.solution(row, JUMP_ADAPTED), times)
+        lo, hi = solved.offsets[row], solved.offsets[row + 1]
+        want_f, want_q = oracles.piecewise_cumulants(
+            solved.times[lo:hi], solved.drift[lo:hi - 1], solved.diff[lo:hi - 1], times)
         assert np.array_equal(f[row], want_f) and np.array_equal(q[row], want_q)
 
 

@@ -414,6 +414,11 @@ MALFORMED = [  # (key, value, the commands that read the key)
     ("deltas", ["0.5"], [CONVERGE]),
     ("horizon", 0, [SIMULATE, SOLVE, CONVERGE]),
     ("step", 0, [VALIDATE, SOLVE]),
+    ("seed", -1, [SIMULATE, VALIDATE, SOLVE, CONVERGE]),
+    ("jump_budget", -5, [SIMULATE, SOLVE, CONVERGE]),
+    ("schemes", {"jump-adapted": 1}, [SOLVE, CONVERGE]),
+    ("schemes", ["classical", "classical"], [SOLVE, CONVERGE]),
+    ("p", [2, 2], [SOLVE, CONVERGE]),
 ]
 
 
@@ -429,6 +434,24 @@ def test_malformed_or_out_of_range_value_exits_2_before_writing(tmp_path, comman
 
 
 EVERY, MODEL_READERS = [SIMULATE, VALIDATE, SOLVE, CONVERGE], [SOLVE, CONVERGE]
+
+
+@pytest.mark.parametrize("command", EVERY)
+def test_negative_seed_flag_exits_2_before_writing(tmp_path, command):
+    out = tmp_path / "out"
+    assert main([*command.split(), "--seed", "-1", "--out", str(out)]) == 2
+    assert not out.exists() or os.listdir(out) == []
+
+
+@pytest.mark.parametrize("command", [SOLVE, CONVERGE])
+def test_schemes_is_read_as_a_list_of_strings(tmp_path, command, capsys):
+    cfg = write_config(tmp_path, schemes="classical")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "schemes must be a list, got 'classical'" in capsys.readouterr().err
+    assert not out.exists() or os.listdir(out) == []
+
+
 MALFORMED_INSIDE = [  # (the raw JSON of one config entry, the commands that read it)
     ('"generator": {"states": 2.9, "rates": [[-1.0, 1.0], [2.0, -2.0]]}', EVERY),
     ('"generator": {"states": 2, "rates": [["-1", "1"], [2.0, -2.0]]}', EVERY),

@@ -203,9 +203,9 @@ def test_block_rows_do_not_mix(data):
     for row in range(3):
         alone = next(solve([row]))
         lo, hi = block.offsets[row], block.offsets[row + 1]
-        assert np.array_equal(block.values[:, lo:hi], alone.values)
-        assert np.array_equal(block.drift[:, lo:hi], alone.drift)
-        assert np.array_equal(block.diff[:, :, lo:hi], alone.diff)
+        assert np.array_equal(block.values[lo:hi], alone.values)
+        assert np.array_equal(block.drift[lo:hi], alone.drift)
+        assert np.array_equal(block.diff[lo:hi], alone.diff)
 
     # a lane holding inf or NaN is reported, and leaves every other lane's states unchanged
     bad = data.draw(st.integers(0, 2))
@@ -360,7 +360,7 @@ def test_a_burst_of_switches_costs_the_closed_form_memory_linear_in_its_points()
     """
     block = burst_block(64, 200_000, 300, seed=7)
     solution, peak = peak_memory(lambda: s.exact_linear_solution(BURST_MODEL, block))
-    assert len(solution.values) == len(block.points)
+    assert len(solution) == len(block.points)
     assert peak < CLOSED_FORM_BOUND_MB * 1e6, peak
 
 
@@ -378,7 +378,7 @@ def oracle_sup_errors(config):
         )
         bm = s.generate_increments(union, model.noise_dim, rng)
         if config.reference == "closed-form":
-            ref = s.exact_linear_solution(model, chain, bm).values
+            ref = s.exact_linear_solution(model, chain, bm)
         else:
             fine = s.build_refined_grid(chain, config.reference_step)
             ref = oracle_on_grid(model, fine.events, fine.regimes, fine.owner_interval, bm)
@@ -465,4 +465,4 @@ def test_switches_near_events_run_in_the_regime_they_open(data):
     linear = s.LinearHybridModel(a=c, b=np.zeros(n_states), z0=1.0)
     exact = s.exact_linear_solution(linear, path, bm)
     at = match_indices(bm.grid.points, ug.points, time_tolerance(horizon))
-    assert np.max(np.abs(np.log(exact.values[at, 0]) - want)) <= atol
+    assert np.max(np.abs(np.log(exact[at, 0]) - want)) <= atol

@@ -241,6 +241,30 @@ def test_interpolant_linear_between_events_for_deterministic_drift():
     assert s.evaluate_path(sol, bm, [0.0])[0][0] == 0.0
 
 
+VECTOR = s.HybridModel(state_dim=2, noise_dim=2, regime_count=2,
+                       drift=lambda z, i: float(i) * z,
+                       diffusion=lambda z, i: np.array([[0.1, -0.2], [0.3, 0.0]]) * float(i),
+                       initial_value=[1.0, -1.0])
+
+
+@pytest.mark.parametrize("model", [s.LinearHybridModel(a=[1.0, 2.0], b=[2.0, 1.0], z0=1.0),
+                                   VECTOR], ids=["scalar", "vector"])
+def test_interpolant_on_the_brownian_grid_is_the_blocks_own(model):
+    """A one-path solution is a one-row EulerBlock: its values on the grid of
+    its Brownian path are evaluate_path's there, bit for bit."""
+    path = chain(1.0, [0.0, 0.3, 0.55], [1, 2, 1])
+    step = 0.25
+    bm = coupled_brownian(path, 2.0**-4, d=model.noise_dim, seed=9)
+    coarse = s.aggregate_increments(bm, s.uniform_grid(1.0, step))
+    jump = s.em_jump_adapted(model, s.build_refined_grid(path, step), bm)
+    classical = s.em_classical(model, s.skeleton_from_path(path, step), step, coarse)
+    for sol, driver in ((jump, bm), (classical, coarse)):
+        assert isinstance(sol, s.EulerBlock) and sol.step == step
+        assert sol.on_brownian_grids().shape == (len(driver.grid), model.state_dim)
+        assert np.array_equal(s.evaluate_path(sol, driver, driver.grid.points),
+                              sol.on_brownian_grids())
+
+
 def test_interpolant_requires_realized_time():
     model = s.LinearHybridModel(a=[1.0, 2.0], b=[2.0, 1.0], z0=1.0)
     path = chain(1.0, [0.0], [1])
@@ -257,25 +281,25 @@ def test_exact_linear_piecewise_exponential_drift():
     model = s.LinearHybridModel(a=[1.0, 2.0], b=[0.0, 0.0], z0=1.0)
     path = chain(1.0, [0.0, 0.5], [1, 2])
     bm = coupled_brownian(path, 0.25, seed=2)
-    sol = s.exact_linear_solution(model, path, bm)
-    assert sol.values[-1, 0] == pytest.approx(np.exp(1.5), rel=1e-14)
+    exact = s.exact_linear_solution(model, path, bm)
+    assert exact[-1, 0] == pytest.approx(np.exp(1.5), rel=1e-14)
 
 
 def test_exact_linear_zero_coefficients_constant():
     model = s.LinearHybridModel(a=[0.0, 0.0], b=[0.0, 0.0], z0=1.0)
     path = chain(1.0, [0.0, 0.4], [1, 2])
     bm = coupled_brownian(path, 0.25, seed=4)
-    sol = s.exact_linear_solution(model, path, bm)
-    assert np.all(sol.values == 1.0)
+    exact = s.exact_linear_solution(model, path, bm)
+    assert np.all(exact == 1.0)
 
 
 def test_exact_linear_matches_gbm_formula():
     model = s.LinearHybridModel(a=[0.0], b=[1.0], z0=1.0)
     path = chain(1.0, [0.0], [1])
     bm = coupled_brownian(path, 2.0**-6, seed=6)
-    sol = s.exact_linear_solution(model, path, bm)
+    exact = s.exact_linear_solution(model, path, bm)
     expect = np.exp(bm.values[:, 0] - bm.grid.points / 2.0)
-    assert np.allclose(sol.values[:, 0], expect, rtol=1e-12)
+    assert np.allclose(exact[:, 0], expect, rtol=1e-12)
 
 
 def test_exact_linear_rejects_straddling_interval():
@@ -297,7 +321,7 @@ def test_fine_em_converges_to_closed_form_at_half_order():
         path = s.simulate_exact_path(gen1, 1, 1.0, rng)
         union = s.uniform_grid(1.0, 2.0**-11)
         bm = s.generate_increments(union, 1, rng)
-        exact_terminal = s.exact_linear_solution(model, path, bm).values[-1, 0]
+        exact_terminal = s.exact_linear_solution(model, path, bm)[-1, 0]
         for d in steps:
             grid = s.build_refined_grid(path, d)
             sol = s.em_jump_adapted(model, grid, bm)

@@ -63,3 +63,24 @@ def test_traced_smoke_run_sees_every_layer(tmp_path):
     assert len(tracer.sample_durations(0)) > 0
     want = counts_one_sample_at_a_time(ladder, samples=32, seed=1)  # --smoke runs 32 samples
     assert {name: counts[name] for name in want} == want
+
+
+def test_a_one_path_run_off_the_ladder_is_traced_as_the_reference():
+    """The tracer names an em_jump_adapted call by the step its result carries:
+    a rung of the ladder keeps its own name, any other step is the reference."""
+    spans = load_spans()
+    tracer = spans.Tracer([0.25, 0.125])
+    tracer.begin_round()
+    gen = s.generator_from_json(DEFAULT_CONFIG["generator"])
+    model = s.LinearHybridModel(a=[1.0, 2.0], b=[2.0, 1.0], z0=1.0)
+    rng = s.derive_stream(3, 0)
+    path = s.simulate_exact_path(gen, 1, 1.0, rng)
+    union = s.merge_grids(s.uniform_grid(1.0, 2.0**-5),
+                          s.make_grid(np.append(path.switch_times, 1.0)))
+    bm = s.generate_increments(union, 1, rng)
+    with tracer.patched():
+        for step in (0.25, 2.0**-5):
+            solved = switchsde.harness.em_jump_adapted(model, s.build_refined_grid(path, step), bm)
+            assert isinstance(solved, s.EulerBlock) and solved.step == step
+    assert [span[spans.NAME] for span in tracer.spans] == ["solvers.em_jump_adapted",
+                                                           spans.REFERENCE]
