@@ -22,9 +22,10 @@ recursion per block advances every sample on one grid per (step, scheme)
 pair, and on the fine-EM reference grid with them; it runs over the
 intervals of the finest grid, and each grid's lanes drop out after its last
 interval. Each grid comes back as one `EulerBlock`, the record the one-path
-schemes return too, and a sample's sup error reads its row. Each sample's
-arithmetic is independent of its block, and the block size is a constant,
-so results are bit-identical across reruns and thread counts. Only
+schemes return too, and the reference as its values at the union points; a
+sample's sup error reads its row. Each sample's arithmetic is independent
+of its block, and the block size is a constant, so results are
+bit-identical across reruns and thread counts. Only
 ``run_strong_error`` takes a ``threads`` argument, kept for the callers
 that pass it, and it changes nothing.
 """
@@ -311,14 +312,14 @@ def _solve_ladder(model: HybridModel, block: SampleBlock, deltas, schemes,
                   reference_step: float | None = None):
     """One Euler recursion for a block: one grid per (step, scheme), in that order.
 
-    A switch-adapted grid on ``reference_step``, when given, comes first.
-    Returns euler_block's iterator of EulerBlocks; it holds the only
-    reference to the grids, so each is freed once it is expanded.
+    The switch-adapted run on ``reference_step``, when given, comes first,
+    as its values at the union points. Returns euler_block's iterator; it
+    holds the only reference to the grids, so each is freed once expanded.
     """
-    grids = [build_refined_grid(block, reference_step)] if reference_step else []
-    grids += [build_refined_grid(block, delta) if scheme == JUMP_ADAPTED
-              else classical_grid(block, delta) for delta in deltas for scheme in schemes]
-    return euler_block(model, grids, block.points, block.bm_values)
+    reference = build_refined_grid(block, reference_step) if reference_step else None
+    grids = [build_refined_grid(block, delta) if scheme == JUMP_ADAPTED
+             else classical_grid(block, delta) for delta in deltas for scheme in schemes]
+    return euler_block(model, grids, block.points, block.bm_values, reference=reference)
 
 
 def _sup_errors(config: ExperimentConfig) -> np.ndarray:
@@ -336,7 +337,7 @@ def _sup_errors(config: ExperimentConfig) -> np.ndarray:
     for block in _coupled_blocks(config, config.reference_step):
         if fine_em:
             solved = _solve_ladder(model, block, deltas, schemes, config.reference_step)
-            ref = next(solved).on_brownian_grids()
+            ref = next(solved)
         else:  # before the recursion, whose tables would add to its peak memory
             ref = exact_linear_solution(model, block)
             solved = _solve_ladder(model, block, deltas, schemes)

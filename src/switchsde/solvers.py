@@ -243,12 +243,14 @@ def _interpolate(block, seg, dt, db) -> np.ndarray:
     arithmetic runs on the state-major memory behind the block's views, so
     numpy's loops run along the queries.
     """
-    g = np.take(block.diff.transpose(1, 2, 0), seg, axis=2)
-    noise = g[:, 0] * db[0]
+    diff = block.diff.transpose(1, 2, 0)  # (n, d, E): one noise column at a time
+    noise = np.take(diff[:, 0], seg, axis=1) * db[0]
     for e in range(1, len(db)):
-        noise = noise + g[:, e] * db[e]
-    return (np.take(block.values.T, seg, axis=1) + np.take(block.drift.T, seg, axis=1) * dt
-            + noise).T
+        noise += np.take(diff[:, e], seg, axis=1) * db[e]
+    out = np.take(block.drift.T, seg, axis=1) * dt
+    out += np.take(block.values.T, seg, axis=1)  # x + y rounds as y + x does
+    out += noise
+    return out.T
 
 
 @dataclass(frozen=True)
@@ -307,7 +309,7 @@ class EulerBlock:
                             self.point_values.T - np.take(self.bm_values.T, seg, axis=1))
 
 
-def euler_block(model: HybridModel, grids, points, bm_values):
+def euler_block(model: HybridModel, grids, points, bm_values, reference=None):
     """Advance a block of paths through the frozen-state Euler recursion, all grids at once.
 
     Each grid has one step and horizon for all its rows, and its rows are
@@ -326,16 +328,25 @@ def euler_block(model: HybridModel, grids, points, bm_values):
     runs max K intervals, each with 2 batched coefficient calls per regime
     that an active lane visits. T and W live in a compact (k, j, lane)
     table, summed over each lane's event segments in order. An event inside
-    an interval gets the same sum over the segments before it. Lanes never
-    mix: a lane's values do not depend on the other lanes or grids.
+    an interval gets the same sum over the segments before it. With
+    row-wise coefficients lanes never mix: a lane's values do not depend on
+    the other lanes or grids.
 
-    Returns an iterator of one EulerBlock per grid, in the order given. It
-    builds each grid's per-event arrays only when asked for it, so a block
-    holds one grid's at a time; a grid with a non-finite value raises
-    NonFiniteError then.
+    ``reference``, such as a fine-EM grid, is one more grid that is read
+    only at the union points. Coefficients, one row per (interval, regime,
+    lane), are kept only where a reader needs them: in every interval a grid
+    of ``grids`` runs, and in each reference interval with an event inside
+    it, or in all of them if some union point is no reference event. Every
+    other interval's calls write into one scratch row per regime.
+
+    Returns an iterator: the reference's (P, n) values when it is given,
+    then one EulerBlock per grid, in the order given. Each is built only
+    when asked for, so a block holds one grid's per-event arrays at a time;
+    a grid with a non-finite value raises NonFiniteError then.
     """
     n, d, N = model.state_dim, model.noise_dim, model.regime_count
-    grids = list(grids)
+    nref = 0 if reference is None else 1  # the reference, when given, is grid 0
+    grids = [reference] * nref + list(grids)
     counts = []  # intervals per grid
     for g in grids:
         steps = g.owner_interval[g.offsets[1:] - 2] + 1
@@ -376,20 +387,31 @@ def euler_block(model: HybridModel, grids, points, bm_values):
     # a regime no active lane spends time in costs no coefficient call
     firsts = (base[:-1, None] + np.arange(N) * active[:, None]).ravel()
     visited = np.logical_or.reduceat(occupation > 0.0, firsts).tolist()
+    # coefficient rows where a reader needs them (see the docstring); an event is inner
+    # when the one before it owns its interval, as a row's T and the next 0 never do
+    kept = np.arange(K) < max(counts[nref:], default=0)
+    if reference is not None:
+        owners = reference.owner_interval
+        kept[owners[:-1][np.diff(owners) == 0]] = True
+        kept |= len(reference.events) < len(points)  # the interpolant reads every segment
+    # a kept interval's rows start at cbase[k], as its cells do at base[k]; scratch at cbase[K]
+    cbase = np.concatenate([[0], np.cumsum(N * active * kept)])
 
     frozen = np.empty((fbase[-1], n))
     frozen[:L] = model.initial_value
-    f_all = np.zeros((base[-1], n))
-    g_all = np.zeros((base[-1], n, d))
+    f_all = np.zeros((cbase[-1] + N * L, n))
+    g_all = np.zeros((cbase[-1] + N * L, n, d))
     term = np.empty((L, n))
     # every view the loop touches, built per run of intervals with one active count
     f_rows, g_rows, occupied, noises, steps = [], [], [], [], []
-    runs = np.flatnonzero(np.diff(active, prepend=-1)).tolist() + [K]
+    runs = np.flatnonzero(np.diff(np.where(kept, active, -active), prepend=0)).tolist() + [K]
     z_prev = frozen[:L]
     for k0, k1 in zip(runs[:-1], runs[1:]):
         a, span = int(active[k0]), slice(base[k0], base[k1])
-        f_rows += list(f_all[span].reshape(-1, a, n))
-        g_rows += list(g_all[span].reshape(-1, a, n, d))
+        rows = slice(cbase[k0], cbase[k1]) if kept[k0] else slice(cbase[K], cbase[K] + N * a)
+        repeat = 1 if kept[k0] else k1 - k0  # a run of scratch intervals shares its rows
+        f_rows += list(f_all[rows].reshape(-1, a, n)) * repeat
+        g_rows += list(g_all[rows].reshape(-1, a, n, d)) * repeat
         occupied += list(occupation[span].reshape(-1, a, 1))
         noises += list(noise[span].reshape(-1, a, d, 1))
         z_next = list(frozen[fbase[k0 + 1]:fbase[k1 + 1]].reshape(-1, a, n))
@@ -424,17 +446,10 @@ def euler_block(model: HybridModel, grids, points, bm_values):
         grid, grids[r] = grids[r], None  # not needed again
         offsets, times, owners = grid.offsets, grid.events, grid.owner_interval
         bvals = np.take(bm_values, grid.union_index, axis=0)
-        cells = bins.pop(r)
+        cells = bins.pop(r)  # its coefficient rows too: base and cbase agree where it reads
         lanes = lane0[r] + _row_of(offsets)
         E, last = len(times), offsets[1:] - 1
-        seg = np.ones(E, dtype=bool)
-        seg[last] = False
         values = np.empty((n, E))
-        drift_e = np.zeros((n, E))
-        diff_e = np.zeros((n, d, E))
-        drift_e[:, seg] = np.take(f_all, cells, axis=0).T
-        diff_e[:, :, seg] = np.take(g_all, cells, axis=0).transpose(1, 2, 0)
-        del cells
         first = np.ones(E, dtype=bool)
         first[1:] = owners[1:] != owners[:-1]
         first[offsets[:-1]] = True
@@ -447,14 +462,24 @@ def euler_block(model: HybridModel, grids, points, bm_values):
             k, at = owners[inner], lanes[inner]
             values[:, inner] = _inner_values(
                 inner, times, bvals, grid.regimes - 1, frozen[fbase[k] + at],
-                base[k] + at, active[k], N, f_all, g_all,
+                cbase[k] + at, active[k], N, f_all, g_all,
             ).T
         if not np.all(np.isfinite(values)):
             raise NonFiniteError("scheme produced non-finite values")
-        return EulerBlock(step=grid.step, offsets=offsets, times=times, values=values.T,
-                          drift=drift_e.T, diff=diff_e.transpose(2, 0, 1),
-                          bm_index=grid.union_index, bm_values=bvals, points=points,
-                          point_values=bm_values)
+        if r < nref and E == len(points):  # every union point is an event
+            return values.T
+        seg = np.ones(E, dtype=bool)
+        seg[last] = False
+        drift_e = np.zeros((n, E))
+        diff_e = np.zeros((n, d, E))
+        drift_e[:, seg] = np.take(f_all, cells, axis=0).T
+        diff_e[:, :, seg] = np.take(g_all, cells, axis=0).transpose(1, 2, 0)
+        del cells
+        solved = EulerBlock(step=grid.step, offsets=offsets, times=times, values=values.T,
+                            drift=drift_e.T, diff=diff_e.transpose(2, 0, 1),
+                            bm_index=grid.union_index, bm_values=bvals, points=points,
+                            point_values=bm_values)
+        return solved.on_brownian_grids() if r < nref else solved
 
     # a generator's frame, and with it the tables, is freed once it finishes
     return (expand(r) for r in range(len(grids)))
@@ -544,6 +569,9 @@ def evaluate_path(solution: EulerBlock, bm: BrownianPath, times) -> np.ndarray:
     applied to the Brownian displacement; at the last time it is the last
     value. Requires B realized at every queried time and every event.
     """
+    if len(solution.offsets) != 2:
+        rows = len(solution.offsets) - 1
+        raise ConfigError(f"evaluate_path needs a one-row solution, got one of {rows} rows")
     query = np.atleast_1d(np.asarray(times, dtype=np.float64))
     tol = time_tolerance(float(bm.grid.horizon))
     q_idx = match_indices(bm.grid.points, query, tol)
@@ -571,6 +599,8 @@ def exact_linear_solution(model: LinearHybridModel, sample, bm: BrownianPath | N
     if not isinstance(model, LinearHybridModel):
         raise ConfigError("closed-form reference exists only for the linear model")
     if isinstance(sample, ChainPath):
+        if bm is None:
+            raise ConfigError("a ChainPath needs the Brownian path bm that drives it")
         sample = SampleBlock.stack([sample], [bm.grid], [bm.values])
     pts, tol = sample.points, time_tolerance(sample.horizon)
     seg = np.searchsorted(sample.rows + 1j * pts, sample.switch_keys, side="right") - 1

@@ -279,9 +279,9 @@ def test_one_recursion_per_block(monkeypatch, run):
     per_call = []
     kernel = harness.euler_block
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         before = len(drifts)
-        solved = tuple(kernel(*args))
+        solved = tuple(kernel(*args, **kwargs))
         per_call.append(len(drifts) - before)
         return iter(solved)
 
@@ -304,10 +304,10 @@ def test_solve_runs_every_scheme_in_one_recursion(monkeypatch, tmp_path):
     grids = []
     kernel = harness.euler_block
 
-    def counting(model, step_grids, *args):
+    def counting(model, step_grids, *args, **kwargs):
         step_grids = list(step_grids)
         grids.append([g.step for g in step_grids])
-        return kernel(model, step_grids, *args)
+        return kernel(model, step_grids, *args, **kwargs)
 
     monkeypatch.setattr(harness, "euler_block", counting)
     cfg = tmp_path / "solve.json"

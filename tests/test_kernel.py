@@ -31,6 +31,7 @@ from switchsde.solvers import CLASSICAL, JUMP_ADAPTED, SampleBlock, classical_gr
 RTOL = 1e-12
 MEMORY_BOUND_MB = 25  # about twice the 11.6 MB peak of the burst block below
 CLOSED_FORM_BOUND_MB = 40  # about twice the closed form's 20 MB peak on its burst block
+REFERENCE_BOUND_MB = 36  # between the 44 MB of every coefficient row kept and 25 MB now
 
 
 # --- inputs -------------------------------------------------------------------------
@@ -272,6 +273,47 @@ def test_a_diverging_rung_is_reported_wherever_it_stands(bad):
         next(solved)
 
 
+@settings(max_examples=60)
+@given(st.data())
+def test_the_reference_values_are_its_grids_own(data):
+    """The reference's values are those of the same grid run as an ordinary
+    grid, bit for bit, and the other grids' blocks do not change.
+
+    With union grids as fine as the reference, only the intervals with a
+    switch inside keep coefficient rows. Finer union grids, or a row with two
+    switches closer than TIME_TOL that return to the state before them, put
+    union points between the reference's events, and every interval keeps
+    its rows.
+    """
+    n_states = data.draw(st.integers(2, 4))
+    model = model_for(data.draw(models), n_states)
+    horizon, top = data.draw(horizons), data.draw(steps)
+    deltas = [top / 2**i for i in range(data.draw(st.integers(1, 2)))]
+    ref_step = deltas[-1] / 2**data.draw(st.integers(1, 2))
+    fine = ref_step / data.draw(st.sampled_from([1, 2]))
+    paths = [data.draw(chain_paths(n_states, horizon, top)) for _ in range(2)]
+    pair = data.draw(st.booleans())
+    if pair:
+        t = ref_step * (data.draw(st.integers(0, int(horizon / ref_step) - 1)) + 0.25)
+        paths.append(s.ChainPath(horizon=horizon, states=np.array([1, 2, 1]),
+                                 switch_times=np.array([0.0, t, t + 0.5 * TIME_TOL])))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    bms = [s.generate_increments(s.merge_grids(s.uniform_grid(horizon, fine), s.make_grid(
+        np.append(p.switch_times, horizon))), model.noise_dim, rng) for p in paths]
+    block = SampleBlock.stack(paths, [bm.grid for bm in bms], [bm.values for bm in bms])
+    reference = s.build_refined_grid(block, ref_step)
+    grids = [grid(block, delta) for delta in deltas
+             for grid in (s.build_refined_grid, classical_grid)]
+    assert (len(reference) < len(block.points)) == (pair or fine < ref_step)
+    got = list(euler_block(model, grids, block.points, block.bm_values, reference=reference))
+    want = list(euler_block(model, [reference] + grids, block.points, block.bm_values))
+    assert len(got) == len(want)
+    assert np.array_equal(got[0], want[0].on_brownian_grids())
+    for g, w in zip(got[1:], want[1:]):
+        for field in ("offsets", "times", "values", "drift", "diff", "bm_index", "bm_values"):
+            assert np.array_equal(getattr(g, field), getattr(w, field)), field
+
+
 # --- the values at events inside an interval ----------------------------------------
 
 
@@ -362,6 +404,23 @@ def test_a_burst_of_switches_costs_the_closed_form_memory_linear_in_its_points()
     solution, peak = peak_memory(lambda: s.exact_linear_solution(BURST_MODEL, block))
     assert len(solution) == len(block.points)
     assert peak < CLOSED_FORM_BOUND_MB * 1e6, peak
+
+
+def test_a_fine_em_reference_keeps_coefficients_only_where_they_are_read():
+    """One 64-row block, ladder 2**-3..2**-6, a reference 2**5 times finer.
+
+    With coefficient rows kept for all 2048 intervals of the reference, and
+    per-event drift and diffusion built for its values, the run peaked at
+    44 MB; with rows kept only where a reader needs them it peaks at 25 MB.
+    """
+    config = s.ExperimentConfig(
+        model=model_for("vector", 2), generator=s.validate_generator([[-2.0, 2.0], [3.0, -3.0]]),
+        horizon=1.0, deltas=tuple(2.0**-k for k in range(3, 7)), samples=64, seed=5,
+        reference="fine-em", ref_refinement=5,
+    )
+    sups, peak = peak_memory(lambda: harness._sup_errors(config))
+    assert sups.shape == (1, 4, 64) and np.all(np.isfinite(sups))
+    assert peak < REFERENCE_BOUND_MB * 1e6, peak
 
 
 def oracle_sup_errors(config):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import switchsde as s
+import switchsde.harness as harness
 from switchsde.errors import (
+    ConfigError,
     GridMismatchError,
     LengthMismatchError,
     RegimeNotConstantError,
@@ -274,7 +276,34 @@ def test_interpolant_requires_realized_time():
         s.evaluate_path(sol, bm, [0.1])
 
 
+def test_interpolant_rejects_a_block_of_several_rows():
+    """Row 0 of a 3-row block read through the whole block's events gave
+    [-1.887, 2.660] at t = 0.5, 1; the row's own values are [1.408, -4.701]."""
+    model = s.LinearHybridModel(a=[1.0, 2.0], b=[2.0, 1.0], z0=1.0)
+    config = s.ExperimentConfig(model=model, generator=GEN, horizon=1.0, deltas=(0.25,),
+                                samples=3, seed=1, schemes=("classical",))
+    block = next(harness._coupled_blocks(config, 0.25))
+    solved = next(harness._solve_ladder(model, block, (0.25,), ("classical",)))
+    lo, hi = block.offsets[:2]
+    bm = s.BrownianPath(s.TimeGrid(block.points[lo:hi]), block.bm_values[lo:hi])
+    with pytest.raises(ConfigError, match="3 rows"):
+        s.evaluate_path(solved, bm, [0.5, 1.0])
+
+    row = slice(*block.switch_offsets[:2])
+    path = chain(1.0, block.switch_times[row], block.states[row])
+    coarse = s.aggregate_increments(bm, s.uniform_grid(1.0, 0.25))
+    alone = s.em_classical(model, s.skeleton_from_path(path, 0.25), 0.25, coarse)
+    own = solved.values[solved.offsets[0]:solved.offsets[1]]
+    assert np.array_equal(s.evaluate_path(alone, bm, [0.5, 1.0]), own[[2, 4]])
+
+
 # --- exact_linear_solution -----------------------------------------------------------
+
+
+def test_exact_linear_needs_the_brownian_path_of_a_chain_path():
+    model = s.LinearHybridModel(a=[1.0, 2.0], b=[1.0, 1.0], z0=1.0)
+    with pytest.raises(ConfigError, match="Brownian path"):
+        s.exact_linear_solution(model, chain(1.0, [0.0, 0.5], [1, 2]))
 
 
 def test_exact_linear_piecewise_exponential_drift():
