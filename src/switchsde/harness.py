@@ -17,17 +17,17 @@ Per step size the root-L^p sup-error
 is reported with a delta-method standard error, and the convergence order is
 the least-squares slope of log2 eps against log2 delta.
 
-Samples run in blocks of BLOCK_SIZE consecutive indices. One batched Euler
-recursion per block advances every sample on one grid per (step, scheme)
-pair, and on the fine-EM reference grid with them; it runs over the
-intervals of the finest grid, and each grid's lanes drop out after its last
-interval. Each grid comes back as one `EulerBlock`, the record the one-path
-schemes return too, and the reference as its values at the union points; a
-sample's sup error reads its row. Each sample's arithmetic is independent
-of its block, and the block size is a constant, so results are
-bit-identical across reruns and thread counts. Only
-``run_strong_error`` takes a ``threads`` argument, kept for the callers
-that pass it, and it changes nothing.
+Every experiment is one pass over the samples (`_solved_blocks`): per block
+of BLOCK_SIZE consecutive indices it draws the samples, computes the
+reference when asked, and runs one batched Euler recursion over every
+(step, scheme) grid and the fine-EM reference grid. The recursion runs over
+the finest grid's intervals, each grid's lanes dropping out after its last.
+Each grid comes back as one `EulerBlock`, the record the one-path schemes
+return too, and the reference as its values at the union points; the
+experiments reduce these and never hold the block. Each sample's arithmetic
+is independent of its block, and the block size is a constant, so results
+are bit-identical across reruns and thread counts. ``run_strong_error``'s
+``threads`` argument, kept for the callers that pass it, changes nothing.
 """
 
 from __future__ import annotations
@@ -290,24 +290,6 @@ def coupled_sample(generator: GeneratorMatrix, model: HybridModel, horizon: floa
     return chain, generate_increments(union, model.noise_dim, rng)
 
 
-def _coupled_blocks(config: ExperimentConfig, fine_step: float):
-    """Yield one SampleBlock per run of BLOCK_SIZE consecutive sample indices.
-
-    Sample m is ``coupled_sample`` on the fine uniform grid, drawn from
-    derive_stream(seed, m).
-    """
-    fine = uniform_grid(config.horizon, fine_step)
-    for lo in range(0, config.samples, BLOCK_SIZE):
-        chains, bms = zip(*(
-            coupled_sample(config.generator, config.model, config.horizon, fine,
-                           derive_stream(config.seed, index), config.jump_budget)
-            for index in range(lo, min(lo + BLOCK_SIZE, config.samples))
-        ))
-        block = SampleBlock.stack(chains, [bm.grid for bm in bms], [bm.values for bm in bms])
-        del chains, bms  # the block holds copies
-        yield block
-
-
 def _solve_ladder(model: HybridModel, block: SampleBlock, deltas, schemes,
                   reference_step: float | None = None):
     """One Euler recursion for a block: one grid per (step, scheme), in that order.
@@ -322,30 +304,46 @@ def _solve_ladder(model: HybridModel, block: SampleBlock, deltas, schemes,
     return euler_block(model, grids, block.points, block.bm_values, reference=reference)
 
 
+def _solved_blocks(config: ExperimentConfig, schemes, fine_step: float, reference=False):
+    """The one pass over the samples: one solved ladder per block of BLOCK_SIZE indices.
+
+    Sample m is ``coupled_sample`` on the uniform grid of ``fine_step``, drawn
+    from derive_stream(seed, m). Yields, per block, its union grids' row
+    offsets, the reference's (P, n) values on them (None unless
+    ``reference``) and `_solve_ladder`'s iterator, never the block itself.
+    """
+    model, fine_em = config.model, reference and config.reference == REFERENCE_FINE_EM
+    fine = uniform_grid(config.horizon, fine_step)
+    for lo in range(0, config.samples, BLOCK_SIZE):
+        chains, bms = zip(*(
+            coupled_sample(config.generator, model, config.horizon, fine,
+                           derive_stream(config.seed, index), config.jump_budget)
+            for index in range(lo, min(lo + BLOCK_SIZE, config.samples))
+        ))
+        block = SampleBlock.stack(chains, [bm.grid for bm in bms], [bm.values for bm in bms])
+        del chains, bms  # the block holds copies
+        # the closed form runs before the recursion, whose tables would add to its peak
+        ref = exact_linear_solution(model, block) if reference and not fine_em else None
+        solved = _solve_ladder(model, block, config.deltas, schemes,
+                               config.reference_step if fine_em else None)
+        # the block lives until the next replaces it: freeing it sooner made glibc trim the heap
+        yield block.offsets, next(solved) if fine_em else ref, solved
+
+
 def _sup_errors(config: ExperimentConfig) -> np.ndarray:
     """sup_t |z - Z| over each sample's union grid, shaped (scheme, delta, sample).
 
     One Euler recursion per block advances every scheme at every step, and
     the reference too when it is the switch-adapted run on the reference
-    step; the closed form runs once per block. Each grid is built once per
-    block and step.
+    step. Each grid is built once per block and step.
     """
-    schemes, deltas, model = config.schemes, config.deltas, config.model
-    fine_em = config.reference == REFERENCE_FINE_EM
-    out = np.empty((len(deltas) * len(schemes), config.samples))  # in the ladder's order
-    done = 0
-    for block in _coupled_blocks(config, config.reference_step):
-        if fine_em:
-            solved = _solve_ladder(model, block, deltas, schemes, config.reference_step)
-            ref = next(solved)
-        else:  # before the recursion, whose tables would add to its peak memory
-            ref = exact_linear_solution(model, block)
-            solved = _solve_ladder(model, block, deltas, schemes)
-        for i, approx in enumerate(map(EulerBlock.on_brownian_grids, solved)):
-            gap = np.linalg.norm(approx - ref, axis=1)
-            out[i, done:done + len(block)] = np.maximum.reduceat(gap, block.offsets[:-1])
-        done += len(block)
-    return out.reshape(len(deltas), len(schemes), -1).swapaxes(0, 1)
+    sups = np.concatenate([
+        [np.maximum.reduceat(np.linalg.norm(approx - ref, axis=1), offsets[:-1])
+         for approx in map(EulerBlock.on_brownian_grids, solved)]
+        for offsets, ref, solved in _solved_blocks(config, config.schemes,
+                                                   config.reference_step, reference=True)
+    ], axis=1)  # in the ladder's order
+    return sups.reshape(len(config.deltas), len(config.schemes), -1).swapaxes(0, 1)
 
 
 def run_strong_error(config: ExperimentConfig, threads: int = 1) -> ErrorReport:
@@ -441,18 +439,16 @@ class MomentReport:
 def moment_check(config: ExperimentConfig) -> MomentReport:
     """Estimate E sup_t |Z(t)|^p for the switch-adapted scheme across the ladder.
 
-    Uses the same coupling as the error run, so across-ladder variation
-    reflects discretization alone. Ratios beyond ``GROWTH_FLAG_FACTOR`` are
-    reported by ``flagged()``.
+    Every rung reads the same samples, so across-ladder variation reflects
+    discretization alone. For a seed they have the error run's chain paths,
+    and its Brownian paths only with the closed-form reference.
+    Ratios beyond ``GROWTH_FLAG_FACTOR`` are reported by ``flagged()``.
     """
-    sups = np.empty((len(config.deltas), config.samples))
-    done = 0
-    for block in _coupled_blocks(config, config.finest_step):
-        for di, solved in enumerate(_solve_ladder(config.model, block, config.deltas,
-                                                  (JUMP_ADAPTED,))):
-            norms = np.linalg.norm(solved.values, axis=1)
-            sups[di, done:done + len(block)] = np.maximum.reduceat(norms, solved.offsets[:-1])
-        done += len(block)
+    sups = np.concatenate([
+        [np.maximum.reduceat(np.linalg.norm(rung.values, axis=1), rung.offsets[:-1])
+         for rung in solved]
+        for _, _, solved in _solved_blocks(config, (JUMP_ADAPTED,), config.finest_step)
+    ], axis=1)
     points = []
     for p in config.p_values:
         for di, delta in enumerate(config.deltas):
@@ -498,18 +494,13 @@ def local_error_scaling(config: ExperimentConfig) -> LocalErrorReport:
         raise ConfigError("local-error scaling supports moment orders 2 and 4")
     if config.model.state_dim != 1 and any(p == 4 for p in config.p_values):
         raise ConfigError("order-4 local error requires a scalar model")
-    midpoints = {}
-    starts = {}
-    for delta in config.deltas:
-        starts[delta] = uniform_points(config.horizon, delta, include_horizon=False)[:-1]
-        midpoints[delta] = starts[delta] + 0.5 * delta
-
+    starts = {delta: uniform_points(config.horizon, delta, include_horizon=False)[:-1]
+              for delta in config.deltas}
     cells = {(delta, p): [] for delta in config.deltas for p in (2, 4)}
-    for block in _coupled_blocks(config, config.finest_step):
-        for delta, solved in zip(config.deltas, _solve_ladder(config.model, block, config.deltas,
-                                                              (JUMP_ADAPTED,))):
-            f_lo, q_lo = solved.cumulants(starts[delta])
-            f_hi, q_hi = solved.cumulants(midpoints[delta])
+    for _, _, solved in _solved_blocks(config, (JUMP_ADAPTED,), config.finest_step):
+        for delta, rung in zip(config.deltas, solved):
+            f_lo, q_lo = rung.cumulants(starts[delta])
+            f_hi, q_hi = rung.cumulants(starts[delta] + 0.5 * delta)
             drift2 = np.sum((f_hi - f_lo) ** 2, axis=2)
             var = q_hi - q_lo
             cells[delta, 2].append(drift2 + var)

@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._timeutil import match_indices, num_whole_steps, time_tolerance, uniform_points
+from ._timeutil import match_indices, time_tolerance, uniform_points
 from .brownian import BrownianPath, make_grid, merge_grids, uniform_grid
 from .ctmc import ChainPath
 from .errors import (
@@ -167,7 +167,8 @@ class RefinedGrid:
     ``events`` are its uniform gridpoints up to T, its interior switching
     times and T itself, in order; ``regimes[i]`` is the chain state on
     [events[i], events[i+1]); ``owner_interval[i]`` is the index k of the
-    uniform interval [k*step, (k+1)*step) containing the event; and
+    uniform interval [k*step, (k+1)*step) containing the event, and K, the
+    interval count, for the T that closes the last one, in every grid; and
     ``union_index[i]`` is the event's position in the union grid it was
     selected from.
     """
@@ -210,7 +211,6 @@ def build_refined_grid(sample, step: float) -> RefinedGrid:
     offsets = np.searchsorted(keep, sample.offsets)
     count = np.cumsum(on_grid)  # a point's interval is the gridpoints up to it, less one
     owners = count[keep] - count[sample.offsets[:-1]][sample.rows[keep]]
-    owners[offsets[1:] - 1] = num_whole_steps(sample.horizon, step)
     return RefinedGrid(
         step=float(step), horizon=sample.horizon, events=sample.points[keep],
         regimes=regimes[keep], owner_interval=owners, offsets=offsets, union_index=keep,
@@ -365,7 +365,7 @@ def euler_block(model: HybridModel, grids, points, bm_values, reference=None):
     # with at least k intervals, starts at fbase[k]
     base = np.concatenate([[0], np.cumsum(N * active)])
     fbase = np.concatenate([[0, L], L + np.cumsum(active)])
-    active_end = np.append(active, 0)  # a row's last event may own interval K
+    active_end = np.append(active, 0)  # a row's last event, T, owns interval K
 
     # T and W: each cell sums its lane's segments in order
     occupation = np.zeros(base[-1])
@@ -454,10 +454,7 @@ def euler_block(model: HybridModel, grids, points, bm_values, reference=None):
         first[1:] = owners[1:] != owners[:-1]
         first[offsets[:-1]] = True
         values[:, first] = np.take(frozen, fbase[owners[first]] + lanes[first], axis=0).T
-        values[:, last] = frozen[fbase[counts[r]] + lanes[last]].T
-        inner = ~first
-        inner[last] = False
-        inner = np.flatnonzero(inner)
+        inner = np.flatnonzero(~first)
         if len(inner):
             k, at = owners[inner], lanes[inner]
             values[:, inner] = _inner_values(
@@ -501,8 +498,7 @@ def _inner_values(inner, times, bvals, regimes, z, coeff, stride, N, f_all, g_al
     to position p, for p = 1, 2, ..., leaves in each cell the sums up to its
     segment; another regime's segment adds an exact 0.0.
     """
-    # an interval's inner events directly follow its first event, and a first
-    # or last event parts them from the next interval's
+    # an interval's inner events directly follow its first event, which parts them from others
     new = np.diff(inner, prepend=-1) > 1
     group = np.cumsum(new) - 1
     pos = inner - inner[new][group]

@@ -13,13 +13,17 @@ inside an interval done with one padded table per regime.
 `switchsde.stationary_distribution` replaced with strongly connected components.
 `lipschitz_probe` and `growth_probe` are the model probes with one
 coefficient call per point and regime, on the same draw of points.
+`coupled_block` stacks the harness's first block of draws into one block
+record, which the harness no longer hands out.
 """
 
 import numpy as np
 
 import switchsde as s
+import switchsde.harness as harness
 from switchsde._timeutil import match_indices, time_tolerance, uniform_points
 from switchsde.errors import RegimeNotConstantError
+from switchsde.solvers import SampleBlock
 
 
 def segment_states(path, times):
@@ -27,11 +31,27 @@ def segment_states(path, times):
     return s.states_at(path, np.append(0.5 * (times[:-1] + times[1:]), times[-1:]))
 
 
+def coupled_block(config, fine_step):
+    """The SampleBlock of samples 0..min(M, BLOCK_SIZE) - 1 on the grid of ``fine_step``.
+
+    Each row is `harness.coupled_sample` from derive_stream(seed, m), the draw
+    the harness makes for sample m.
+    """
+    fine = s.uniform_grid(config.horizon, fine_step)
+    chains, bms = zip(*(
+        harness.coupled_sample(config.generator, config.model, config.horizon, fine,
+                               s.derive_stream(config.seed, m), config.jump_budget)
+        for m in range(min(config.samples, harness.BLOCK_SIZE))
+    ))
+    return SampleBlock.stack(chains, [bm.grid for bm in bms], [bm.values for bm in bms])
+
+
 def refined_grid(path, step, horizon):
     """(events, regimes, owners) of the switch-adapted scheme on one path.
 
-    A switch within tolerance of a gridpoint is dropped, and so is a switch
-    within tolerance of the switch before it.
+    T gets the interval count as its owner. A switch within tolerance of a
+    gridpoint is dropped, and so is a switch within tolerance of the switch
+    before it.
     """
     tol = time_tolerance(horizon)
     multiples = uniform_points(horizon, step, include_horizon=False)
@@ -44,6 +64,7 @@ def refined_grid(path, step, horizon):
         switches = switches[np.concatenate([[True], np.diff(switches) > tol])]
     events = np.sort(np.concatenate([base, switches]))
     owners = np.searchsorted(multiples, events, side="right") - 1
+    owners[-1] = len(base) - 1  # T closes the last interval, as in classical_grid
     return events, segment_states(path, events), owners
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import switchsde as s
+import switchsde.harness as harness
 from switchsde.errors import ConfigError, DegenerateFitError, NonPositiveErrorValues
 from switchsde.harness import setting
 from switchsde.solvers import CLASSICAL, JUMP_ADAPTED
@@ -280,6 +281,65 @@ def test_local_error_requires_supported_moments():
     cfg = linear_config(p_values=(2, 3))
     with pytest.raises(ConfigError):
         s.local_error_scaling(cfg)
+
+
+# --- the draws every experiment shares -------------------------------------------------
+
+
+def vector_model():
+    """n = d = 2 with elementwise coefficients, so each row rounds the same in any block."""
+    a = np.array([[[-1.0, 0.5], [0.3, -0.8]], [[0.5, -0.2], [0.1, 0.4]]])
+    sig = np.array([[[0.4, 0.1], [0.0, 0.3]], [[0.8, 0.0], [0.2, 0.6]]])
+    return s.HybridModel(
+        state_dim=2, noise_dim=2, regime_count=2,
+        drift=lambda z, i: z[..., :1] * a[i - 1, :, 0] + z[..., 1:] * a[i - 1, :, 1],
+        diffusion=lambda z, i: z[..., :, None] * sig[i - 1], initial_value=[1.0, 0.5],
+    )
+
+
+@pytest.mark.parametrize("reference", ["closed-form", "fine-em"])
+def test_every_experiment_sees_the_same_chains(monkeypatch, reference):
+    """For one seed `_sup_errors` and `moment_check` draw the same chain paths,
+    and the same Brownian path only with the closed form: a fine-EM reference
+    puts its finer grid into the error run's union grids."""
+    draws = []
+    draw = harness.coupled_sample
+
+    def recording(*args):
+        chain, bm = draw(*args)
+        draws[-1].append((chain, bm))
+        return chain, bm
+
+    monkeypatch.setattr(harness, "coupled_sample", recording)
+    cfg = linear_config(samples=harness.BLOCK_SIZE + 5, seed=3, reference=reference,
+                        ref_refinement=2)
+    for run in (harness._sup_errors, s.moment_check):
+        draws.append([])
+        run(cfg)
+    errors, moments = draws
+    assert len(errors) == len(moments) == cfg.samples
+    for (chain, bm), (chain2, bm2) in zip(errors, moments):
+        assert np.array_equal(chain.switch_times, chain2.switch_times)
+        assert np.array_equal(chain.states, chain2.states)
+        if reference == "closed-form":
+            assert np.array_equal(bm.grid.points, bm2.grid.points)
+            assert np.array_equal(bm.values, bm2.values)
+        else:
+            assert len(bm.grid.points) > len(bm2.grid.points)
+
+
+@pytest.mark.parametrize("model", ["linear", "vector"])
+def test_diagnostics_are_block_invariant(monkeypatch, model):
+    """`moment_check` and `local_error_scaling` report the same numbers in blocks of 1 and 3."""
+    if model == "linear":
+        cfg = linear_config(p_values=(2, 4), samples=7, deltas=(0.25, 0.125, 0.0625))
+    else:
+        cfg = linear_config(model=vector_model(), p_values=(2,), samples=7,
+                            deltas=(0.25, 0.125, 0.0625), reference="fine-em")
+    want = repr(s.moment_check(cfg)), repr(s.local_error_scaling(cfg))
+    for size in (1, 3):
+        monkeypatch.setattr(harness, "BLOCK_SIZE", size)
+        assert (repr(s.moment_check(cfg)), repr(s.local_error_scaling(cfg))) == want
 
 
 # --- chain statistics ------------------------------------------------------------------

@@ -32,6 +32,7 @@ RTOL = 1e-12
 MEMORY_BOUND_MB = 25  # about twice the 11.6 MB peak of the burst block below
 CLOSED_FORM_BOUND_MB = 40  # about twice the closed form's 20 MB peak on its burst block
 REFERENCE_BOUND_MB = 36  # between the 44 MB of every coefficient row kept and 25 MB now
+DIAGNOSTIC_BOUND_MB = 11  # between 12.4 MB with a spent block's solution kept and 10 MB without
 
 
 # --- inputs -------------------------------------------------------------------------
@@ -238,7 +239,7 @@ def test_ladder_lanes_match_one_call_per_rung(data):
         samples=data.draw(st.integers(2, 4)), seed=data.draw(st.integers(0, 2**16)),
         reference="fine-em", ref_refinement=1, schemes=schemes,
     )
-    block = next(harness._coupled_blocks(config, config.reference_step))
+    block = oracles.coupled_block(config, config.reference_step)
     grids = [s.build_refined_grid(block, delta) if scheme == JUMP_ADAPTED
              else classical_grid(block, delta) for delta in deltas for scheme in schemes]
     if data.draw(st.booleans()):  # with the fine-EM reference's lanes
@@ -263,7 +264,7 @@ def test_a_diverging_rung_is_reported_wherever_it_stands(bad):
         model=model, generator=s.validate_generator([[-1.0, 1.0], [2.0, -2.0]]), horizon=1.0,
         deltas=(0.25, 0.125, 0.0625), samples=3, seed=bad,
     )
-    block = next(harness._coupled_blocks(config, config.finest_step))
+    block = oracles.coupled_block(config, config.finest_step)
     grids = [s.build_refined_grid(block, delta) for delta in (0.0625, 0.25, 0.125)]
     grids[bad] = dataclasses.replace(grids[bad], events=grids[bad].events * 1e300)  # overflows
     solved = euler_block(model, grids, block.points, block.bm_values)
@@ -421,6 +422,24 @@ def test_a_fine_em_reference_keeps_coefficients_only_where_they_are_read():
     sups, peak = peak_memory(lambda: harness._sup_errors(config))
     assert sups.shape == (1, 4, 64) and np.all(np.isfinite(sups))
     assert peak < REFERENCE_BOUND_MB * 1e6, peak
+
+
+def test_a_multi_block_diagnostic_frees_each_block_before_the_next():
+    """`moment_check` over four blocks of the default model, ladder 2**-4..2**-9.
+
+    A loop whose variables kept the last rung's solution of the spent block,
+    with its per-event coefficients, while the next block was drawn and
+    solved peaked at 12.4 MB here; reducing each block where it is solved
+    peaks at 10 MB.
+    """
+    config = s.ExperimentConfig(
+        model=s.LinearHybridModel(a=[1.0, 2.0], b=[2.0, 1.0], z0=1.0),
+        generator=s.validate_generator([[-1.0, 1.0], [2.0, -2.0]]), horizon=1.0,
+        p_values=(2, 4), deltas=tuple(2.0**-k for k in range(4, 10)), samples=200, seed=3,
+    )
+    report, peak = peak_memory(lambda: harness.moment_check(config))
+    assert report.all_finite()
+    assert peak < DIAGNOSTIC_BOUND_MB * 1e6, peak
 
 
 def oracle_sup_errors(config):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 import switchsde as s
 import switchsde.harness as harness
 from switchsde.errors import (
@@ -282,7 +283,7 @@ def test_interpolant_rejects_a_block_of_several_rows():
     model = s.LinearHybridModel(a=[1.0, 2.0], b=[2.0, 1.0], z0=1.0)
     config = s.ExperimentConfig(model=model, generator=GEN, horizon=1.0, deltas=(0.25,),
                                 samples=3, seed=1, schemes=("classical",))
-    block = next(harness._coupled_blocks(config, 0.25))
+    block = oracles.coupled_block(config, 0.25)
     solved = next(harness._solve_ladder(model, block, (0.25,), ("classical",)))
     lo, hi = block.offsets[:2]
     bm = s.BrownianPath(s.TimeGrid(block.points[lo:hi]), block.bm_values[lo:hi])
