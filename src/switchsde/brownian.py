@@ -29,10 +29,7 @@ class TimeGrid:
         pts = self.points
         if pts.ndim != 1 or len(pts) < 2:
             raise InvalidGridError("grid needs at least the two endpoints")
-        if pts[0] != 0.0:
-            raise InvalidGridError(f"grid must start at 0, got {pts[0]}")
-        if np.any(np.diff(pts) <= 0.0):
-            raise InvalidGridError("grid points must be strictly increasing")
+        _check_rows(pts, np.array([0, len(pts)]))
         pts.setflags(write=False)
 
     @property
@@ -41,6 +38,34 @@ class TimeGrid:
 
     def __len__(self) -> int:
         return len(self.points)
+
+
+def _check_rows(points, offsets) -> None:
+    """TimeGrid's rule for rows laid end to end: each starts at 0 and increases strictly."""
+    starts = points[offsets[:-1]]
+    if (starts != 0.0).any():
+        raise InvalidGridError(f"grid must start at 0, got {starts[starts != 0.0][0]}")
+    steps = points[1:] - points[:-1]
+    steps[offsets[1:-1] - 1] = 1.0  # a row's T, then the next row's 0
+    if (steps <= 0.0).any():
+        raise InvalidGridError("grid points must be strictly increasing")
+
+
+def _cluster_firsts(pts, starts, tol) -> np.ndarray:
+    """Mask of each cluster's first time (see make_grid) in sorted rows starting at ``starts``."""
+    # a point more than tol past its predecessor is more than tol past the
+    # last kept point too; only points within tol of their predecessor need
+    # the distance to the last kept one, which is never in an earlier row
+    keep = np.empty(len(pts), dtype=bool)
+    np.greater(pts[1:] - pts[:-1], tol, out=keep[1:])
+    keep[starts] = True
+    last = 0
+    for k in np.flatnonzero(~keep).tolist():
+        if keep[k - 1]:
+            last = k - 1
+        if pts[k] - pts[last] > tol:
+            keep[k] = True
+    return keep
 
 
 def make_grid(points) -> TimeGrid:
@@ -53,19 +78,7 @@ def make_grid(points) -> TimeGrid:
     if len(pts) == 0:
         raise InvalidGridError("no grid points given")
     tol = time_tolerance(pts[-1])
-    # a point more than tol past its predecessor is more than tol past the
-    # last kept point too; only points within tol of their predecessor need
-    # the distance to the last kept one
-    keep = np.empty(len(pts), dtype=bool)
-    keep[0] = True
-    np.greater(np.diff(pts), tol, out=keep[1:])
-    last = 0
-    for k in np.flatnonzero(~keep).tolist():
-        if keep[k - 1]:
-            last = k - 1
-        if pts[k] - pts[last] > tol:
-            keep[k] = True
-    pts = pts[keep]
+    pts = pts[_cluster_firsts(pts, 0, tol)]
     if abs(pts[0]) <= tol:
         pts[0] = 0.0
     return TimeGrid(points=pts)
@@ -117,9 +130,6 @@ class BrownianPath:
     def increments(self) -> np.ndarray:
         """The increment over each grid interval, one row per interval."""
         return np.diff(self.values, axis=0)
-
-    def to_csv(self, fileobj) -> None:
-        write_path_csv(fileobj, self.grid.points, self.values, "B")
 
 
 def write_path_csv(fileobj, times, values, name: str) -> None:

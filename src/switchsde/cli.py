@@ -25,20 +25,20 @@ import os
 import sys
 
 from .brownian import uniform_grid, write_path_csv
-from .ctmc import generator_from_json, simulate_exact_path
+from .ctmc import ChainPath, generator_from_json, simulate_exact_path
 from .errors import ConfigError, JumpBudgetError, NonFiniteError
 from .harness import (
     REFERENCE_CLOSED_FORM,
+    _draw_block,
     _solve_ladder,
     config_from_dict,
-    coupled_sample,
     derive_stream,
     run_strong_error,
     setting,
     summary_text,
     validate_chain_statistics,
 )
-from .solvers import CLASSICAL, JUMP_ADAPTED, SampleBlock, exact_linear_solution
+from .solvers import CLASSICAL, JUMP_ADAPTED, exact_linear_solution
 
 EXIT_OK = 0
 EXIT_STAT_FAIL = 1
@@ -150,9 +150,7 @@ def cmd_solve(args) -> int:
     model, step = config.model, config.finest_step
 
     ugrid = uniform_grid(config.horizon, step)
-    chain, bm = coupled_sample(config.generator, model, config.horizon, ugrid,
-                               derive_stream(config.seed, 0), config.jump_budget)
-    block = SampleBlock.stack([chain], [bm.grid], [bm.values])
+    block = _draw_block(config, ugrid, range(1))  # sample 0
     on_grid = block.on_grid(step)
 
     out = _out_dir(args)
@@ -167,8 +165,8 @@ def cmd_solve(args) -> int:
         write(f"solution_{tag.replace('-', '_')}.csv",
               lambda fh: write_path_csv(fh, ugrid.points, values, "z"))
 
-    write("chain.csv", chain.to_csv)
-    write("brownian.csv", bm.to_csv)
+    write("chain.csv", ChainPath(config.horizon, block.switch_times, block.states).to_csv)
+    write("brownian.csv", lambda fh: write_path_csv(fh, block.points, block.bm_values, "B"))
     for scheme, solved in zip(config.schemes,
                               _solve_ladder(model, block, config.deltas, config.schemes)):
         write_uniform(scheme, solved.values[on_grid[solved.bm_index]])

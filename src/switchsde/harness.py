@@ -5,7 +5,7 @@ sample index m a dedicated random stream (derived from the master seed and m
 by a fixed, documented mixing rule) first draws one exact chain path, then
 one Brownian path on the union grid containing the finest uniform gridpoints,
 every coarser gridpoint, all switching times, and the reference grid
-(`coupled_sample`, which ``switchsde solve`` draws too). Every
+(`_draw_block`, a block at a time; ``switchsde solve`` draws with it too). Every
 scheme at every step size, and the reference solution itself, consume
 aggregations of that single realization, so the measured error is pure
 discretization error.
@@ -18,8 +18,8 @@ is reported with a delta-method standard error, and the convergence order is
 the least-squares slope of log2 eps against log2 delta.
 
 Every experiment is one pass over the samples (`_solved_blocks`): per block
-of BLOCK_SIZE consecutive indices it draws the samples, computes the
-reference when asked, and runs one batched Euler recursion over every
+of BLOCK_SIZE consecutive indices it draws the samples together, computes
+the reference when asked, and runs one batched Euler recursion over every
 (step, scheme) grid and the fine-EM reference grid. The recursion runs over
 the finest grid's intervals, each grid's lanes dropping out after its last.
 Each grid comes back as one `EulerBlock`, the record the one-path schemes
@@ -32,14 +32,14 @@ are bit-identical across reruns and thread counts. ``run_strong_error``'s
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-# aggregate_increments, em_classical, em_jump_adapted, evaluate_path and
-# skeleton_from_path are unused here but stay bound: the traced benchmark
-# (perfbench/spans.py) wraps the layer functions under the names this
-# module binds.
+# aggregate_increments, em_classical, em_jump_adapted, evaluate_path,
+# generate_increments, make_grid, merge_grids and skeleton_from_path are
+# unused here but stay bound: the traced benchmark (perfbench/spans.py)
+# wraps the layer functions under the names this module binds.
 from .brownian import (
     TimeGrid,
     aggregate_increments,
@@ -65,6 +65,7 @@ from .solvers import (
     JUMP_ADAPTED,
     EulerBlock,
     SampleBlock,
+    _row_cumsum,
     build_refined_grid,
     classical_grid,
     em_classical,
@@ -277,17 +278,25 @@ def estimate_order(errors) -> tuple:
     return float(slope), float(intercept), float(r2)
 
 
-def coupled_sample(generator: GeneratorMatrix, model: HybridModel, horizon: float,
-                   fine: TimeGrid, rng: np.random.Generator, max_switches: int) -> tuple:
-    """One coupled draw: a chain path, then a Brownian path on its union grid.
+def _draw_block(config: ExperimentConfig, fine: TimeGrid, indices) -> SampleBlock:
+    """The coupled draws of samples ``indices``, as one block on ``fine``'s union grids.
 
-    The chain path starts in the model's initial regime and may switch at
-    most ``max_switches`` times; the Brownian path lives on the union of
-    ``fine`` and the path's switching times. Returns (chain, Brownian path).
-    """
-    chain = simulate_exact_path(generator, model.initial_regime, horizon, rng, max_switches)
-    union = merge_grids(fine, make_grid(np.append(chain.switch_times, horizon)))
-    return chain, generate_increments(union, model.noise_dim, rng)
+    Sample m reads derive_stream(seed, m) in a fixed order: the uniforms of
+    its chain path (from the model's initial regime, within ``jump_budget``
+    switches), then the (P_m - 1) * d standard normals of the Brownian
+    increments on its P_m union points, in C order. The block draws every
+    chain before any Brownian path, so no stream's order changes."""
+    streams = [derive_stream(config.seed, m) for m in indices]
+    block = SampleBlock.union(fine, [
+        simulate_exact_path(config.generator, config.model.initial_regime, config.horizon, rng,
+                            config.jump_budget) for rng in streams])
+    increments = np.empty((len(block.points), config.model.noise_dim))
+    increments[block.offsets[:-1]] = 0.0
+    for rng, lo, hi in zip(streams, block.offsets[:-1].tolist(), block.offsets[1:].tolist()):
+        rng.standard_normal(out=increments[lo + 1:hi])
+    # a row's 0 follows the last row's T, so its step clips to 0; each row sums on its own
+    increments *= np.sqrt(np.diff(block.points, prepend=0.0).clip(0.0))[:, None]
+    return replace(block, bm_values=_row_cumsum(increments, block.offsets))
 
 
 def _solve_ladder(model: HybridModel, block: SampleBlock, deltas, schemes,
@@ -307,21 +316,15 @@ def _solve_ladder(model: HybridModel, block: SampleBlock, deltas, schemes,
 def _solved_blocks(config: ExperimentConfig, schemes, fine_step: float, reference=False):
     """The one pass over the samples: one solved ladder per block of BLOCK_SIZE indices.
 
-    Sample m is ``coupled_sample`` on the uniform grid of ``fine_step``, drawn
-    from derive_stream(seed, m). Yields, per block, its union grids' row
-    offsets, the reference's (P, n) values on them (None unless
-    ``reference``) and `_solve_ladder`'s iterator, never the block itself.
+    Each block is `_draw_block` on the uniform grid of ``fine_step``. Yields,
+    per block, its union grids' row offsets, the reference's (P, n) values
+    on them (None unless ``reference``) and `_solve_ladder`'s iterator,
+    never the block itself.
     """
     model, fine_em = config.model, reference and config.reference == REFERENCE_FINE_EM
     fine = uniform_grid(config.horizon, fine_step)
     for lo in range(0, config.samples, BLOCK_SIZE):
-        chains, bms = zip(*(
-            coupled_sample(config.generator, model, config.horizon, fine,
-                           derive_stream(config.seed, index), config.jump_budget)
-            for index in range(lo, min(lo + BLOCK_SIZE, config.samples))
-        ))
-        block = SampleBlock.stack(chains, [bm.grid for bm in bms], [bm.values for bm in bms])
-        del chains, bms  # the block holds copies
+        block = _draw_block(config, fine, range(lo, min(lo + BLOCK_SIZE, config.samples)))
         # the closed form runs before the recursion, whose tables would add to its peak
         ref = exact_linear_solution(model, block) if reference and not fine_em else None
         solved = _solve_ladder(model, block, config.deltas, schemes,

@@ -40,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from ._timeutil import match_indices, time_tolerance, uniform_points
-from .brownian import BrownianPath, make_grid, merge_grids, uniform_grid
+from .brownian import BrownianPath, TimeGrid, _check_rows, _cluster_firsts, uniform_grid
 from .ctmc import ChainPath
 from .errors import (
     ConfigError,
@@ -64,15 +64,13 @@ def _row_of(offsets) -> np.ndarray:
 
 
 def _row_cumsum(values, offsets) -> np.ndarray:
-    """Cumulative sums of ``values`` along axis 0 within each row.
+    """Cumulative sums of ``values`` along axis 0 within each row, in place.
 
-    Each row is its own cumulative sum, so it rounds the same in a block of
-    any size, and the temporaries are no larger than the result.
-    """
-    out = np.empty_like(values)
+    Each row is its own sum, so it rounds the same in a block of any size,
+    and no second array of the block's size is made."""
     for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
-        np.cumsum(values[lo:hi], axis=0, out=out[lo:hi])
-    return out
+        np.cumsum(values[lo:hi], axis=0, out=values[lo:hi])
+    return values
 
 
 @dataclass(frozen=True)
@@ -98,17 +96,24 @@ class SampleBlock:
     _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
-    def stack(cls, chains, grids, bm_values=None) -> SampleBlock:
-        """One row per chain path and its union grid (and Brownian values)."""
-        return cls(
-            horizon=grids[0].horizon,
-            switch_times=np.concatenate([c.switch_times for c in chains]),
-            states=np.concatenate([c.states for c in chains]),
-            switch_offsets=np.cumsum([0] + [len(c.states) for c in chains]),
-            points=np.concatenate([g.points for g in grids]),
-            offsets=np.cumsum([0] + [len(g) for g in grids]),
-            bm_values=None if bm_values is None else np.concatenate(bm_values),
-        )
+    def union(cls, fine: TimeGrid, chains) -> SampleBlock:
+        """One row per chain path, on ``merge_grids(fine, make_grid(switches + [T]))``.
+
+        No row is sorted: T drops none of its switching times, and those that
+        survive slot in among the fine points by position."""
+        switch_offsets = np.cumsum([0] + [len(c.states) for c in chains])
+        times = np.concatenate([c.switch_times for c in chains])
+        F, tol, rows = len(fine), time_tolerance(fine.horizon), np.arange(len(chains) + 1)
+        keep = _cluster_firsts(times, switch_offsets[:-1], tol)
+        keep &= match_indices(fine.points, times, tol) < 0
+        extra = times[keep]
+        row = np.searchsorted(switch_offsets, np.flatnonzero(keep), side="right") - 1
+        points = np.insert(np.tile(fine.points, len(chains)),
+                           row * F + np.searchsorted(fine.points, extra), extra)
+        offsets = rows * F + np.searchsorted(row, rows)  # and the earlier rows' extra times
+        _check_rows(points, offsets)
+        return cls(fine.horizon, times, np.concatenate([c.states for c in chains]),
+                   switch_offsets, points, offsets)
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
@@ -202,9 +207,7 @@ def build_refined_grid(sample, step: float) -> RefinedGrid:
     floor(T / step) + segments + 1.
     """
     if isinstance(sample, ChainPath):  # uniform_grid checks the step
-        union = merge_grids(uniform_grid(sample.horizon, step),
-                            make_grid(np.append(sample.switch_times, sample.horizon)))
-        sample = SampleBlock.stack([sample], [union])
+        sample = SampleBlock.union(uniform_grid(sample.horizon, step), [sample])
     on_grid = sample.on_grid(step)
     regimes = sample.regimes
     keep = np.flatnonzero(on_grid | np.append(True, regimes[1:] != regimes[:-1]))
@@ -597,7 +600,9 @@ def exact_linear_solution(model: LinearHybridModel, sample, bm: BrownianPath | N
     if isinstance(sample, ChainPath):
         if bm is None:
             raise ConfigError("a ChainPath needs the Brownian path bm that drives it")
-        sample = SampleBlock.stack([sample], [bm.grid], [bm.values])
+        sample = SampleBlock(sample.horizon, sample.switch_times, sample.states,
+                             np.array([0, sample.n_segments]), bm.grid.points,
+                             np.array([0, len(bm.grid)]), bm.values)
     pts, tol = sample.points, time_tolerance(sample.horizon)
     seg = np.searchsorted(sample.rows + 1j * pts, sample.switch_keys, side="right") - 1
     sw = sample.switch_times

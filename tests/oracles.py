@@ -13,8 +13,11 @@ inside an interval done with one padded table per regime.
 `switchsde.stationary_distribution` replaced with strongly connected components.
 `lipschitz_probe` and `growth_probe` are the model probes with one
 coefficient call per point and regime, on the same draw of points.
-`coupled_block` stacks the harness's first block of draws into one block
-record, which the harness no longer hands out.
+`coupled_sample` is the coupled draw of one sample, a chain path and then
+a Brownian path on its union grid, as the harness made it before it drew a
+whole block at once; `stack` lays such draws end to end as one block
+record, and `coupled_block` stacks the harness's first block of them, which
+the harness no longer hands out.
 """
 
 import numpy as np
@@ -31,19 +34,44 @@ def segment_states(path, times):
     return s.states_at(path, np.append(0.5 * (times[:-1] + times[1:]), times[-1:]))
 
 
+def coupled_sample(generator, model, horizon, fine, rng, max_switches):
+    """One coupled draw: a chain path, then a Brownian path on its union grid.
+
+    The chain path starts in the model's initial regime and may switch at
+    most ``max_switches`` times; the Brownian path lives on the union of
+    ``fine`` and the path's switching times. Returns (chain, Brownian path).
+    """
+    chain = s.simulate_exact_path(generator, model.initial_regime, horizon, rng, max_switches)
+    union = s.merge_grids(fine, s.make_grid(np.append(chain.switch_times, horizon)))
+    return chain, s.generate_increments(union, model.noise_dim, rng)
+
+
 def coupled_block(config, fine_step):
     """The SampleBlock of samples 0..min(M, BLOCK_SIZE) - 1 on the grid of ``fine_step``.
 
-    Each row is `harness.coupled_sample` from derive_stream(seed, m), the draw
-    the harness makes for sample m.
+    Each row is `coupled_sample` from derive_stream(seed, m), the draw the
+    harness makes for sample m.
     """
     fine = s.uniform_grid(config.horizon, fine_step)
     chains, bms = zip(*(
-        harness.coupled_sample(config.generator, config.model, config.horizon, fine,
-                               s.derive_stream(config.seed, m), config.jump_budget)
+        coupled_sample(config.generator, config.model, config.horizon, fine,
+                       s.derive_stream(config.seed, m), config.jump_budget)
         for m in range(min(config.samples, harness.BLOCK_SIZE))
     ))
-    return SampleBlock.stack(chains, [bm.grid for bm in bms], [bm.values for bm in bms])
+    return stack(chains, [bm.grid for bm in bms], [bm.values for bm in bms])
+
+
+def stack(chains, grids, bm_values):
+    """The block of one row per chain path, its union grid and its Brownian values."""
+    return SampleBlock(
+        horizon=grids[0].horizon,
+        switch_times=np.concatenate([c.switch_times for c in chains]),
+        states=np.concatenate([c.states for c in chains]),
+        switch_offsets=np.cumsum([0] + [len(c.states) for c in chains]),
+        points=np.concatenate([g.points for g in grids]),
+        offsets=np.cumsum([0] + [len(g) for g in grids]),
+        bm_values=np.concatenate(bm_values),
+    )
 
 
 def refined_grid(path, step, horizon):

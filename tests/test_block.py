@@ -18,11 +18,13 @@ the same owner, and every segment longer than 4 tol runs in the oracle's
 regime. A segment shorter than that may run in another regime; the
 Brownian increment over it is of order sqrt(tol), so the Euler values are
 compared only where the grids are equal. The classical grids and the
-closed form agree exactly.
+closed form agree exactly. The block draw, `harness._draw_block`, gives
+each row exactly `oracles.coupled_sample` on the same stream, byte for byte.
 """
 
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -89,7 +91,7 @@ def blocks(draw):
 
 
 def stack(paths, bms):
-    return SampleBlock.stack(paths, [bm.grid for bm in bms], [bm.values for bm in bms])
+    return oracles.stack(paths, [bm.grid for bm in bms], [bm.values for bm in bms])
 
 
 def row_slices(offsets):
@@ -314,3 +316,138 @@ def test_solve_runs_every_scheme_in_one_recursion(monkeypatch, tmp_path):
     cfg.write_text(json.dumps({"step": 0.125, "seed": 4, "schemes": [JUMP_ADAPTED, CLASSICAL]}))
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert grids == [[0.125, 0.125]]
+
+
+# --- the block draw ------------------------------------------------------------------
+
+
+def fake_simulator(crafted):
+    """simulate_exact_path, except that sample m in ``crafted`` gets the path crafted[m].
+
+    derive_stream's spawn key tells the sample index. A crafted path takes
+    as many uniforms from its stream as a simulated path with its switches
+    does, so the Brownian draws after it start where they would.
+    """
+    simulate_exact_path = s.simulate_exact_path
+
+    def simulate(gen, initial, horizon, rng, max_switches=10**6):
+        path = crafted.get(rng.bit_generator.seed_seq.spawn_key[0])
+        if path is None:
+            return simulate_exact_path(gen, initial, horizon, rng, max_switches)
+        rng.random(2 * path.n_segments - 1)
+        return path
+
+    return simulate
+
+
+def draw_config(horizon, n_states, rates, initial, d, seed, fine_step):
+    model = s.HybridModel(state_dim=1, noise_dim=d, regime_count=n_states,
+                          drift=lambda z, i: 0.0, diffusion=lambda z, i: 0.0,
+                          initial_value=[0.0], initial_regime=initial)
+    return s.ExperimentConfig(model=model, generator=s.validate_generator(rates),
+                              horizon=horizon, deltas=(fine_step,), seed=seed,
+                              reference="fine-em")
+
+
+def drawn_block(config, crafted, indices):
+    """`harness._draw_block` on the finest step's grid, with the crafted paths."""
+    with mock.patch.object(harness, "simulate_exact_path", fake_simulator(crafted)):
+        fine = s.uniform_grid(config.horizon, config.finest_step)
+        return harness._draw_block(config, fine, indices)
+
+
+def assert_rows_are_per_sample_draws(config, crafted, block, indices):
+    """Each row is `oracles.coupled_sample` from the same stream, byte for byte."""
+    fine = s.uniform_grid(config.horizon, config.finest_step)
+    rows, switch_rows = row_slices(block.offsets), row_slices(block.switch_offsets)
+    assert block.offsets[-1] == len(block.points) == len(block.bm_values)
+    with mock.patch.object(s, "simulate_exact_path", fake_simulator(crafted)):
+        for m, r, sr in zip(indices, rows, switch_rows):
+            chain, bm = oracles.coupled_sample(config.generator, config.model, config.horizon,
+                                               fine, s.derive_stream(config.seed, m),
+                                               config.jump_budget)
+            assert block.switch_times[sr].tobytes() == chain.switch_times.tobytes()
+            assert block.states[sr].tobytes() == chain.states.tobytes()
+            assert block.points[r].tobytes() == bm.grid.points.tobytes()
+            assert block.bm_values[r].tobytes() == bm.values.tobytes()
+
+
+def with_switches(horizon, times, n_states=2):
+    """A path that switches at ``times`` (after 0), alternating states 1 and 2."""
+    times = np.array([0.0, *times])
+    return s.ChainPath(horizon=horizon, switch_times=times,
+                       states=1 + np.arange(len(times), dtype=np.int64) % 2)
+
+
+@pytest.mark.parametrize("horizon", [1.0, 0.7])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("initial", [1, 2])  # state 2 is absorbing: one-segment rows
+def test_a_drawn_block_is_the_per_sample_draws_in_every_cluster_case(horizon, d, initial):
+    tol = time_tolerance(horizon)
+    config = draw_config(horizon, 2, GENERATORS[2][1], initial, d, seed=5, fine_step=0.125)
+    crafted = {  # samples 1 and 4 are simulated
+        0: with_switches(horizon, [0.25 + 0.5 * tol, 0.4]),  # just after a gridpoint
+        2: with_switches(horizon, [0.5 - 0.5 * tol]),  # just before a gridpoint
+        3: with_switches(horizon, [0.3, 0.3 + 0.5 * tol, 0.3 + 0.9 * tol]),  # one cluster
+        5: with_switches(horizon, [horizon - 0.5 * tol]),  # just before T
+        6: with_switches(horizon, []),  # one segment
+    }
+    block = drawn_block(config, crafted, range(7))
+    assert_rows_are_per_sample_draws(config, crafted, block, range(7))
+    fine = len(s.uniform_grid(horizon, 0.125))
+    # each cluster keeps one point, and a switch within tol of a gridpoint or T none
+    assert np.diff(block.offsets)[[0, 2, 3, 5, 6]].tolist() == [fine + 1, fine, fine + 1,
+                                                                fine, fine]
+    if initial == 2:
+        assert np.diff(block.offsets)[[1, 4]].tolist() == [fine, fine]
+
+
+@st.composite
+def draw_settings(draw):
+    """(config, crafted paths by sample index, sample count) of a block draw."""
+    horizon = draw(st.sampled_from([1.0, 0.7]))  # 0.7 is a multiple of 0.05 only
+    fine_step = draw(st.sampled_from([0.125, 0.0625, 0.05]))
+    n_states = draw(st.sampled_from([2, 3]))
+    rates = draw(st.sampled_from(GENERATORS[n_states]))
+    config = draw_config(horizon, n_states, rates, draw(st.integers(1, n_states)),
+                         draw(st.sampled_from([1, 2])), draw(st.integers(0, 2**16)), fine_step)
+    tol = time_tolerance(horizon)
+    count = draw(st.integers(1, 5))
+    crafted = {}
+    for m in range(count):
+        if not draw(st.booleans()):
+            continue  # a simulated row
+        path = draw(crafted_path(horizon, fine_step, n_states))
+        near_end = horizon - draw(st.sampled_from([0.5, 2.0])) * tol
+        if draw(st.booleans()) and near_end > path.switch_times[-1]:
+            state = 1 + path.states[-1] % n_states
+            path = s.ChainPath(horizon=horizon, switch_times=np.append(path.switch_times,
+                                                                         near_end),
+                               states=np.append(path.states, state))
+        crafted[m] = path
+    return config, crafted, count
+
+
+@settings(max_examples=60)
+@given(draw_settings())
+def test_a_drawn_block_is_the_per_sample_draws(setup):
+    config, crafted, count = setup
+    block = drawn_block(config, crafted, range(count))
+    assert_rows_are_per_sample_draws(config, crafted, block, range(count))
+
+
+@given(draw_settings(), st.data())
+def test_a_drawn_row_does_not_depend_on_the_other_rows_of_its_block(setup, data):
+    config, crafted, count = setup
+    m = data.draw(st.integers(0, count - 1))
+    others = st.lists(st.integers(0, 9).filter(lambda k: k != m), max_size=4, unique=True)
+    rows, drawn = [], []
+    for _ in range(2):
+        indices = data.draw(others.filter(lambda ks: ks not in drawn))
+        drawn.append(list(indices))
+        indices.insert(data.draw(st.integers(0, len(indices))), m)
+        block = drawn_block(config, crafted, indices)
+        r, sr = (row_slices(o)[indices.index(m)] for o in (block.offsets, block.switch_offsets))
+        rows.append([block.points[r].tobytes(), block.bm_values[r].tobytes(),
+                     block.switch_times[sr].tobytes(), block.states[sr].tobytes()])
+    assert rows[0] == rows[1]

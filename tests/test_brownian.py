@@ -67,6 +67,16 @@ def test_grid_rejects_single_point():
         s.make_grid([0.0])
 
 
+def test_rows_laid_end_to_end_are_checked_as_grids_each():
+    from switchsde.brownian import _check_rows
+
+    _check_rows(np.array([0.0, 0.5, 1.0, 0.0, 0.3, 1.0]), np.array([0, 3, 6]))  # T, then the next 0
+    with pytest.raises(InvalidGridError, match="start at 0"):
+        _check_rows(np.array([0.0, 0.5, 1.0, 0.1, 0.3, 1.0]), np.array([0, 3, 6]))
+    with pytest.raises(InvalidGridError, match="strictly increasing"):
+        _check_rows(np.array([0.0, 0.5, 1.0, 0.0, 0.3, 0.3]), np.array([0, 3, 6]))
+
+
 def test_uniform_grid_includes_horizon():
     g = s.uniform_grid(1.0, 0.25)
     assert g.points.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]

@@ -303,29 +303,31 @@ def test_every_experiment_sees_the_same_chains(monkeypatch, reference):
     and the same Brownian path only with the closed form: a fine-EM reference
     puts its finer grid into the error run's union grids."""
     draws = []
-    draw = harness.coupled_sample
+    draw = harness._draw_block
 
     def recording(*args):
-        chain, bm = draw(*args)
-        draws[-1].append((chain, bm))
-        return chain, bm
+        block = draw(*args)
+        draws[-1].append(block)
+        return block
 
-    monkeypatch.setattr(harness, "coupled_sample", recording)
+    monkeypatch.setattr(harness, "_draw_block", recording)
     cfg = linear_config(samples=harness.BLOCK_SIZE + 5, seed=3, reference=reference,
                         ref_refinement=2)
     for run in (harness._sup_errors, s.moment_check):
         draws.append([])
         run(cfg)
     errors, moments = draws
-    assert len(errors) == len(moments) == cfg.samples
-    for (chain, bm), (chain2, bm2) in zip(errors, moments):
-        assert np.array_equal(chain.switch_times, chain2.switch_times)
-        assert np.array_equal(chain.states, chain2.states)
+    assert [len(b) for b in errors] == [len(b) for b in moments] == [harness.BLOCK_SIZE, 5]
+    for block, block2 in zip(errors, moments):
+        assert np.array_equal(block.switch_offsets, block2.switch_offsets)
+        assert np.array_equal(block.switch_times, block2.switch_times)
+        assert np.array_equal(block.states, block2.states)
         if reference == "closed-form":
-            assert np.array_equal(bm.grid.points, bm2.grid.points)
-            assert np.array_equal(bm.values, bm2.values)
+            assert np.array_equal(block.offsets, block2.offsets)
+            assert np.array_equal(block.points, block2.points)
+            assert np.array_equal(block.bm_values, block2.bm_values)
         else:
-            assert len(bm.grid.points) > len(bm2.grid.points)
+            assert np.all(np.diff(block.offsets) > np.diff(block2.offsets))
 
 
 @pytest.mark.parametrize("model", ["linear", "vector"])

@@ -196,8 +196,8 @@ def test_block_rows_do_not_mix(data):
     bms = [brownian_for(p, step, model.noise_dim, seed) for seed, p in enumerate(paths)]
 
     def solve(rows, model=model, values=tuple(bm.values for bm in bms)):
-        sample = SampleBlock.stack([paths[r] for r in rows], [bms[r].grid for r in rows],
-                                   [values[r] for r in rows])
+        sample = oracles.stack([paths[r] for r in rows], [bms[r].grid for r in rows],
+                               [values[r] for r in rows])
         grid = s.build_refined_grid(sample, step)
         return euler_block(model, [grid], sample.points, sample.bm_values)
 
@@ -301,7 +301,7 @@ def test_the_reference_values_are_its_grids_own(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
     bms = [s.generate_increments(s.merge_grids(s.uniform_grid(horizon, fine), s.make_grid(
         np.append(p.switch_times, horizon))), model.noise_dim, rng) for p in paths]
-    block = SampleBlock.stack(paths, [bm.grid for bm in bms], [bm.values for bm in bms])
+    block = oracles.stack(paths, [bm.grid for bm in bms], [bm.values for bm in bms])
     reference = s.build_refined_grid(block, ref_step)
     grids = [grid(block, delta) for delta in deltas
              for grid in (s.build_refined_grid, classical_grid)]
@@ -334,7 +334,7 @@ def test_inner_values_match_the_per_regime_tables(data):
              for row in range(3)]
     paths.append(data.draw(chain_paths(gen.n_states, horizon, top)))
     bms = [brownian_for(p, deltas[-1], 2, [seed, row]) for row, p in enumerate(paths)]
-    block = SampleBlock.stack(paths, [bm.grid for bm in bms], [bm.values for bm in bms])
+    block = oracles.stack(paths, [bm.grid for bm in bms], [bm.values for bm in bms])
     grids = [grid(block, delta) for delta in deltas
              for grid in (s.build_refined_grid, classical_grid)]
     got = list(euler_block(model, grids, block.points, block.bm_values))
@@ -362,7 +362,7 @@ def burst_block(rows: int, burst: int, others: int, seed: int) -> SampleBlock:
                                  states=1 + np.arange(len(times)) % 3))
         union = s.merge_grids(fine, s.make_grid(np.append(times, horizon)))
         bms.append(s.generate_increments(union, 1, rng))
-    return SampleBlock.stack(paths, [bm.grid for bm in bms], [bm.values for bm in bms])
+    return oracles.stack(paths, [bm.grid for bm in bms], [bm.values for bm in bms])
 
 
 BURST_MODEL = s.LinearHybridModel(a=[1.0, 2.0, -0.5], b=[2.0, 1.0, 0.5], z0=1.0)

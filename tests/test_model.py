@@ -59,6 +59,17 @@ def test_dimension_mismatch_detected():
         s.drift_eval(model, np.zeros(2), 1)
 
 
+@pytest.mark.parametrize("name", ["state_dim", "noise_dim", "regime_count"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_a_dimension_below_one_is_rejected(name, value):
+    """A zero noise dimension would run the model as an ODE and a zero state
+    dimension would fail deep in the kernel; both stop at the model."""
+    dims = {"state_dim": 1, "noise_dim": 1, "regime_count": 1, name: value}
+    with pytest.raises(DimensionMismatchError, match=f"{name} must be at least 1"):
+        s.HybridModel(**dims, drift=lambda z, i: 0.0, diffusion=lambda z, i: 0.0,
+                      initial_value=np.zeros(max(dims["state_dim"], 0)))
+
+
 def test_linear_model_requires_positive_start():
     with pytest.raises(ConfigError):
         s.LinearHybridModel(a=[1.0], b=[1.0], z0=-1.0)

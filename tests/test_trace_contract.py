@@ -35,23 +35,23 @@ def test_every_traced_name_is_bound_in_the_harness():
 
 
 def counts_one_sample_at_a_time(ladder, samples, seed):
-    """Switches, union points and refined events of a converge run, by a loop over samples."""
+    """Switches and refined events of a converge run, by a loop over samples."""
     gen = s.generator_from_json(DEFAULT_CONFIG["generator"])
     horizon = DEFAULT_CONFIG["horizon"]
-    fine = s.uniform_grid(horizon, ladder[-1])  # the closed form needs no finer grid
-    counts = dict.fromkeys(("switches", "union_points", "refined_events"), 0)
+    counts = dict.fromkeys(("switches", "refined_events"), 0)
     for m in range(samples):
         rng = s.derive_stream(seed, m)
         chain = s.simulate_exact_path(gen, DEFAULT_CONFIG["initial_regime"], horizon, rng)
-        union = s.merge_grids(fine, s.make_grid(np.append(chain.switch_times, horizon)))
         counts["switches"] += len(chain.switch_times) - 1
-        counts["union_points"] += len(union)
         for delta in ladder:
             counts["refined_events"] += len(oracles.refined_grid(chain, delta, horizon)[0])
     return counts
 
 
 def test_traced_smoke_run_sees_every_layer(tmp_path):
+    """The harness draws each block's union grids at once, with no `merge_grids`
+    call for the tracer to count, so ``union_points`` reads 0; the union grids'
+    sizes are checked against per-sample merges in tests/test_block.py."""
     spans = load_spans()
     ladder = sorted(DEFAULT_CONFIG["deltas"], reverse=True)[:3]  # the --smoke ladder
     tracer = spans.Tracer(ladder)
@@ -59,9 +59,10 @@ def test_traced_smoke_run_sees_every_layer(tmp_path):
     with tracer.patched(), contextlib.redirect_stdout(io.StringIO()):
         assert main(["converge", "--smoke", "--seed", "1", "--out", str(tmp_path)]) == 0
     counts = tracer.counts[0]
-    assert all(counts[name] > 0 for name in spans.COUNTS), counts
-    assert len(tracer.sample_durations(0)) > 0
-    want = counts_one_sample_at_a_time(ladder, samples=32, seed=1)  # --smoke runs 32 samples
+    assert counts["union_points"] == 0
+    assert all(counts[name] > 0 for name in spans.COUNTS if name != "union_points"), counts
+    assert len(tracer.sample_durations(0)) == 32  # --smoke runs 32 samples
+    want = counts_one_sample_at_a_time(ladder, samples=32, seed=1)
     assert {name: counts[name] for name in want} == want
 
 
