@@ -107,6 +107,23 @@ def merge_grids(a: TimeGrid, b: TimeGrid) -> TimeGrid:
     return TimeGrid(points=pts)
 
 
+def union_rows(fine: TimeGrid, times, offsets) -> tuple[np.ndarray, np.ndarray]:
+    """merge_grids(fine, make_grid(row + [T])) for rows of sorted times split at ``offsets``.
+
+    Returns the union grids laid end to end and their offsets. No row is sorted:
+    T drops none of a row's times, and the survivors go in by position."""
+    F, tol, rows = len(fine), time_tolerance(fine.horizon), np.arange(len(offsets))
+    keep = _cluster_firsts(times, offsets[:-1], tol)
+    keep &= match_indices(fine.points, times, tol) < 0
+    extra = times[keep]
+    row = np.searchsorted(offsets, np.flatnonzero(keep), side="right") - 1
+    points = np.insert(np.tile(fine.points, len(offsets) - 1),
+                       row * F + np.searchsorted(fine.points, extra), extra)
+    points_offsets = rows * F + np.searchsorted(row, rows)  # and the earlier rows' extra times
+    _check_rows(points, points_offsets)
+    return points, points_offsets
+
+
 @dataclass(frozen=True)
 class BrownianPath:
     """A d-dimensional Brownian motion realized on a grid.

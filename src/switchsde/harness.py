@@ -281,11 +281,10 @@ def estimate_order(errors) -> tuple:
 def _draw_block(config: ExperimentConfig, fine: TimeGrid, indices) -> SampleBlock:
     """The coupled draws of samples ``indices``, as one block on ``fine``'s union grids.
 
-    Sample m reads derive_stream(seed, m) in a fixed order: the uniforms of
-    its chain path (from the model's initial regime, within ``jump_budget``
-    switches), then the (P_m - 1) * d standard normals of the Brownian
-    increments on its P_m union points, in C order. The block draws every
-    chain before any Brownian path, so no stream's order changes."""
+    Sample m reads derive_stream(seed, m) in a fixed order: its chain path's
+    uniforms (from the model's initial regime, within ``jump_budget`` switches),
+    then the (P_m - 1) * d standard normals of its Brownian increments on its
+    P_m union points, in C order. Every chain is drawn first; no stream's order changes."""
     streams = [derive_stream(config.seed, m) for m in indices]
     block = SampleBlock.union(fine, [
         simulate_exact_path(config.generator, config.model.initial_regime, config.horizon, rng,

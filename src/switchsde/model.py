@@ -59,8 +59,8 @@ class HybridModel:
         self.diffusion = diffusion
         self.initial_value = np.atleast_1d(np.asarray(initial_value, dtype=np.float64))
         self.initial_regime = int(initial_regime)
-        for name, dim in vars(self).items():
-            if name in ("state_dim", "noise_dim", "regime_count") and dim < 1:
+        for name in ("state_dim", "noise_dim", "regime_count"):
+            if (dim := getattr(self, name)) < 1:
                 raise DimensionMismatchError(f"{name} must be at least 1, got {dim}")
         if self.initial_value.shape != (self.state_dim,):
             raise DimensionMismatchError(

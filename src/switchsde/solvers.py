@@ -40,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from ._timeutil import match_indices, time_tolerance, uniform_points
-from .brownian import BrownianPath, TimeGrid, _check_rows, _cluster_firsts, uniform_grid
+from .brownian import BrownianPath, TimeGrid, uniform_grid, union_rows
 from .ctmc import ChainPath
 from .errors import (
     ConfigError,
@@ -66,8 +66,7 @@ def _row_of(offsets) -> np.ndarray:
 def _row_cumsum(values, offsets) -> np.ndarray:
     """Cumulative sums of ``values`` along axis 0 within each row, in place.
 
-    Each row is its own sum, so it rounds the same in a block of any size,
-    and no second array of the block's size is made."""
+    Each row is its own sum, so it rounds the same in a block of any size."""
     for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
         np.cumsum(values[lo:hi], axis=0, out=values[lo:hi])
     return values
@@ -97,23 +96,11 @@ class SampleBlock:
 
     @classmethod
     def union(cls, fine: TimeGrid, chains) -> SampleBlock:
-        """One row per chain path, on ``merge_grids(fine, make_grid(switches + [T]))``.
-
-        No row is sorted: T drops none of its switching times, and those that
-        survive slot in among the fine points by position."""
+        """One row per chain path, on ``brownian.union_rows``' union grids."""
         switch_offsets = np.cumsum([0] + [len(c.states) for c in chains])
         times = np.concatenate([c.switch_times for c in chains])
-        F, tol, rows = len(fine), time_tolerance(fine.horizon), np.arange(len(chains) + 1)
-        keep = _cluster_firsts(times, switch_offsets[:-1], tol)
-        keep &= match_indices(fine.points, times, tol) < 0
-        extra = times[keep]
-        row = np.searchsorted(switch_offsets, np.flatnonzero(keep), side="right") - 1
-        points = np.insert(np.tile(fine.points, len(chains)),
-                           row * F + np.searchsorted(fine.points, extra), extra)
-        offsets = rows * F + np.searchsorted(row, rows)  # and the earlier rows' extra times
-        _check_rows(points, offsets)
         return cls(fine.horizon, times, np.concatenate([c.states for c in chains]),
-                   switch_offsets, points, offsets)
+                   switch_offsets, *union_rows(fine, times, switch_offsets))
 
     def __len__(self) -> int:
         return len(self.offsets) - 1

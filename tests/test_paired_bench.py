@@ -71,15 +71,41 @@ def test_lower_is_better_and_the_bound_is_relative_to_the_parent(tool):
     assert got["verdict"] == "unresolved, inside its bound"
 
 
-def test_summary_pairs_runs_by_pair_and_skips_failed_pairs(tool):
+def test_summary_counts_every_pair_and_a_failed_side_wins_nothing(tool):
     untraced = {"linear-closed": runs(PARENT, [p + 100.0 for p in PARENT],
                                       peak_rss_mb=58.0)}
     untraced["linear-closed"][0]["failed"] = 1  # pair 1's parent run failed a round
     summary = tool.summarize(untraced, METRICS)
     assert set(summary) == {"linear-closed samples_per_s", "linear-closed peak_rss_mb"}
     speed = summary["linear-closed samples_per_s"]
-    assert speed["pairs"] == 9 and speed["change_better"] == 9
+    assert speed["pairs"] == 10 and speed["change_better"] == 9
+    assert speed["failed"] == {"parent": 1, "change": 0}
+    assert speed["crashed"] == {"parent": 0, "change": 0}
     assert speed["parent_median"] == tool.judge(PARENT[1:], PARENT[1:], "higher", 0.25)[
         "parent_median"]
+    assert speed["verdict"].endswith("a gain")  # 9 of 10, and the change failed less
     rss = summary["linear-closed peak_rss_mb"]
     assert rss["change_better"] == 0 and rss["verdict"] == "unresolved, inside its bound"
+
+
+def test_no_gain_when_the_change_fails_or_crashes_more(tool):
+    change = [p + 100.0 for p in PARENT] * 2
+    untraced = {"linear-closed": runs(PARENT * 2, change)}  # 20 pairs
+    crashed = next(r for r in untraced["linear-closed"] if r["tree"] == "change")
+    crashed.update(failed=None)
+    del crashed["samples_per_s"]
+    speed = tool.summarize(untraced, METRICS[:1])["linear-closed samples_per_s"]
+    assert (speed["pairs"], speed["change_better"]) == (20, 19)
+    assert speed["crashed"] == {"parent": 0, "change": 1}
+    assert speed["verdict"] == "unresolved, inside its bound"
+
+    crashed.update(failed=2, samples_per_s=835.0)  # ran, but failed two rounds
+    speed = tool.summarize(untraced, METRICS[:1])["linear-closed samples_per_s"]
+    assert speed["failed"] == {"parent": 0, "change": 2} and speed["change_better"] == 19
+    assert speed["verdict"] == "unresolved, inside its bound"
+
+
+def test_a_tree_without_a_measured_run_is_unresolved(tool):
+    got = tool.judge([None, None], [800.0, 810.0], "higher", 0.25)
+    assert got["pairs"] == 2 and got["change_better"] == 0
+    assert got["verdict"] == "unresolved, a tree has no measured run"

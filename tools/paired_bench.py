@@ -2,29 +2,32 @@
 
 Usage::
 
-    python tools/paired_bench.py PARENT_TREE CHANGE_TREE --seeds 1801-1810 \\
-        [--workloads linear-closed,vector-fine] [--seconds 20] [--out BENCH.json]
+    python tools/paired_bench.py PARENT_TREE CHANGE_TREE --seeds 1801-1810 [--out BENCH.json]
 
 ``PARENT_TREE`` and ``CHANGE_TREE`` are exported source trees (``git
 archive`` of two commits, say), each with its own ``perfbench/run.py`` and
-``BENCHMARK.json``. For every seed and workload the tool runs
+``BENCHMARK.json``. For every seed and every workload of the change tree's
+``BENCHMARK.json`` the tool runs
 
     python3 perfbench/run.py --workload W --seed SEED --seconds S --trace 0
 
-once in each tree, one after the other. Odd pairs run the parent first and
-even pairs the change first, so a drift of the host's speed falls on both
-sides alike. Each pair uses its own seed; use seeds not used while the change
-was written.
+once in each tree, one after the other, with S that file's ``run_seconds``.
+Odd pairs run the parent first and even pairs the change first, so a drift
+of the host's speed falls on both sides alike. Each pair uses its own seed;
+use seeds not used while the change was written.
 
 The output JSON holds every run (``untraced``) and, per workload and
 end-to-end metric of the change tree's ``BENCHMARK.json``, a ``summary``:
-the pairs, in how many the change was better, both medians, the relative
-change, the parent's interquartile range and a verdict. A gain is claimed
-only when the change was better in at least 9 of every 10 pairs and its
-median lies beyond the parent's interquartile range from the parent's;
-anything else is unresolved, and the verdict says whether the change's
-median stays inside the metric's bound. The file is rewritten after every
-run, so an interrupted comparison keeps what it measured.
+the pairs run, in how many the change was better, both medians, the relative
+change, the parent's interquartile range, each tree's failed rounds and
+crashed runs, and a verdict. A side that crashed or failed a round has no
+value: its pair is no win for the change, and the medians leave it out. A
+gain is claimed only when the change was better in at least 9 of every 10
+pairs, its median lies beyond the parent's interquartile range from the
+parent's, and it failed no more rounds and crashed no more runs than the
+parent; anything else is unresolved, and the verdict says whether the
+change's median stays inside the metric's bound. The file is rewritten after
+every run, so an interrupted comparison keeps what it measured.
 """
 
 from __future__ import annotations
@@ -60,45 +63,59 @@ def iqr(values) -> float:
     return q3 - q1
 
 
-def judge(parent, change, better: str, bound: float) -> dict:
-    """Summary of one metric over paired runs: ``parent[i]`` and ``change[i]`` share pair i."""
+def judge(parent, change, better: str, bound: float, failures=None) -> dict:
+    """Summary of one metric over paired runs: ``parent[i]`` and ``change[i]`` share pair i.
+
+    A value is None where that side crashed or failed a round. ``failures``
+    maps "failed" (rounds) and "crashed" (runs) to each tree's totals; a
+    gain needs the change's totals to be no higher than the parent's.
+    """
+    failures = failures or {k: dict.fromkeys(TREES, 0) for k in ("failed", "crashed")}
     sign = 1.0 if better == "higher" else -1.0
     pairs = len(parent)
-    wins = sum(sign * (c - p) > 0.0 for p, c in zip(parent, change))
-    p_med, c_med, spread = statistics.median(parent), statistics.median(change), iqr(parent)
+    wins = sum(p is not None and c is not None and sign * (c - p) > 0.0
+               for p, c in zip(parent, change))
+    out = {"pairs": pairs, "change_better": wins, **failures}
+    measured = [p for p in parent if p is not None], [c for c in change if c is not None]
+    if not all(measured):
+        return {**out, "verdict": "unresolved, a tree has no measured run"}
+    p_med, c_med = map(statistics.median, measured)
+    spread = iqr(measured[0])
     gain = sign * (c_med - p_med)  # positive when the change's median is better
-    if pairs >= CLAIM_PAIRS and wins >= CLAIM_SHARE * pairs and gain > spread:
+    no_more_failures = all(v["change"] <= v["parent"] for v in failures.values())
+    if pairs >= CLAIM_PAIRS and wins >= CLAIM_SHARE * pairs and gain > spread and no_more_failures:
         verdict = (f"better in {wins} of {pairs} pairs and beyond the parent's "
                    "interquartile range: a gain")
     else:
         where = "inside" if -gain <= bound * abs(p_med) else "outside"
         verdict = f"unresolved, {where} its bound"
-    return {"pairs": pairs, "change_better": wins, "parent_median": p_med,
-            "change_median": c_med, "rel": c_med / p_med - 1.0, "parent_iqr": spread,
-            "verdict": verdict}
+    return {**out, "parent_median": p_med, "change_median": c_med,
+            "rel": c_med / p_med - 1.0, "parent_iqr": spread, "verdict": verdict}
 
 
 def summarize(untraced: dict, metrics) -> dict:
     """``judge`` per workload and metric; ``untraced`` maps a workload to its run records.
 
-    A run record has ``pair``, ``tree`` and one value per metric name;
-    ``metrics`` are BENCHMARK.json's end-to-end entries. Only pairs with both
-    sides measured count.
+    A run record has ``pair``, ``tree``, ``failed`` (None for a crashed run)
+    and one value per metric name; ``metrics`` are BENCHMARK.json's
+    end-to-end entries. Every pair with both sides run counts.
     """
     out = {}
     for workload, runs in untraced.items():
         by_pair = {}
         for run in runs:
             by_pair.setdefault(run["pair"], {})[run["tree"]] = run
-        both = [p for _, p in sorted(by_pair.items()) if all(
-            t in p and p[t].get("failed") == 0 for t in TREES)]
-        if not both:
+        pairs = [p for _, p in sorted(by_pair.items()) if all(t in p for t in TREES)]
+        if not pairs:
             continue
+        failures = {"failed": {t: sum(p[t]["failed"] or 0 for p in pairs) for t in TREES},
+                    "crashed": {t: sum(p[t]["failed"] is None for p in pairs) for t in TREES}}
         for m in metrics:
             name = m["name"]
-            out[f"{workload} {name}"] = judge([p["parent"][name] for p in both],
-                                              [p["change"][name] for p in both],
-                                              m["better"], m["bound"])
+            values = {t: [p[t][name] if p[t]["failed"] == 0 else None for p in pairs]
+                      for t in TREES}
+            out[f"{workload} {name}"] = judge(values["parent"], values["change"],
+                                              m["better"], m["bound"], failures)
     return out
 
 
@@ -122,10 +139,6 @@ def main(argv=None) -> int:
     parser.add_argument("change_tree")
     parser.add_argument("--seeds", required=True, type=parse_seeds,
                         help="one seed per pair: A-B and/or a comma-separated list")
-    parser.add_argument("--workloads", default=None,
-                        help="comma-separated (default: every workload of BENCHMARK.json)")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="timed loop per run (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("--out", default="paired_bench.json")
     args = parser.parse_args(argv)
 
@@ -133,9 +146,8 @@ def main(argv=None) -> int:
                              os.path.abspath(args.change_tree))))
     with open(os.path.join(trees["change"], "BENCHMARK.json")) as fh:
         bench = json.load(fh)
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in bench["workloads"]])
-    seconds = args.seconds or bench["run_seconds"]
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     record = {
         "trees": trees,
         "command": f"python3 perfbench/run.py --workload <w> --seed <seed> "
@@ -157,8 +169,9 @@ def main(argv=None) -> int:
                 with open(args.out, "w") as fh:
                     json.dump(record, fh, indent=1)
     for key, s in record["summary"].items():
-        print(f"{key}: {s['parent_median']:.6g} -> {s['change_median']:.6g} "
-              f"({s['change_better']}/{s['pairs']} better): {s['verdict']}")
+        medians = (f"{s['parent_median']:.6g} -> {s['change_median']:.6g} "
+                   if "parent_median" in s else "")
+        print(f"{key}: {medians}({s['change_better']}/{s['pairs']} better): {s['verdict']}")
     return 0
 
 
