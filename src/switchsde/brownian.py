@@ -149,13 +149,18 @@ class BrownianPath:
         return np.diff(self.values, axis=0)
 
 
+def write_csv(fileobj, header, rows) -> None:
+    """CSV of the ``header`` names, then ``rows``: a float cell (Python or NumPy)
+    at 17 significant digits, so it reads back exactly, and any other cell by ``str``."""
+    for row in [header, *rows]:
+        fileobj.write(",".join(f"{c:.17g}" if isinstance(c, (float, np.floating)) else str(c)
+                               for c in row) + "\n")
+
+
 def write_path_csv(fileobj, times, values, name: str) -> None:
-    """CSV rows ``time,<name>_1,...,<name>_k``: ``times`` and the rows of ``values``, 17 digits."""
-    header = ",".join(["time"] + [f"{name}_{j + 1}" for j in range(values.shape[1])])
-    fileobj.write(header + "\n")
-    for t, row in zip(times, values):
-        cells = ",".join(f"{v:.17g}" for v in row)
-        fileobj.write(f"{t:.17g},{cells}\n")
+    """CSV rows ``time,<name>_1,...,<name>_k``: ``times`` and the rows of ``values``."""
+    write_csv(fileobj, ["time"] + [f"{name}_{j + 1}" for j in range(values.shape[1])],
+              ([t, *row] for t, row in zip(times, values)))
 
 
 def path_from_increments(grid: TimeGrid, increments) -> BrownianPath:

@@ -200,10 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--seed", type=int, default=None, help="override the config seed")
     common.add_argument("--out", default=None, help="output directory (default .)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="kept for compatibility; has no effect")
-    common.add_argument("--smoke", action="store_true",
-                        help="shrink samples and ladder for a quick run")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -218,6 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
     solve.set_defaults(func=cmd_solve)
 
     conv = sub.add_parser("converge", parents=[common], help="strong-error experiment")
+    conv.add_argument("--smoke", action="store_true",
+                      help="shrink samples and ladder for a quick run")
+    conv.add_argument("--threads", type=int, default=1,
+                      help="kept for compatibility; has no effect")
     conv.set_defaults(func=cmd_converge)
     return parser
 

@@ -17,6 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from ._timeutil import num_whole_steps, time_tolerance
+from .brownian import write_csv
 from .errors import (
     ConfigError,
     InvalidRegimeError,
@@ -102,26 +103,14 @@ class ChainPath:
             raise ValueError("switch_times and states must have equal, nonzero length")
         if times[0] != 0.0:
             raise ValueError("first switch time must be 0")
-        if np.any(np.diff(times) <= 0.0):
+        if (times[1:] <= times[:-1]).any():
             raise ValueError("switch times must be strictly increasing")
         if times[-1] >= self.horizon:
             raise ValueError("interior switch times must lie strictly before T")
-        if np.any(states[:-1] == states[1:]):
+        if (states[1:] == states[:-1]).any():
             raise ValueError("consecutive states must differ")
         times.setflags(write=False)
         states.setflags(write=False)
-
-    @classmethod
-    def _simulated(cls, horizon: float, switch_times: np.ndarray, states: np.ndarray):
-        """A simulated path, which can only fail to increase (a hold too small
-        to move t); the other checks would repeat what the simulator ensures."""
-        if (switch_times[1:] <= switch_times[:-1]).any():
-            raise ValueError("switch times must be strictly increasing")
-        path = cls.__new__(cls)
-        path.__dict__.update(horizon=horizon, switch_times=switch_times, states=states)
-        switch_times.setflags(write=False)
-        states.setflags(write=False)
-        return path
 
     @property
     def n_segments(self) -> int:
@@ -134,10 +123,8 @@ class ChainPath:
 
     def to_csv(self, fileobj) -> None:
         """Write `time,state` rows plus a terminal (T, last state) row."""
-        fileobj.write("time,state\n")
-        for t, s in zip(self.switch_times, self.states):
-            fileobj.write(f"{t:.17g},{int(s)}\n")
-        fileobj.write(f"{self.horizon:.17g},{int(self.states[-1])}\n")
+        write_csv(fileobj, ["time", "state"], [*zip(self.switch_times, self.states.tolist()),
+                                               (self.horizon, int(self.states[-1]))])
 
 
 def validate_generator(rates) -> GeneratorMatrix:
@@ -157,15 +144,18 @@ def validate_generator(rates) -> GeneratorMatrix:
     if not np.all(np.isfinite(mat)):
         raise ConfigError("rates must be finite")
     n = mat.shape[0]
-    for i in range(n):
-        for j in range(n):
-            if i != j and mat[i, j] < 0.0:
-                raise NegativeOffDiagonalError(i + 1, j + 1, mat[i, j])
-        row_sum = mat[i].sum()
-        if abs(row_sum) > ROW_SUM_TOL * max(1.0, np.abs(mat[i]).max()):
-            raise RowSumViolationError(i + 1, row_sum)
-        mat[i, i] = 0.0
-        mat[i, i] = -mat[i].sum()
+    negative = (mat < 0.0) & ~np.eye(n, dtype=bool)
+    row_sums = mat.sum(axis=1)
+    bad = negative.any(axis=1) | (
+        np.abs(row_sums) > ROW_SUM_TOL * np.abs(mat).max(axis=1, initial=1.0))
+    if bad.any():  # the first bad row, its negative entry before its sum
+        i = int(bad.argmax())
+        if negative[i].any():
+            j = int(negative[i].argmax())
+            raise NegativeOffDiagonalError(i + 1, j + 1, mat[i, j])
+        raise RowSumViolationError(i + 1, row_sums[i])
+    np.fill_diagonal(mat, 0.0)
+    np.fill_diagonal(mat, -mat.sum(axis=1))
     return GeneratorMatrix(n_states=n, rates=mat)
 
 
@@ -307,9 +297,7 @@ def simulate_exact_path(
             rng.bit_generator.state = saved
             rng.random(used)
 
-    return ChainPath._simulated(
-        float(horizon), np.concatenate(times), np.array(states, dtype=np.int64) + 1
-    )
+    return ChainPath(float(horizon), np.concatenate(times), np.array(states, dtype=np.int64) + 1)
 
 
 def state_at(path: ChainPath, t: float) -> int:
@@ -317,8 +305,7 @@ def state_at(path: ChainPath, t: float) -> int:
     tol = time_tolerance(path.horizon)
     if t < -tol or t > path.horizon + tol:
         raise OutOfHorizonError(f"t={t} outside [0, {path.horizon}]")
-    idx = int(np.searchsorted(path.switch_times, t, side="right")) - 1
-    return int(path.states[max(idx, 0)])
+    return int(states_at(path, t))
 
 
 def states_at(path: ChainPath, times: np.ndarray) -> np.ndarray:

@@ -47,6 +47,7 @@ from .brownian import (
     make_grid,
     merge_grids,
     uniform_grid,
+    write_csv,
 )
 from .ctmc import (
     ChainPath,
@@ -241,19 +242,13 @@ class ErrorReport:
         return None
 
     def write_errors_csv(self, fileobj) -> None:
-        fileobj.write("scheme,p,delta,eps,stderr,M\n")
-        for pt in self.points:
-            fileobj.write(
-                f"{pt.scheme},{pt.p},{pt.delta:.17g},{pt.eps:.17g},"
-                f"{pt.stderr:.17g},{pt.samples}\n"
-            )
+        write_csv(fileobj, ["scheme", "p", "delta", "eps", "stderr", "M"],
+                  [(pt.scheme, str(pt.p), pt.delta, pt.eps, pt.stderr, pt.samples)
+                   for pt in self.points])
 
     def write_fit_csv(self, fileobj) -> None:
-        fileobj.write("scheme,p,slope,intercept,r2\n")
-        for f in self.fits:
-            fileobj.write(
-                f"{f.scheme},{f.p},{f.slope:.17g},{f.intercept:.17g},{f.r2:.17g}\n"
-            )
+        write_csv(fileobj, ["scheme", "p", "slope", "intercept", "r2"],
+                  [(f.scheme, str(f.p), f.slope, f.intercept, f.r2) for f in self.fits])
 
 
 def estimate_order(errors) -> tuple:
@@ -475,9 +470,6 @@ class LocalErrorReport:
     points: tuple
     slopes: dict
 
-    def points_for(self, p: int) -> list:
-        return [pt for pt in self.points if pt.p == p]
-
 
 def local_error_scaling(config: ExperimentConfig) -> LocalErrorReport:
     """Measure the gap between the continuous scheme and its frozen argument.
@@ -544,12 +536,8 @@ class ChainValidationReport:
         return all(c.passed for c in self.checks)
 
     def write_csv(self, fileobj) -> None:
-        fileobj.write("check,statistic,bound,passed,detail\n")
-        for c in self.checks:
-            fileobj.write(
-                f"{c.name},{c.statistic:.17g},{c.bound:.17g},"
-                f"{int(c.passed)},{c.detail}\n"
-            )
+        write_csv(fileobj, ["check", "statistic", "bound", "passed", "detail"],
+                  [(c.name, c.statistic, c.bound, int(c.passed), c.detail) for c in self.checks])
 
 
 def _occupancy_batches(chain: ChainPath, n_states: int, n_batches: int) -> np.ndarray:

@@ -11,6 +11,8 @@ state at its midpoint. `inner_values` is the Euler kernel's step for events
 inside an interval done with one padded table per regime.
 `closed_class_count` is the reachability count of closed classes that
 `switchsde.stationary_distribution` replaced with strongly connected components.
+`generator_checks` is `switchsde.validate_generator`'s check and normalization
+entry by entry and row by row.
 `lipschitz_probe` and `growth_probe` are the model probes with one
 coefficient call per point and regime, on the same draw of points.
 `coupled_sample` is the coupled draw of one sample, a chain path and then
@@ -25,7 +27,8 @@ import numpy as np
 import switchsde as s
 import switchsde.harness as harness
 from switchsde._timeutil import match_indices, time_tolerance, uniform_points
-from switchsde.errors import RegimeNotConstantError
+from switchsde.errors import (NegativeOffDiagonalError, RegimeNotConstantError,
+                              RowSumViolationError)
 from switchsde.solvers import SampleBlock
 
 
@@ -189,6 +192,21 @@ def closed_class_count(rates):
         if not np.any(reach[members] & ~members):
             closed += 1
     return closed
+
+
+def generator_checks(rates):
+    """The normalized rates, or the error of the first bad row: a negative entry before the sum."""
+    mat = np.array(rates, dtype=np.float64)
+    for i in range(mat.shape[0]):
+        for j in range(mat.shape[0]):
+            if i != j and mat[i, j] < 0.0:
+                return NegativeOffDiagonalError(i + 1, j + 1, mat[i, j])
+        row_sum = mat[i].sum()
+        if abs(row_sum) > s.ctmc.ROW_SUM_TOL * max(1.0, np.abs(mat[i]).max()):
+            return RowSumViolationError(i + 1, row_sum)
+        mat[i, i] = 0.0
+        mat[i, i] = -mat[i].sum()
+    return mat
 
 
 def _box_points(box, n, count, rng):

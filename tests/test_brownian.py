@@ -1,5 +1,7 @@
 """Tests for time grids and coupled Brownian increment generation."""
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -203,3 +205,18 @@ def test_increments_consistent_with_values():
     grid = s.uniform_grid(1.0, 0.125)
     bm = s.generate_increments(grid, 2, np.random.default_rng(8))
     assert np.array_equal(bm.increments, np.diff(bm.values, axis=0))
+
+
+def test_write_csv_round_trips_floats_and_writes_other_cells_verbatim():
+    floats = [0.1, 1.0 / 3.0, 2.0**-1074, 1e300, -0.0, np.float64(np.pi), np.float32(0.1)]
+    buf = io.StringIO()
+    s.brownian.write_csv(buf, ["name", "value", "count"],
+                         [("x", v, k) for k, v in enumerate(floats)] + [("y", "2.0", np.int64(7))])
+    lines = buf.getvalue().splitlines()
+    assert lines[0] == "name,value,count"
+    for line, v in zip(lines[1:], floats):
+        assert float(line.split(",")[1]) == float(v)
+        assert line.split(",")[0] == "x"
+    assert [line.split(",")[2] for line in lines[1:-1]] == [str(k) for k in range(len(floats))]
+    assert lines[-1] == "y,2.0,7"
+    assert lines[5] == "x,-0,4"  # the sign of zero, which float() equality cannot see

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: config handling, outputs, exit codes, determinism."""
 
+import argparse
 import json
 import os
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from switchsde.cli import DEFAULT_CONFIG, main
+from switchsde.cli import DEFAULT_CONFIG, build_parser, main
 from switchsde.harness import config_from_dict
 from switchsde.errors import GridMismatchError, NonFiniteError
 
@@ -495,6 +496,61 @@ def test_solve_accepts_only_what_converge_accepts(tmp_path, extra):
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
     assert main(["converge", "--config", cfg, "--out", str(out)]) == 2
     assert not out.exists() or os.listdir(out) == []
+
+
+@pytest.mark.parametrize("extra, commands", [
+    ({"deltas": []}, ["converge"]),  # solve replaces the ladder with [step]
+    ({"reference": "bogus"}, ["solve", "converge"]),
+    ({"reference": "fine-em", "refinement_exponent": 0}, ["solve", "converge"]),
+    ({"model": {"model": "linear", "a": [1.0, 2.0], "b": [2.0]}}, ["solve", "converge"]),
+    ({"model": {"model": "trig", "a": [1.0, 2.0], "b": [0.5, 1.0], "c": [0.0]}},
+     ["solve", "converge"]),
+    ({"initial_regime": 3}, ["solve", "converge"]),
+    (None, ["solve", "converge"]),  # a config file holding a JSON list
+], ids=["empty-ladder", "bogus-reference", "refinement-0", "linear-lengths", "trig-lengths",
+        "initial-regime-3", "json-list"])
+def test_config_errors_exit_2_before_writing(tmp_path, extra, commands):
+    if extra is None:
+        cfg = tmp_path / "config.json"
+        cfg.write_text("[1, 2]")
+    else:
+        cfg = converge_config(tmp_path, **extra)
+    out = tmp_path / "out"
+    for command in commands:
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists() or os.listdir(out) == []
+
+
+def parser_flags(parser=None, command=""):
+    """Each command's option strings as build_parser() defines them, without --help."""
+    parser = parser or build_parser()
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {command: {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}}
+    return {name: flags for sub in subs for word, child in sub.choices.items()
+            for name, flags in parser_flags(child, f"{command} {word}".strip()).items()}
+
+
+def test_readme_lists_each_commands_flags_as_the_parser_defines_them():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("\n## CLI", 1)[1].split("Config file (JSON", 1)[0]
+    documented = {}
+    for line in section.splitlines():
+        if line.startswith("* `") and "`:" in line:
+            command, rest = line[3:].split("`:", 1)
+            documented[command] = {word.strip("`,.") for word in rest.split()
+                                   if word.startswith("`--")}
+    assert documented == parser_flags()
+
+
+@pytest.mark.parametrize("argv", [["chain", "validate", "--smoke"], ["solve", "--threads", "2"],
+                                  ["chain", "simulate", "--threads", "1"]], ids=" ".join)
+def test_only_converge_takes_smoke_and_threads(argv):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    args = build_parser().parse_args(["converge", "--smoke", "--threads", "2"])
+    assert args.smoke and args.threads == 2
 
 
 def test_readme_config_section_matches_the_code():

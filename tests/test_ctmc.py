@@ -95,6 +95,41 @@ def test_validate_normalizes_tiny_row_sums():
     assert g.rates[0].sum() == 0.0
 
 
+@st.composite
+def near_generators(draw):
+    """Square matrices up to 12x12 that are generators, or miss by a sign or a row sum."""
+    n = draw(st.integers(1, 12))
+    rates = np.array([[draw(st.sampled_from([0.0, 1e-3, 0.3, 1.0, 7.0, 1e4]))
+                       for _ in range(n)] for _ in range(n)])
+    np.fill_diagonal(rates, 0.0)
+    np.fill_diagonal(rates, -rates.sum(axis=1))
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rates[i, j] = draw(st.sampled_from([-rates[i, j], rates[i, j] * (1.0 + 1e-13),
+                                            rates[i, j] + 1e-9, -0.5]))
+    return rates
+
+
+@given(near_generators())
+def test_validate_matches_the_per_entry_checks(rates):
+    expected = oracles.generator_checks(rates)
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as err:
+            s.validate_generator(rates)
+        assert str(err.value) == str(expected)
+    else:
+        assert s.validate_generator(rates).rates.tobytes() == expected.tobytes()
+
+
+def test_validate_reports_the_first_bad_row_only():
+    with pytest.raises(RowSumViolationError) as err:  # row 2 also has a negative entry
+        s.validate_generator([[-1.0, 2.0], [-1.0, 1.0]])
+    assert err.value.i == 1
+    with pytest.raises(NegativeOffDiagonalError) as err:  # row 1's sum is off too
+        s.validate_generator([[-1.0, -1.0, 3.0], [1.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
+    assert (err.value.i, err.value.j) == (1, 2)
+
+
 def test_generator_json_roundtrip(gen):
     doc = json.dumps({"states": 2, "rates": TWO_STATE})
     g = s.generator_from_json(doc)
@@ -441,6 +476,18 @@ def test_simulated_path_checks_that_every_hold_moves_t():
     path = s.simulate_exact_path(gen, 1, 10.0, Scripted([0.9, 0.5]))
     assert np.all(np.diff(path.switch_times) > 0.0)
     assert not path.switch_times.flags.writeable and not path.states.flags.writeable
+
+
+@pytest.mark.parametrize("times, states, message", [
+    ([0.0, 0.5], [1], "equal, nonzero length"),
+    ([0.1, 0.5], [1, 2], "first switch time must be 0"),
+    ([0.0, 0.5, 0.5], [1, 2, 1], "strictly increasing"),
+    ([0.0, 1.0], [1, 2], "strictly before T"),
+    ([0.0, 0.3, 0.6], [1, 2, 2], "consecutive states must differ"),
+], ids=["lengths", "start", "increasing", "horizon", "repeated-state"])
+def test_chain_path_rejects_a_malformed_path(times, states, message):
+    with pytest.raises(ValueError, match=message):
+        s.ChainPath(1.0, np.array(times), np.array(states))
 
 
 # --- state_at / skeleton ---------------------------------------------------------
