@@ -9,8 +9,9 @@ Subcommands
 * ``converge`` runs the strong-error experiment and writes errors.csv,
   fit.csv, and a plain-text summary.
 
-All outputs are pure functions of (config, seed); files are written via a
-temp file and an atomic rename, so reruns never leave partial results.
+All outputs are pure functions of (config, seed). Every file goes through
+`_emit`: rendered into a temp file beside it and renamed into place, so
+reruns never leave partial results.
 Exit codes: 0 success, 1 statistical-check failure, 2 configuration error,
 3 runtime budget exceeded, 4 a scheme produced non-finite values. Any other
 error is a bug and propagates with its traceback.
@@ -19,7 +20,6 @@ error is a bug and propagates with its traceback.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
@@ -63,21 +63,21 @@ DEFAULT_CONFIG = {
 }
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _emit(args, name: str, render) -> str:
+    """Render ``name`` into ``<path>.<pid>.tmp`` in ``--out`` (made if missing), rename it
+    into place and return the path. Whatever fails, the temp file goes and the old target stays."""
+    out = args.out or "."
+    os.makedirs(out, exist_ok=True)
+    path = os.path.join(out, name)
     tmp = f"{path}.{os.getpid()}.tmp"  # one per process: concurrent runs cannot collide
     try:
         with open(tmp, "w") as fh:
-            fh.write(text)
+            render(fh)
         os.replace(tmp, path)
     finally:
-        if os.path.exists(tmp):  # the write or the rename failed
+        if os.path.exists(tmp):  # the render, the write or the rename failed
             os.remove(tmp)
-
-
-def _emit(path: str, render) -> None:
-    buf = io.StringIO()
-    render(buf)
-    _atomic_write(path, buf.getvalue())
+    return path
 
 
 def _load_config(args) -> dict:
@@ -99,47 +99,32 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _out_dir(args) -> str:
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def cmd_chain_simulate(args) -> int:
-    cfg = _load_config(args)
+def cmd_chain_simulate(args, cfg) -> int:
     path = simulate_exact_path(
         generator_from_json(cfg["generator"]), setting(cfg, "initial_regime", int),
         setting(cfg, "horizon", float), derive_stream(setting(cfg, "seed", int), 0),
         max_switches=setting(cfg, "jump_budget", int, 10**6),
     )
-    out = _out_dir(args)
-    target = os.path.join(out, "chain.csv")
-    _emit(target, path.to_csv)
-    print(target)
+    print(_emit(args, "chain.csv", path.to_csv))
     return EXIT_OK
 
 
-def cmd_chain_validate(args) -> int:
-    cfg = _load_config(args)
+def cmd_chain_validate(args, cfg) -> int:
     report = validate_chain_statistics(
         generator_from_json(cfg["generator"]),
         step=setting(cfg, "step", float),
         samples=setting(cfg, "samples", int),
         seed=setting(cfg, "seed", int),
     )
-    out = _out_dir(args)
-    target = os.path.join(out, "chain_validation.csv")
-    _emit(target, report.write_csv)
     failed = [c.name for c in report.checks if not c.passed]
     print(f"{len(report.checks)} checks, {len(failed)} failed")
     for name in failed:
         print(f"FAIL {name}")
-    print(target)
+    print(_emit(args, "chain_validation.csv", report.write_csv))
     return EXIT_OK if report.passed else EXIT_STAT_FAIL
 
 
-def cmd_solve(args) -> int:
-    cfg = _load_config(args)
+def cmd_solve(args, cfg) -> int:
     reference = cfg.get("reference")  # solve writes the closed form or none
     if reference == "none":
         del cfg["reference"]
@@ -153,40 +138,30 @@ def cmd_solve(args) -> int:
     block = _draw_block(config, ugrid, range(1))  # sample 0
     on_grid = block.on_grid(step)
 
-    out = _out_dir(args)
-    written = []
-
-    def write(name, render):
-        target = os.path.join(out, name)
-        _emit(target, render)
-        written.append(target)
-
-    def write_uniform(tag, values):  # values at the uniform gridpoints
-        write(f"solution_{tag.replace('-', '_')}.csv",
-              lambda fh: write_path_csv(fh, ugrid.points, values, "z"))
-
-    write("chain.csv", ChainPath(config.horizon, block.switch_times, block.states).to_csv)
-    write("brownian.csv", lambda fh: write_path_csv(fh, block.points, block.bm_values, "B"))
-    for scheme, solved in zip(config.schemes,
-                              _solve_ladder(model, block, config.deltas, config.schemes)):
-        write_uniform(scheme, solved.values[on_grid[solved.bm_index]])
+    ladder = zip(config.schemes, _solve_ladder(model, block, config.deltas, config.schemes))
+    on_uniform = {tag: solved.values[on_grid[solved.bm_index]] for tag, solved in ladder}
     if reference != "none" and config.reference == REFERENCE_CLOSED_FORM:
-        write_uniform("reference", exact_linear_solution(model, block)[on_grid])
+        on_uniform["reference"] = exact_linear_solution(model, block)[on_grid]
 
-    for t in written:
-        print(t)
+    chain = ChainPath(config.horizon, block.switch_times, block.states)
+    written = [
+        _emit(args, "chain.csv", chain.to_csv),
+        _emit(args, "brownian.csv",
+              lambda fh: write_path_csv(fh, block.points, block.bm_values, "B")),
+        *(_emit(args, f"solution_{tag.replace('-', '_')}.csv",
+                lambda fh: write_path_csv(fh, ugrid.points, values, "z"))
+          for tag, values in on_uniform.items()),  # each render runs before the next tag
+    ]
+    print(*written, sep="\n")
     return EXIT_OK
 
 
-def cmd_converge(args) -> int:
-    cfg = _load_config(args)
-    config = config_from_dict(cfg)
-    report = run_strong_error(config)
-    out = _out_dir(args)
-    _emit(os.path.join(out, "errors.csv"), report.write_errors_csv)
-    _emit(os.path.join(out, "fit.csv"), report.write_fit_csv)
+def cmd_converge(args, cfg) -> int:
+    report = run_strong_error(config_from_dict(cfg))
+    _emit(args, "errors.csv", report.write_errors_csv)
+    _emit(args, "fit.csv", report.write_fit_csv)
     text = summary_text(report)
-    _atomic_write(os.path.join(out, "summary.txt"), text)
+    _emit(args, "summary.txt", lambda fh: fh.write(text))
     print(text, end="")
     return EXIT_OK
 
@@ -226,7 +201,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _load_config(args))
     except JumpBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

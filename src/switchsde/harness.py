@@ -32,6 +32,7 @@ are bit-identical across reruns and thread counts. ``run_strong_error``'s
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -106,12 +107,13 @@ def derive_stream(master_seed: int, index: int) -> np.random.Generator:
 class ExperimentConfig:
     """Everything a strong-error experiment needs.
 
-    ``deltas`` must be a descending dyadic ladder: every entry a power-of-two
-    multiple of the smallest, with each of its gridpoints within the time
-    tolerance of a gridpoint of the smallest step. Moment orders must be at
-    least 2; ``samples`` at least 2. The reference is the closed form when
-    the model has one, or a fine jump-adapted run ``2**ref_refinement``
-    times finer than the smallest step.
+    ``deltas`` must be a finite descending dyadic ladder: every entry a
+    power-of-two multiple of the smallest, with each of its gridpoints within
+    the time tolerance of a gridpoint of the smallest step, in a finite
+    horizon. Moment orders and ``samples`` must be at least 2; ``samples``,
+    ``seed``, ``ref_refinement`` and ``jump_budget`` are integers (not bools).
+    The reference is the closed form when the model has one, or a fine
+    jump-adapted run ``2**ref_refinement`` times finer than the smallest step.
     """
 
     model: HybridModel
@@ -127,8 +129,12 @@ class ExperimentConfig:
     jump_budget: int = 10**6
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ConfigError("horizon must be positive")
+        if not 0 < self.horizon < np.inf:  # NaN fails too
+            raise ConfigError(f"horizon must be positive and finite, got {self.horizon}")
+        for name in ("samples", "seed", "ref_refinement", "jump_budget"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.samples < 2:
             raise ConfigError("need at least 2 samples")
         if not self.p_values or any(p < 2 for p in self.p_values):
@@ -139,7 +145,7 @@ class ExperimentConfig:
         if not self.deltas:
             raise ConfigError("empty step ladder")
         deltas = tuple(float(d) for d in self.deltas)
-        if any(d <= 0 or d > self.horizon for d in deltas):
+        if any(not 0 < d <= self.horizon for d in deltas):  # NaN fails too
             raise ConfigError("steps must lie in (0, T]")
         if any(a <= b for a, b in zip(deltas, deltas[1:])):
             raise ConfigError("step ladder must be strictly descending")
@@ -307,16 +313,16 @@ def _solve_ladder(model: HybridModel, block: SampleBlock, deltas, schemes,
     return euler_block(model, grids, block.points, block.bm_values, reference=reference)
 
 
-def _solved_blocks(config: ExperimentConfig, schemes, fine_step: float, reference=False):
+def _solved_blocks(config: ExperimentConfig, schemes, reference=False):
     """The one pass over the samples: one solved ladder per block of BLOCK_SIZE indices.
 
-    Each block is `_draw_block` on the uniform grid of ``fine_step``. Yields,
-    per block, its union grids' row offsets, the reference's (P, n) values
-    on them (None unless ``reference``) and `_solve_ladder`'s iterator,
-    never the block itself.
+    Each block is `_draw_block` on the uniform grid of the finest step, or of
+    the reference step if ``reference``. Yields, per block, its union grids'
+    row offsets, the reference's (P, n) values on them (None unless
+    ``reference``) and `_solve_ladder`'s iterator, never the block itself.
     """
     model, fine_em = config.model, reference and config.reference == REFERENCE_FINE_EM
-    fine = uniform_grid(config.horizon, fine_step)
+    fine = uniform_grid(config.horizon, config.reference_step if reference else config.finest_step)
     for lo in range(0, config.samples, BLOCK_SIZE):
         block = _draw_block(config, fine, range(lo, min(lo + BLOCK_SIZE, config.samples)))
         # the closed form runs before the recursion, whose tables would add to its peak
@@ -337,8 +343,7 @@ def _sup_errors(config: ExperimentConfig) -> np.ndarray:
     sups = np.concatenate([
         [np.maximum.reduceat(np.linalg.norm(approx - ref, axis=1), offsets[:-1])
          for approx in map(EulerBlock.on_brownian_grids, solved)]
-        for offsets, ref, solved in _solved_blocks(config, config.schemes,
-                                                   config.reference_step, reference=True)
+        for offsets, ref, solved in _solved_blocks(config, config.schemes, reference=True)
     ], axis=1)  # in the ladder's order
     return sups.reshape(len(config.deltas), len(config.schemes), -1).swapaxes(0, 1)
 
@@ -444,7 +449,7 @@ def moment_check(config: ExperimentConfig) -> MomentReport:
     sups = np.concatenate([
         [np.maximum.reduceat(np.linalg.norm(rung.values, axis=1), rung.offsets[:-1])
          for rung in solved]
-        for _, _, solved in _solved_blocks(config, (JUMP_ADAPTED,), config.finest_step)
+        for _, _, solved in _solved_blocks(config, (JUMP_ADAPTED,))
     ], axis=1)
     points = []
     for p in config.p_values:
@@ -491,7 +496,7 @@ def local_error_scaling(config: ExperimentConfig) -> LocalErrorReport:
     starts = {delta: uniform_points(config.horizon, delta, include_horizon=False)[:-1]
               for delta in config.deltas}
     cells = {(delta, p): [] for delta in config.deltas for p in (2, 4)}
-    for _, _, solved in _solved_blocks(config, (JUMP_ADAPTED,), config.finest_step):
+    for _, _, solved in _solved_blocks(config, (JUMP_ADAPTED,)):
         for delta, rung in zip(config.deltas, solved):
             f_lo, q_lo = rung.cumulants(starts[delta])
             f_hi, q_hi = rung.cumulants(starts[delta] + 0.5 * delta)

@@ -74,22 +74,6 @@ def test_missing_config_file_exits_2(tmp_path):
     assert main(["chain", "simulate", "--config", str(tmp_path / "nope.json")]) == 2
 
 
-def test_failed_write_leaves_old_file_and_no_temp_file(tmp_path, monkeypatch):
-    out = tmp_path / "out"
-    first = write_config(tmp_path, generator=TWO_STATE, horizon=10.0, seed=1)
-    assert main(["chain", "simulate", "--config", first, "--out", str(out)]) == 0
-    before = (out / "chain.csv").read_bytes()
-
-    def failing_replace(src, dst):
-        raise OSError("rename failed")
-
-    monkeypatch.setattr(os, "replace", failing_replace)
-    second = write_config(tmp_path, "second.json", generator=TWO_STATE, horizon=10.0, seed=2)
-    assert main(["chain", "simulate", "--config", second, "--out", str(out)]) == 2
-    assert (out / "chain.csv").read_bytes() == before
-    assert sorted(os.listdir(out)) == ["chain.csv"]
-
-
 # --- chain validate ---------------------------------------------------------------
 
 
@@ -342,7 +326,9 @@ def test_solve_diverging_model_exits_4(tmp_path):
         tmp_path, generator=TWO_STATE, schemes=["jump-adapted"],
         model={"model": "linear", "a": [1e200, 1e200], "b": [0.0, 0.0], "z0": 1.0},
     )
-    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 4
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 4
+    assert not out.exists()  # every scheme is solved before the first file is written
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
@@ -399,9 +385,62 @@ def test_jump_budget_bounds_every_command(tmp_path, command):
     assert main([command, "--config", roomy, "--out", str(tmp_path / "roomy")]) == 0
 
 
-# --- every command reads its settings through one checked reader -------------------
+# --- every command writes each file through one atomic writer -----------------------
 
 SIMULATE, VALIDATE, SOLVE, CONVERGE = "chain simulate", "chain validate", "solve", "converge"
+EVERY = [SIMULATE, VALIDATE, SOLVE, CONVERGE]
+SMALL = {  # a quick config for each command
+    SIMULATE: dict(generator=TWO_STATE, horizon=10.0),
+    VALIDATE: dict(generator=TWO_STATE, step=0.1, samples=2000),
+    SOLVE: dict(generator=TWO_STATE, step=0.25),
+    CONVERGE: dict(generator=TWO_STATE, deltas=[0.25, 0.125], samples=4),
+}
+
+
+def outputs(out):
+    return {name: (out / name).read_bytes() for name in os.listdir(out)}
+
+
+@pytest.mark.parametrize("command", EVERY)
+def test_failed_write_leaves_old_file_and_no_temp_file(tmp_path, monkeypatch, command):
+    out = tmp_path / "out"
+    first = write_config(tmp_path, seed=1, **SMALL[command])
+    assert main([*command.split(), "--config", first, "--out", str(out)]) == 0
+    before = outputs(out)
+    assert before and not any(name.endswith(".tmp") for name in before)
+
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    second = write_config(tmp_path, "second.json", seed=2, **SMALL[command])
+    assert main([*command.split(), "--config", second, "--out", str(out)]) == 2
+    assert outputs(out) == before
+
+
+def write_half_then_fail(fh):
+    fh.write("time,")
+    raise OSError("no space left on device")
+
+
+@pytest.mark.parametrize("command, render, failing, earlier", [
+    (SOLVE, "switchsde.cli.write_path_csv",  # brownian.csv, after chain.csv
+     lambda fh, *values: write_half_then_fail(fh), ["chain.csv"]),
+    (CONVERGE, "switchsde.harness.ErrorReport.write_fit_csv",  # fit.csv, after errors.csv
+     lambda report, fh: write_half_then_fail(fh), ["errors.csv"]),
+], ids=[SOLVE, CONVERGE])
+def test_a_render_that_fails_midway_leaves_no_partial_file(tmp_path, monkeypatch, command,
+                                                           render, failing, earlier):
+    """A file is rendered into its temp file, so a failing render leaves neither behind."""
+    monkeypatch.setattr(render, failing)
+    cfg = write_config(tmp_path, **SMALL[command])
+    out = tmp_path / "out"
+    assert main([*command.split(), "--config", cfg, "--out", str(out)]) == 2
+    assert sorted(os.listdir(out)) == earlier
+
+
+# --- every command reads its settings through one checked reader -------------------
+
 MALFORMED = [  # (key, value, the commands that read the key)
     ("schema_version", True, [SIMULATE, VALIDATE, SOLVE, CONVERGE]),
     ("samples", 40.9, [VALIDATE, SOLVE, CONVERGE]),
@@ -434,7 +473,7 @@ def test_malformed_or_out_of_range_value_exits_2_before_writing(tmp_path, comman
     assert not out.exists() or os.listdir(out) == []
 
 
-EVERY, MODEL_READERS = [SIMULATE, VALIDATE, SOLVE, CONVERGE], [SOLVE, CONVERGE]
+MODEL_READERS = [SOLVE, CONVERGE]
 
 
 @pytest.mark.parametrize("command", EVERY)

@@ -107,6 +107,27 @@ def test_config_rejects_regime_count_mismatch():
         linear_config(model=s.LinearHybridModel(a=[1.0], b=[1.0], z0=1.0))
 
 
+@pytest.mark.parametrize("overrides", [
+    {"horizon": float("nan")},  # a ValueError from uniform_points, unchecked
+    {"horizon": float("inf")},  # an OverflowError
+    {"deltas": (float("nan"),)},  # a ValueError
+    {"samples": 2.5},  # taken, then a TypeError from range when run
+    {"seed": 2.5},  # a TypeError from SeedSequence when run
+    {"reference": "fine-em", "ref_refinement": 1.5},  # a GridMismatchError when run
+    {"jump_budget": True},  # a bool is not a count
+], ids=["horizon-nan", "horizon-inf", "delta-nan", "samples-2.5", "seed-2.5",
+        "refinement-1.5", "budget-true"])
+def test_config_rejects_what_config_from_dict_rejects(overrides):
+    with pytest.raises(ConfigError):
+        linear_config(**overrides)
+
+
+def test_config_takes_numpy_integers():
+    numpy_ints = linear_config(samples=np.int64(8), seed=np.uint32(3), jump_budget=np.int32(99))
+    assert s.run_strong_error(numpy_ints) == s.run_strong_error(
+        linear_config(samples=8, seed=3, jump_budget=99))
+
+
 def test_config_from_dict_roundtrip():
     cfg = s.config_from_dict(
         {
@@ -123,6 +144,8 @@ def test_config_from_dict_roundtrip():
     assert cfg.p_values == (2, 4)
     assert cfg.samples == 16
     assert cfg.schemes == ("jump-adapted", "classical")
+    with pytest.raises(ConfigError, match="generator"):
+        s.config_from_dict({"model": {"model": "linear", **LINEAR}})
 
 
 @pytest.mark.parametrize("data, kind, want", [
@@ -256,6 +279,13 @@ def test_moment_check_jensen_consistency():
         assert p2.sup_moment <= np.sqrt(p4.sup_moment) + 1e-12
 
 
+def test_moment_report_flags_growth_beyond_the_factor_and_infinite_moments():
+    rows = [(2, 0.5, 1.0), (2, 0.25, 3.0), (4, 0.5, 1.0), (4, 0.25, np.inf),
+            (6, 0.5, 1.0), (6, 0.25, 1.5)]
+    report = s.MomentReport(points=tuple(harness.MomentPoint(*row) for row in rows))
+    assert report.flagged() == [(2, 3.0), (4, np.inf)]
+
+
 def test_moment_check_finite_for_default_model():
     cfg = linear_config(p_values=(2,), samples=128)
     report = s.moment_check(cfg)
@@ -281,6 +311,9 @@ def test_local_error_requires_supported_moments():
     cfg = linear_config(p_values=(2, 3))
     with pytest.raises(ConfigError):
         s.local_error_scaling(cfg)
+    vector = linear_config(model=vector_model(), reference="fine-em", p_values=(2, 4))
+    with pytest.raises(ConfigError, match="scalar model"):
+        s.local_error_scaling(vector)
 
 
 # --- the draws every experiment shares -------------------------------------------------

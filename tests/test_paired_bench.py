@@ -8,8 +8,8 @@ import pytest
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "paired_bench.py"
 
 METRICS = [
-    {"name": "samples_per_s", "better": "higher", "bound": 0.25},
-    {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+    {"name": "samples_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+    {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
 ]
 
 
@@ -69,6 +69,31 @@ def test_lower_is_better_and_the_bound_is_relative_to_the_parent(tool):
     assert got["change_better"] == 0 and got["verdict"] == "unresolved, outside its bound"
     got = tool.judge(parent, [v + 5.0 for v in parent], "lower", 0.1)  # 8.6% worse
     assert got["verdict"] == "unresolved, inside its bound"
+
+
+RSS = [58.80, 58.82, 58.79, 58.81, 58.80, 58.83, 58.78, 58.80, 58.81, 58.82]  # IQR 0.0175 MB
+
+
+@pytest.mark.parametrize("shift, verdict", [
+    (-0.29, "unresolved, inside its bound"),  # a heap-layout shift, as in BENCH_19.json
+    (-2.0, "better in 10 of 10 pairs and beyond the parent's interquartile range: a gain"),
+])
+def test_a_peak_rss_gain_needs_more_than_a_megabyte(tool, shift, verdict):
+    untraced = {"vector-fine": runs(RSS, [v + shift for v in RSS], name="peak_rss_mb")}
+    got = tool.summarize(untraced, METRICS[1:])["vector-fine peak_rss_mb"]
+    assert got["change_better"] == 10 and got["parent_iqr"] < 0.02
+    assert got["verdict"] == verdict
+
+
+@pytest.mark.parametrize("shift, verdict", [(0.5, "a gain"), (10.0, "unresolved, inside its bound"),
+                                            (100.0, "a gain")])
+def test_the_megabyte_floor_leaves_throughput_verdicts_alone(tool, shift, verdict):
+    parent = PARENT if shift > 1.0 else [700.0] * 10  # 0.5/s beyond an IQR of 0 is a gain
+    change = [p + shift for p in parent]
+    got = tool.summarize({"linear-closed": runs(parent, change)}, METRICS[:1])
+    assert got["linear-closed samples_per_s"]["verdict"].endswith(verdict)
+    assert got["linear-closed samples_per_s"]["verdict"] == \
+        tool.judge(parent, change, "higher", 0.25)["verdict"]
 
 
 def test_summary_counts_every_pair_and_a_failed_side_wins_nothing(tool):

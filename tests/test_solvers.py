@@ -1,5 +1,7 @@
 """Tests for the refined grid, the two Euler schemes, and the interpolants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,14 @@ import switchsde as s
 import switchsde.harness as harness
 from switchsde.errors import (
     ConfigError,
+    DimensionMismatchError,
     GridMismatchError,
+    InvalidRegimeError,
     LengthMismatchError,
     RegimeNotConstantError,
     TimeNotRealizedError,
 )
+from switchsde.solvers import euler_block
 
 GEN = s.validate_generator([[-1.0, 1.0], [2.0, -2.0]])
 
@@ -205,6 +210,50 @@ def test_jump_adapted_requires_realized_events():
         s.em_jump_adapted(model, grid, bare)
 
 
+def three_row_block(step=0.25):
+    """Samples 0..2 of a linear model's coupled draws, on the uniform grid of ``step``."""
+    config = s.ExperimentConfig(model=s.LinearHybridModel(a=[1.0, 2.0], b=[2.0, 1.0], z0=1.0),
+                                generator=GEN, horizon=1.0, deltas=(step,), samples=3, seed=1)
+    return oracles.coupled_block(config, step)
+
+
+@pytest.mark.parametrize("drift, diffusion", [
+    (lambda z, i: np.zeros((len(z), 2)), lambda z, i: 0.1),
+    (lambda z, i: np.zeros(len(z)), lambda z, i: 0.1),
+    (lambda z, i: 0.0, lambda z, i: np.zeros((len(z), 1, 3))),
+], ids=["drift (B, 2)", "drift (B,)", "diffusion (B, 1, 3)"])
+def test_euler_block_rejects_coefficients_that_do_not_broadcast(drift, diffusion):
+    """n = d = 1 over three lanes: (B,) would broadcast for one lane, not for three."""
+    model = s.HybridModel(state_dim=1, noise_dim=1, regime_count=2, drift=drift,
+                          diffusion=diffusion, initial_value=[1.0])
+    block = three_row_block()
+    grid = s.build_refined_grid(block, 0.25)
+    with pytest.raises(DimensionMismatchError, match="do not broadcast"):
+        next(euler_block(model, [grid], block.points, block.bm_values))
+
+
+def test_euler_block_rejects_rows_of_different_lengths_and_unknown_regimes():
+    model = s.LinearHybridModel(a=[1.0, 2.0], b=[2.0, 1.0], z0=1.0)
+    block = three_row_block()
+    grid = s.build_refined_grid(block, 0.25)
+    owners = grid.owner_interval.copy()
+    owners[grid.offsets[1] - 2] += 1  # row 0 now ends one interval later than the others
+    with pytest.raises(ConfigError, match="one step and horizon for every row"):
+        next(euler_block(model, [dataclasses.replace(grid, owner_interval=owners)],
+                         block.points, block.bm_values))
+    for regimes in (grid.regimes + 2, grid.regimes - 1):  # 3..4, and 0..1
+        with pytest.raises(InvalidRegimeError, match="outside 1..2"):
+            next(euler_block(model, [dataclasses.replace(grid, regimes=regimes)],
+                             block.points, block.bm_values))
+
+
+def test_a_block_drawn_on_a_coarser_grid_has_no_mask_for_a_finer_step():
+    block = three_row_block(step=0.25)
+    assert block.on_grid(0.25).sum() >= 3 * 5
+    with pytest.raises(GridMismatchError, match="lacks a gridpoint of step 0.125"):
+        block.on_grid(0.125)
+
+
 def test_classical_skeleton_length_checked():
     model = s.LinearHybridModel(a=[1.0], b=[1.0], z0=1.0)
     ug = s.uniform_grid(1.0, 0.25)
@@ -277,6 +326,16 @@ def test_interpolant_requires_realized_time():
         s.evaluate_path(sol, bm, [0.1])
 
 
+def test_interpolant_requires_a_brownian_value_at_every_event():
+    """The queried times are on the Brownian grid, but the switch at 0.3 is not."""
+    model = s.LinearHybridModel(a=[1.0, 2.0], b=[2.0, 1.0], z0=1.0)
+    path = chain(1.0, [0.0, 0.3], [1, 2])
+    sol = s.em_jump_adapted(model, s.build_refined_grid(path, 0.25), coupled_brownian(path, 0.25))
+    bare = s.generate_increments(s.uniform_grid(1.0, 0.25), 1, np.random.default_rng(0))
+    with pytest.raises(TimeNotRealizedError, match="does not cover the solution grid"):
+        s.evaluate_path(sol, bare, [0.5])
+
+
 def test_interpolant_rejects_a_block_of_several_rows():
     """Row 0 of a 3-row block read through the whole block's events gave
     [-1.887, 2.660] at t = 0.5, 1; the row's own values are [1.408, -4.701]."""
@@ -305,6 +364,13 @@ def test_exact_linear_needs_the_brownian_path_of_a_chain_path():
     model = s.LinearHybridModel(a=[1.0, 2.0], b=[1.0, 1.0], z0=1.0)
     with pytest.raises(ConfigError, match="Brownian path"):
         s.exact_linear_solution(model, chain(1.0, [0.0, 0.5], [1, 2]))
+
+
+def test_exact_linear_needs_a_linear_model():
+    trig = s.TrigHybridModel(a=[1.0, 2.0], b=[0.5, 1.0], c=[0.0, 0.1], z0=1.0)
+    path = chain(1.0, [0.0], [1])
+    with pytest.raises(ConfigError, match="only for the linear model"):
+        s.exact_linear_solution(trig, path, coupled_brownian(path, 0.25))
 
 
 def test_exact_linear_piecewise_exponential_drift():

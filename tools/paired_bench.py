@@ -24,10 +24,11 @@ crashed runs, and a verdict. A side that crashed or failed a round has no
 value: its pair is no win for the change, and the medians leave it out. A
 gain is claimed only when the change was better in at least 9 of every 10
 pairs, its median lies beyond the parent's interquartile range from the
-parent's, and it failed no more rounds and crashed no more runs than the
-parent; anything else is unresolved, and the verdict says whether the
-change's median stays inside the metric's bound. The file is rewritten after
-every run, so an interrupted comparison keeps what it measured.
+parent's (and, for a metric in MB, more than ``MIN_GAIN_MB`` from it), and
+it failed no more rounds and crashed no more runs than the parent; anything
+else is unresolved, and the verdict says whether the change's median stays
+inside the metric's bound. The file is rewritten after every run, so an
+interrupted comparison keeps what it measured.
 """
 
 from __future__ import annotations
@@ -44,6 +45,12 @@ TREES = ("parent", "change")
 # A claim needs this share of the pairs won, and at least this many pairs.
 CLAIM_SHARE = 0.9
 CLAIM_PAIRS = 10
+
+# A gain in a metric measured in MB must also move the median by more than
+# this. Peak RSS shifts by a few hundred KB with heap layout alone, while
+# its runs spread by well under that: a change that added no array read as
+# 10 of 10 pairs better at -0.29 MB against a parent IQR of 0.06 MB.
+MIN_GAIN_MB = 1.0
 
 
 def parse_seeds(text: str) -> list:
@@ -63,12 +70,13 @@ def iqr(values) -> float:
     return q3 - q1
 
 
-def judge(parent, change, better: str, bound: float, failures=None) -> dict:
+def judge(parent, change, better: str, bound: float, failures=None, unit: str = "") -> dict:
     """Summary of one metric over paired runs: ``parent[i]`` and ``change[i]`` share pair i.
 
     A value is None where that side crashed or failed a round. ``failures``
     maps "failed" (rounds) and "crashed" (runs) to each tree's totals; a
-    gain needs the change's totals to be no higher than the parent's.
+    gain needs the change's totals to be no higher than the parent's, and
+    one in ``unit`` "MB" a median gap beyond ``MIN_GAIN_MB`` as well.
     """
     failures = failures or {k: dict.fromkeys(TREES, 0) for k in ("failed", "crashed")}
     sign = 1.0 if better == "higher" else -1.0
@@ -83,7 +91,8 @@ def judge(parent, change, better: str, bound: float, failures=None) -> dict:
     spread = iqr(measured[0])
     gain = sign * (c_med - p_med)  # positive when the change's median is better
     no_more_failures = all(v["change"] <= v["parent"] for v in failures.values())
-    if pairs >= CLAIM_PAIRS and wins >= CLAIM_SHARE * pairs and gain > spread and no_more_failures:
+    floor = max(spread, MIN_GAIN_MB) if unit == "MB" else spread
+    if pairs >= CLAIM_PAIRS and wins >= CLAIM_SHARE * pairs and gain > floor and no_more_failures:
         verdict = (f"better in {wins} of {pairs} pairs and beyond the parent's "
                    "interquartile range: a gain")
     else:
@@ -115,7 +124,7 @@ def summarize(untraced: dict, metrics) -> dict:
             values = {t: [p[t][name] if p[t]["failed"] == 0 else None for p in pairs]
                       for t in TREES}
             out[f"{workload} {name}"] = judge(values["parent"], values["change"],
-                                              m["better"], m["bound"], failures)
+                                              m["better"], m["bound"], failures, m.get("unit", ""))
     return out
 
 
