@@ -9,12 +9,12 @@ Subcommands
 * ``converge`` runs the strong-error experiment and writes errors.csv,
   fit.csv, and a plain-text summary.
 
-All outputs are pure functions of (config, seed). Every file goes through
-`_emit`: rendered into a temp file beside it and renamed into place, so
-reruns never leave partial results.
-Exit codes: 0 success, 1 statistical-check failure, 2 configuration error,
-3 runtime budget exceeded, 4 a scheme produced non-finite values. Any other
-error is a bug and propagates with its traceback.
+All outputs are pure functions of (config, seed). `main` checks that ``--out``
+is, or can be made, a writable directory; every file then goes through `_emit`,
+rendered into a temp file beside it and renamed into place, so reruns never
+leave partial results. Exit codes: 0 success, 1 statistical-check failure, 2
+configuration error, 3 runtime budget exceeded, 4 non-finite scheme values, 5
+an output could not be written. Any other error is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import sys
 
 from .brownian import uniform_grid, write_path_csv
 from .ctmc import ChainPath, generator_from_json, simulate_exact_path
-from .errors import ConfigError, JumpBudgetError, NonFiniteError
+from .errors import ConfigError, JumpBudgetError, NonFiniteError, OutputError
 from .harness import (
     REFERENCE_CLOSED_FORM,
     _draw_block,
@@ -45,6 +45,7 @@ EXIT_STAT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 EXIT_NONFINITE = 4
+EXIT_OUTPUT = 5
 
 SCHEMA_VERSION = 1
 
@@ -64,20 +65,31 @@ DEFAULT_CONFIG = {
 
 
 def _emit(args, name: str, render) -> str:
-    """Render ``name`` into ``<path>.<pid>.tmp`` in ``--out`` (made if missing), rename it
-    into place and return the path. Whatever fails, the temp file goes and the old target stays."""
+    """Render ``name`` into a temp file in ``--out`` (made if missing) and rename it into place.
+    Whatever fails, the temp file goes and the old target stays; an OSError is an OutputError."""
     out = args.out or "."
-    os.makedirs(out, exist_ok=True)
     path = os.path.join(out, name)
     tmp = f"{path}.{os.getpid()}.tmp"  # one per process: concurrent runs cannot collide
     try:
+        os.makedirs(out, exist_ok=True)
         with open(tmp, "w") as fh:
             render(fh)
         os.replace(tmp, path)
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc}") from exc
     finally:
         if os.path.exists(tmp):  # the render, the write or the rename failed
             os.remove(tmp)
     return path
+
+
+def _check_out(args) -> None:
+    """Raise OutputError unless ``--out`` is, or can be made, a writable directory."""
+    out = existing = os.path.abspath(args.out or ".")
+    while not os.path.exists(existing):  # the nearest existing ancestor
+        existing = os.path.dirname(existing)
+    if not (os.path.isdir(existing) and os.access(existing, os.W_OK | os.X_OK)):
+        raise OutputError(f"{out} is not a writable directory")
 
 
 def _load_config(args) -> dict:
@@ -201,7 +213,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, _load_config(args))
+        cfg = _load_config(args)
+        _check_out(args)
+        return args.func(args, cfg)
     except JumpBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -211,6 +225,9 @@ def main(argv=None) -> int:
     except NonFiniteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONFINITE
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
 
 
 def app() -> None:

@@ -120,7 +120,11 @@ class RegimeNotConstantError(SwitchSdeError):
     """A grid interval straddles a regime switch."""
 
 
-# --- harness errors -------------------------------------------------------------
+# --- harness and output errors ----------------------------------------------------
+
+class OutputError(SwitchSdeError):
+    """An output file cannot be written, or the output directory cannot be used."""
+
 
 class DegenerateFitError(SwitchSdeError):
     """Order regression is degenerate (fewer than two distinct step sizes)."""

@@ -2,7 +2,7 @@
 
 Two discretizations of the same equation:
 
-* the classical scheme steps on a uniform grid and freezes both the state
+* the classical scheme runs on a uniform grid and freezes both the state
   argument and the regime at the left gridpoint, observing the chain only
   through its uniform-grid skeleton;
 * the switch-adapted scheme refines every uniform interval at the chain's
@@ -14,10 +14,10 @@ Both schemes, and the fine-grid reference, run through one batched kernel,
 `euler_block`. Because the state argument is frozen inside each uniform
 interval, a step only needs the time and the Brownian increment each path
 spends in each regime during the interval; the classical scheme is the case
-where all of it falls on the skeleton regime. One kernel call advances a
-block of paths on every grid of a ladder at once: one recursion over the
-longest grid's intervals, where iteration k advances the lanes of the grids
-that have more than k intervals.
+where all of it falls on the skeleton regime. One kernel call advances
+every grid of a block at once: iteration k of one recursion advances the
+lanes of the grids with more than k intervals, by one stacked product per
+coefficient over the regimes, added to Z_k in regime order.
 
 The schemes consume pre-generated chain and Brownian paths and never draw
 randomness, which is what makes coupled-error measurement possible. A block
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -311,16 +312,17 @@ def euler_block(model: HybridModel, grids, points, bm_values, reference=None):
 
         Z_{k+1} = Z_k + sum_j f(Z_k, j) T_kj + g(Z_k, j) W_kj,
 
-    summed in regime order, the drift term before the noise term. Grids are
-    independent recursions that share only the loop index: the lanes are
+    added to Z_k in regime order, the drift term before the noise term. Grids
+    are independent recursions that share only the loop index: the lanes are
     stacked with the grids of more intervals first, and iteration k advances
     the prefix of lanes whose grid has more than k intervals. So one block
-    runs max K intervals, each with 2 batched coefficient calls per regime
-    that an active lane visits. T and W live in a compact (k, j, lane)
-    table, summed over each lane's event segments in order. An event inside
-    an interval gets the same sum over the segments before it. With
-    row-wise coefficients lanes never mix: a lane's values do not depend on
-    the other lanes or grids.
+    runs max K intervals. In each, the 2 coefficient calls per regime that an
+    active lane visits fill stacked (regime, lane) rows, and one product f T
+    and one g W (elementwise for d = 1, as a 1 x 1 matmul rounds) cover all
+    regimes, or the visited ones alone, as an unvisited scratch row may be
+    stale. numpy's iteration walks each run of intervals with one active count
+    and one kind of rows, with no per-interval lists. T and W are summed over
+    each lane's segments in order. With row-wise coefficients lanes never mix.
 
     ``reference``, such as a fine-EM grid, is one more grid that is read
     only at the union points. Coefficients, one row per (interval, regime,
@@ -339,10 +341,10 @@ def euler_block(model: HybridModel, grids, points, bm_values, reference=None):
     grids = [reference] * nref + list(grids)
     counts = []  # intervals per grid
     for g in grids:
-        steps = g.owner_interval[g.offsets[1:] - 2] + 1
-        if np.any(steps != steps[0]):
+        count = g.owner_interval[g.offsets[1:] - 2] + 1  # per row
+        if np.any(count != count[0]):
             raise ConfigError("a grid needs one step and horizon for every row")
-        counts.append(int(steps[0]))
+        counts.append(int(count[0]))
         if g.regimes.min() < 1 or g.regimes.max() > N:
             raise InvalidRegimeError(f"regime outside 1..{N}")
     order = sorted(range(len(grids)), key=lambda r: -counts[r])
@@ -376,7 +378,7 @@ def euler_block(model: HybridModel, grids, points, bm_values, reference=None):
     del seg, owners, cells, db
     # a regime no active lane spends time in costs no coefficient call
     firsts = (base[:-1, None] + np.arange(N) * active[:, None]).ravel()
-    visited = np.logical_or.reduceat(occupation > 0.0, firsts).tolist()
+    visited = np.logical_or.reduceat(occupation > 0.0, firsts).reshape(K, N)
     # coefficient rows where a reader needs them (see the docstring); an event is inner
     # when the one before it owns its interval, as a row's T and the next 0 never do
     kept = np.arange(K) < max(counts[nref:], default=0)
@@ -391,46 +393,47 @@ def euler_block(model: HybridModel, grids, points, bm_values, reference=None):
     frozen[:L] = model.initial_value
     f_all = np.zeros((cbase[-1] + N * L, n))
     g_all = np.zeros((cbase[-1] + N * L, n, d))
-    term = np.empty((L, n))
-    # every view the loop touches, built per run of intervals with one active count
-    f_rows, g_rows, occupied, noises, steps = [], [], [], [], []
+    plan = [tuple(range(N))] * K  # the regimes each interval visits
+    partial = np.flatnonzero(~visited.all(axis=1))
+    for k, row in zip(partial.tolist(), visited[partial].tolist()):
+        plan[k] = tuple(j for j in range(N) if row[j])
+    product = np.matmul if d > 1 else np.multiply  # g W: a 1 x 1 matmul is one multiply
+    drift, diffusion = model.drift, model.diffusion
     runs = np.flatnonzero(np.diff(np.where(kept, active, -active), prepend=0)).tolist() + [K]
-    z_prev = frozen[:L]
-    for k0, k1 in zip(runs[:-1], runs[1:]):
+    zk = frozen[:L]
+    for k0, k1 in zip(runs[:-1], runs[1:]):  # a run has one active count and one row kind
         a, span = int(active[k0]), slice(base[k0], base[k1])
         rows = slice(cbase[k0], cbase[k1]) if kept[k0] else slice(cbase[K], cbase[K] + N * a)
-        repeat = 1 if kept[k0] else k1 - k0  # a run of scratch intervals shares its rows
-        f_rows += list(f_all[rows].reshape(-1, a, n)) * repeat
-        g_rows += list(g_all[rows].reshape(-1, a, n, d)) * repeat
-        occupied += list(occupation[span].reshape(-1, a, 1))
-        noises += list(noise[span].reshape(-1, a, d, 1))
-        z_next = list(frozen[fbase[k0 + 1]:fbase[k1 + 1]].reshape(-1, a, n))
-        t, column = term[:a], term[:a, :, None]
-        steps += [(zk, z, t, column) for zk, z in zip([z_prev[:a]] + z_next[:-1], z_next)]
-        z_prev = z_next[-1]
-    drift, diffusion = model.drift, model.diffusion
-    kj = -1
-    for zk, z, term_k, column in steps:
-        z[...] = zk
-        for j in range(1, N + 1):
-            kj += 1
-            if not visited[kj]:
-                continue
-            f = drift(zk, j)
-            g = diffusion(zk, j)
-            try:
-                f_rows[kj][...] = f
-                g_rows[kj][...] = g
-            except ValueError as exc:
-                a = len(zk)
-                raise DimensionMismatchError(
-                    f"regime {j} coefficients do not broadcast to "
-                    f"drift ({a}, {n}) and diffusion ({a}, {n}, {d}): {exc}"
-                ) from None
-            np.add(z, np.multiply(f_rows[kj], occupied[kj], out=term_k), out=z)
-            np.matmul(g_rows[kj], noises[kj], out=column)
-            np.add(z, term_k, out=z)
-    del occupation, noise, occupied, noises, steps, f_rows, g_rows  # lower the peak memory
+        fs, gs = f_all[rows].reshape(-1, N, a, n), g_all[rows].reshape(-1, N, a, n, d)
+        if not kept[k0]:  # a run of scratch intervals shares one row set
+            fs, gs = repeat(fs[0]), repeat(gs[0])
+        fterm, gterm = np.empty((N, a, n)), np.empty((N, a, n, 1))
+        fterms, gterms = list(fterm), list(gterm[..., 0])  # each regime's (a, n) terms
+        zk = zk[:a]
+        for z, fk, gk, tk, wk, js in zip(
+                frozen[fbase[k0 + 1]:fbase[k1 + 1]].reshape(-1, a, n), fs, gs,
+                occupation[span].reshape(-1, N, a, 1), noise[span].reshape(-1, N, a, d, 1),
+                plan[k0:k1]):
+            for j in js:
+                f, g = drift(zk, j + 1), diffusion(zk, j + 1)
+                try:
+                    fk[j], gk[j] = f, g
+                except ValueError as exc:
+                    raise DimensionMismatchError(
+                        f"regime {j + 1} coefficients do not broadcast to "
+                        f"drift ({a}, {n}) and diffusion ({a}, {n}, {d}): {exc}"
+                    ) from None
+            if len(js) == N:
+                np.multiply(fk, tk, out=fterm)
+                product(gk, wk, out=gterm)
+            else:  # an unvisited regime's rows may be stale scratch: leave them out
+                for j in js:
+                    np.multiply(fk[j], tk[j], out=fterm[j])
+                    product(gk[j], wk[j], out=gterm[j])
+            for j in js:  # Z_k, then each regime's drift term and noise term in order
+                np.add(zk, fterms[j], out=z)
+                np.add(z, gterms[j], out=z)
+                zk = z
 
     def expand(r):
         grid, grids[r] = grids[r], None  # not needed again
@@ -507,9 +510,10 @@ def _inner_values(inner, times, bvals, regimes, z, coeff, stride, N, f_all, g_al
         np.add(table[lo:lo + a], table[prev:prev + a], out=table[lo:lo + a])
     del group, pos, at  # lower the peak memory
     table = np.take(table, cell, axis=0)
+    product = np.matmul if bvals.shape[1] > 1 else np.multiply  # as in euler_block
     for j in range(N):
         z = z + np.take(f_all, coeff + j * stride, axis=0) * table[:, j, :1]
-        z = z + (np.take(g_all, coeff + j * stride, axis=0) @ table[:, j, 1:, None])[..., 0]
+        z = z + product(np.take(g_all, coeff + j * stride, axis=0), table[:, j, 1:, None])[..., 0]
     return z
 
 
@@ -539,7 +543,7 @@ def em_classical(model: HybridModel, skeleton, step: float, bm: BrownianPath) ->
     m = len(pts) - 1
     skeleton = np.asarray(skeleton, dtype=np.int64)
     if len(skeleton) not in (m, m + 1):
-        raise LengthMismatchError(f"skeleton has {len(skeleton)} states for {m} steps")
+        raise LengthMismatchError(f"skeleton has {len(skeleton)} states for {m} intervals")
     index = np.arange(m + 1)
     grid = RefinedGrid(step=float(step), horizon=bm.grid.horizon, events=pts,
                        regimes=np.append(skeleton[:m], skeleton[m - 1]), owner_interval=index,
@@ -601,8 +605,8 @@ def exact_linear_solution(model: LinearHybridModel, sample, bm: BrownianPath | N
         )
     a = model.a[sample.regimes[:-1] - 1]
     b = model.b[sample.regimes[:-1] - 1]
-    log_steps = np.zeros(len(pts))
-    log_steps[1:] = (a - 0.5 * b * b) * np.diff(pts) + b * np.diff(sample.bm_values[:, 0])
-    log_steps[sample.offsets[:-1]] = 0.0
+    log_inc = np.zeros(len(pts))
+    log_inc[1:] = (a - 0.5 * b * b) * np.diff(pts) + b * np.diff(sample.bm_values[:, 0])
+    log_inc[sample.offsets[:-1]] = 0.0
     z0 = float(model.initial_value[0])
-    return (z0 * np.exp(_row_cumsum(log_steps, sample.offsets))).reshape(-1, 1)
+    return (z0 * np.exp(_row_cumsum(log_inc, sample.offsets))).reshape(-1, 1)

@@ -8,7 +8,8 @@ the path's switching times, the classical grid from the path's skeleton,
 the closed form over the Brownian path's own grid, and the drift and
 diffusion integrals of one solution. Each segment's regime is the chain
 state at its midpoint. `inner_values` is the Euler kernel's step for events
-inside an interval done with one padded table per regime.
+inside an interval done with one padded table per regime, and
+`gridpoint_values` its recursion over uniform intervals one lane at a time.
 `closed_class_count` is the reachability count of closed classes that
 `switchsde.stationary_distribution` replaced with strongly connected components.
 `generator_checks` is `switchsde.validate_generator`'s check and normalization
@@ -170,6 +171,38 @@ def inner_values(inner, times, bvals, regimes, z, coeff, stride, N, f_all, g_all
         z = z + np.take(f_all, coeff + j * stride, axis=0) * t_part[:, None]
         z = z + (np.take(g_all, coeff + j * stride, axis=0) @ w_part[:, :, None])[..., 0]
     return z
+
+
+def gridpoint_values(model, grid, bm_values):
+    """The Euler values Z_0..Z_K of every row of ``grid``, one lane at a time: (rows * (K + 1), n).
+
+    In each uniform interval the time T_j and the Brownian increment W_j the
+    row spends in regime j are summed over its segments in order, from 0.
+    Then Z_{k+1} is Z_k plus f(Z_k, j) T_j and then g(Z_k, j) W_j for each
+    regime j the row visits, in regime order. ``bm_values`` are the union
+    grid's, which ``grid.union_index`` selects from.
+    """
+    n, d = model.state_dim, model.noise_dim
+    out = []
+    for lo, hi in zip(grid.offsets[:-1], grid.offsets[1:]):
+        times, regimes = grid.events[lo:hi], grid.regimes[lo:hi]
+        owners, bvals = grid.owner_interval[lo:hi], bm_values[grid.union_index[lo:hi]]
+        z = np.broadcast_to(model.initial_value, (1, n))
+        out.append(z[0])
+        for k in range(owners[-1]):
+            occupation, noise = {}, {}
+            for i in np.flatnonzero(owners[:-1] == k):  # segment i is [times[i], times[i + 1])
+                j = int(regimes[i])
+                occupation[j] = occupation.get(j, 0.0) + (times[i + 1] - times[i])
+                noise[j] = noise.get(j, np.zeros(d)) + (bvals[i + 1] - bvals[i])
+            zk = z
+            for j in sorted(occupation):
+                f = np.broadcast_to(model.drift(zk, j), (1, n))
+                g = np.broadcast_to(model.diffusion(zk, j), (1, n, d))
+                z = z + f * occupation[j]
+                z = z + (g @ noise[j][None, :, None])[..., 0]
+            out.append(z[0])
+    return np.array(out)
 
 
 def closed_class_count(rates):

@@ -268,23 +268,27 @@ RUNS = {"closed-form": harness._sup_errors, "fine-em": harness._sup_errors,
 
 @pytest.mark.parametrize("run", sorted(RUNS))
 def test_one_recursion_per_block(monkeypatch, run):
-    """One kernel call per block; its drift calls are bounded by the longest rung alone."""
+    """One kernel call per block, with one drift and one diffusion call per regime and interval.
+
+    Every regime is visited in every interval of the longest grid in these
+    blocks, so each kernel call makes exactly N K drift calls, K being the
+    longest grid's interval count, and as many diffusion calls.
+    """
     model = s.LinearHybridModel(a=[1.0, 2.0], b=[2.0, 1.0], z0=1.0)
-    drifts = []
-    drift = model.drift
+    calls = {"drift": [], "diffusion": []}
+    for name, log in calls.items():
+        def counted(z, i, coefficient=getattr(model, name), log=log):
+            log.append(i)
+            return coefficient(z, i)
 
-    def counted_drift(z, i):
-        drifts.append(i)
-        return drift(z, i)
-
-    model.drift = counted_drift
+        setattr(model, name, counted)
     per_call = []
     kernel = harness.euler_block
 
     def counting(*args, **kwargs):
-        before = len(drifts)
+        before = {name: len(log) for name, log in calls.items()}
         solved = tuple(kernel(*args, **kwargs))
-        per_call.append(len(drifts) - before)
+        per_call.append({name: len(log) - before[name] for name, log in calls.items()})
         return iter(solved)
 
     monkeypatch.setattr(harness, "euler_block", counting)
@@ -298,7 +302,9 @@ def test_one_recursion_per_block(monkeypatch, run):
     longest = round(config.horizon / (config.reference_step if run == "fine-em"
                                       else config.finest_step))
     assert len(per_call) == 3  # three blocks
-    assert all(0 < calls <= model.regime_count * longest for calls in per_call)
+    assert longest == (32 if run == "fine-em" else 16)
+    each = model.regime_count * longest
+    assert per_call == [{"drift": each, "diffusion": each}] * 3
 
 
 def test_solve_runs_every_scheme_in_one_recursion(monkeypatch, tmp_path):

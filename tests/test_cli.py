@@ -414,7 +414,7 @@ def test_failed_write_leaves_old_file_and_no_temp_file(tmp_path, monkeypatch, co
 
     monkeypatch.setattr(os, "replace", failing_replace)
     second = write_config(tmp_path, "second.json", seed=2, **SMALL[command])
-    assert main([*command.split(), "--config", second, "--out", str(out)]) == 2
+    assert main([*command.split(), "--config", second, "--out", str(out)]) == 5
     assert outputs(out) == before
 
 
@@ -435,8 +435,38 @@ def test_a_render_that_fails_midway_leaves_no_partial_file(tmp_path, monkeypatch
     monkeypatch.setattr(render, failing)
     cfg = write_config(tmp_path, **SMALL[command])
     out = tmp_path / "out"
-    assert main([*command.split(), "--config", cfg, "--out", str(out)]) == 2
+    assert main([*command.split(), "--config", cfg, "--out", str(out)]) == 5
     assert sorted(os.listdir(out)) == earlier
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below a file"])
+def test_out_that_cannot_be_a_directory_exits_5(tmp_path, capsys, below):
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    out = taken / "sub" if below else taken
+    cfg = write_config(tmp_path, **SMALL[SIMULATE])
+    assert main(["chain", "simulate", "--config", cfg, "--out", str(out)]) == 5
+    assert capsys.readouterr().err.startswith("output error: ")
+    assert taken.read_text() == "keep"
+
+
+def test_converge_checks_out_before_it_runs(tmp_path, monkeypatch):
+    runs = []
+    monkeypatch.setattr("switchsde.cli.run_strong_error", runs.append)
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    cfg = write_config(tmp_path, **SMALL[CONVERGE])
+    assert main(["converge", "--config", cfg, "--out", str(taken)]) == 5
+    assert runs == []
+
+
+def test_missing_config_exits_2_whatever_the_out(tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    missing = str(tmp_path / "nope.json")
+    for out in (tmp_path / "fresh", taken):
+        assert main(["converge", "--config", missing, "--out", str(out)]) == 2
+    assert not (tmp_path / "fresh").exists()
 
 
 # --- every command reads its settings through one checked reader -------------------

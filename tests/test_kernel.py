@@ -13,6 +13,7 @@ checked separately, against integrals taken from the chain path alone.
 
 import dataclasses
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -66,11 +67,13 @@ def model_for(kind: str, n_states: int) -> s.HybridModel:
         )
     a = np.array([[[-0.5, 0.2 * i], [0.1, -0.3 + 0.1 * i]] for i in range(n_states)])
     sig = np.array([[[0.3, 0.05 * i], [0.0, 0.2 + 0.05 * i]] for i in range(n_states)])
+    if kind in ("dense", "column"):  # no zero entry, and "column" keeps one noise column
+        sig = (sig + 0.07)[:, :, :2 if kind == "dense" else 1]
     # f = A_i z written out per row: a BLAS product z @ A_i.T may round a
     # row differently for different batch sizes, which would break the
     # bitwise block invariance checked below.
     return s.HybridModel(
-        state_dim=2, noise_dim=2, regime_count=n_states,
+        state_dim=2, noise_dim=sig.shape[2], regime_count=n_states,
         drift=lambda z, i: z[..., :1] * a[i - 1][:, 0] + z[..., 1:] * a[i - 1][:, 1],
         diffusion=lambda z, i: z[..., :, None] * sig[i - 1],
         initial_value=[1.0, -0.5],
@@ -313,6 +316,121 @@ def test_the_reference_values_are_its_grids_own(data):
     for g, w in zip(got[1:], want[1:]):
         for field in ("offsets", "times", "values", "drift", "diff", "bm_index", "bm_values"):
             assert np.array_equal(getattr(g, field), getattr(w, field)), field
+
+
+# --- the recursion's rounding ---------------------------------------------------------
+
+
+def gridpoints(grid) -> np.ndarray:
+    """Mask of the events at uniform gridpoints: each interval's first event, and each row's T."""
+    first = np.ones(len(grid), dtype=bool)
+    first[1:] = grid.owner_interval[1:] != grid.owner_interval[:-1]
+    return first
+
+
+def reference_block(paths, step, d, brownian=None, seed=0):
+    """The block of ``paths`` on union grids as fine as ``step``, and its reference grid.
+
+    ``brownian``, when given, holds one function per row from its union
+    points to its Brownian values; else they are drawn from ``seed``.
+    """
+    grids = [s.merge_grids(s.uniform_grid(p.horizon, step),
+                           s.make_grid(np.append(p.switch_times, p.horizon))) for p in paths]
+    rng = np.random.default_rng(seed)
+    values = [brownian[row](g.points) if brownian else s.generate_increments(g, d, rng).values
+              for row, g in enumerate(grids)]
+    block = oracles.stack(paths, grids, values)
+    return block, s.build_refined_grid(block, step)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_gridpoint_values_round_as_the_per_lane_sums(data):
+    """Every grid's and the reference's values at the uniform gridpoints are the
+    per-lane oracle's bit for bit.
+
+    The union grids are as fine as the reference, so past the last interval of
+    the grids only the reference intervals with a switch inside keep their
+    coefficient rows, and the others share one scratch row set. With 1-3 rows
+    and up to 3 regimes, many intervals leave some regime unvisited.
+    """
+    n_states = data.draw(st.integers(1, 3))
+    model = model_for(data.draw(st.sampled_from(["linear", "scalars", "dense", "column"])),
+                      n_states)
+    horizon, top = data.draw(horizons), data.draw(steps)
+    deltas = [top / 2**i for i in range(data.draw(st.integers(1, 2)))]
+    ref_step = deltas[-1] / 2**data.draw(st.integers(1, 2))
+    paths = [data.draw(chain_paths(n_states, horizon, top))
+             for _ in range(data.draw(st.integers(1, 3)))]
+    block, reference = reference_block(paths, ref_step, model.noise_dim,
+                                       seed=data.draw(st.integers(0, 2**16)))
+    grids = [grid(block, delta) for delta in deltas
+             for grid in (s.build_refined_grid, classical_grid)]
+    got = list(euler_block(model, grids, block.points, block.bm_values, reference=reference))
+    want = oracles.gridpoint_values(model, reference, block.bm_values)
+    assert np.array_equal(got[0][reference.union_index[gridpoints(reference)]], want)
+    for grid, solved in zip(grids, got[1:]):
+        want = oracles.gridpoint_values(model, grid, block.bm_values)
+        assert np.array_equal(solved.values[gridpoints(grid)], want)
+
+
+@pytest.mark.parametrize("kind", ["dense", "column"])
+def test_runs_mix_kept_and_scratch_intervals_and_unvisited_regimes(kind):
+    """The same check on a block built to have every kind of interval.
+
+    On the reference step 1/16 the grids of 1/4 end after interval 3. Of the
+    later intervals, 4, 9 and 13 hold a switch and keep their rows, and the
+    rest are scratch. No row visits regime 3 in intervals 0-8 and 14-15,
+    nor regime 1 in intervals 5-12.
+    """
+    model = model_for(kind, 3)
+    paths = [s.ChainPath(horizon=1.0, switch_times=np.array([0.0, 0.3, 0.6, 0.85]),
+                         states=np.array([1, 2, 3, 1])),
+             s.ChainPath(horizon=1.0, switch_times=np.array([0.0]), states=np.array([2]))]
+    block, reference = reference_block(paths, 1 / 16, model.noise_dim)
+    owners = reference.owner_interval
+    assert sorted(set(owners[:-1][np.diff(owners) == 0].tolist())) == [4, 9, 13]
+    grids = [s.build_refined_grid(block, 0.25), classical_grid(block, 0.25)]
+    got = list(euler_block(model, grids, block.points, block.bm_values, reference=reference))
+    want = oracles.gridpoint_values(model, reference, block.bm_values)
+    assert np.array_equal(got[0][reference.union_index[gridpoints(reference)]], want)
+    for grid, solved in zip(grids, got[1:]):
+        assert np.array_equal(solved.values[gridpoints(grid)],
+                              oracles.gridpoint_values(model, grid, block.bm_values))
+
+
+def test_a_non_finite_scratch_row_of_an_unvisited_regime_changes_no_lane():
+    """A regime's scratch rows keep the last values written to them; where no
+    lane visits the regime they must neither reach a lane nor warn.
+
+    Row 0 has z = t until it enters regime 2 at 0.3. Regime 2's drift is inf
+    where z > 0.27, so from interval 5 on row 0 is inf and so are its rows of
+    regime 2 in the scratch row set; it leaves regime 2 at 0.55, and in
+    intervals 9-15 no row visits regime 2. Row 1 has z = -2t and stays in
+    regime 1. Every state the model sees is the oracle's, row 0's infs
+    included, no warning is raised, and the non-finite row is reported.
+    """
+    def drift(z, i):
+        return np.where(z > 0.27, np.inf, 0.0) if i == 2 else 1.0
+
+    def diffusion(z, i):
+        return 1.0 if i == 1 else 0.0
+
+    model = s.HybridModel(1, 1, 2, drift, diffusion, initial_value=[0.0])
+    model, calls = recording(model)
+    paths = [s.ChainPath(horizon=1.0, switch_times=np.array([0.0, 0.3, 0.55]),
+                         states=np.array([1, 2, 1])),
+             s.ChainPath(horizon=1.0, switch_times=np.array([0.0]), states=np.array([1]))]
+    block, reference = reference_block(paths, 1 / 16, 1, brownian=[
+        lambda t: np.zeros((len(t), 1)), lambda t: -3.0 * t[:, None]])  # z = t and z = -2t
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError):
+            list(euler_block(model, [], block.points, block.bm_values, reference=reference))
+    seen = np.array([z for i, z in calls if i == 1])  # regime 1 is visited in every interval
+    want = oracles.gridpoint_values(model, reference, block.bm_values).reshape(2, -1, 1)
+    assert np.isinf(seen[-1, 0, 0]) and np.all(seen[:, 1] <= 0.0)
+    assert np.array_equal(seen, want[:, :-1].transpose(1, 0, 2))
 
 
 # --- the values at events inside an interval ----------------------------------------
