@@ -20,14 +20,17 @@ an output could not be written. Any other error is a bug and propagates.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 
 from .brownian import uniform_grid, write_path_csv
 from .ctmc import ChainPath, generator_from_json, simulate_exact_path
-from .errors import ConfigError, JumpBudgetError, NonFiniteError, OutputError
+from .errors import ConfigError, JumpBudgetError, NonFiniteError, OutputError, check_keys
 from .harness import (
+    CONFIG_DEFAULTS,
+    CONFIG_KEYS,
     REFERENCE_CLOSED_FORM,
     _draw_block,
     _solve_ladder,
@@ -38,7 +41,7 @@ from .harness import (
     summary_text,
     validate_chain_statistics,
 )
-from .solvers import CLASSICAL, JUMP_ADAPTED, exact_linear_solution
+from .solvers import exact_linear_solution
 
 EXIT_OK = 0
 EXIT_STAT_FAIL = 1
@@ -47,26 +50,17 @@ EXIT_BUDGET = 3
 EXIT_NONFINITE = 4
 EXIT_OUTPUT = 5
 
-SCHEMA_VERSION = 1
-
-DEFAULT_CONFIG = {
-    "schema_version": SCHEMA_VERSION,
-    "seed": 0,
-    "horizon": 1.0,
-    "generator": {"states": 2, "rates": [[-1.0, 1.0], [2.0, -2.0]]},
-    "initial_regime": 1,
-    "model": {"model": "linear", "a": [1.0, 2.0], "b": [2.0, 1.0], "z0": 1.0},
-    "deltas": [2.0**-k for k in range(4, 10)],
-    "p": [2],
-    "samples": 1000,
-    "schemes": [JUMP_ADAPTED, CLASSICAL],
-    "step": 2.0**-4,
-}
+DEFAULT_CONFIG = dict(
+    CONFIG_DEFAULTS,
+    generator={"states": 2, "rates": [[-1.0, 1.0], [2.0, -2.0]]},
+    model={"model": "linear", "a": [1.0, 2.0], "b": [2.0, 1.0], "z0": 1.0},
+)
 
 
 def _emit(args, name: str, render) -> str:
     """Render ``name`` into a temp file in ``--out`` (made if missing) and rename it into place.
-    Whatever fails, the temp file goes and the old target stays; an OSError is an OutputError."""
+    Whatever fails, the old target stays and the temp file goes if it can; an OSError is an
+    OutputError, and a temp file that cannot be removed leaves that error as it was."""
     out = args.out or "."
     path = os.path.join(out, name)
     tmp = f"{path}.{os.getpid()}.tmp"  # one per process: concurrent runs cannot collide
@@ -78,7 +72,7 @@ def _emit(args, name: str, render) -> str:
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc}") from exc
     finally:
-        if os.path.exists(tmp):  # the render, the write or the rename failed
+        with contextlib.suppress(OSError):  # only a failed render, write or rename leaves it
             os.remove(tmp)
     return path
 
@@ -95,14 +89,15 @@ def _check_out(args) -> None:
 def _load_config(args) -> dict:
     cfg = dict(DEFAULT_CONFIG)
     if args.config:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             user = json.load(fh)
         if not isinstance(user, dict):
             raise ConfigError("config file must hold a JSON object")
-        version = setting(user, "schema_version", int, SCHEMA_VERSION)
-        if version != SCHEMA_VERSION:
-            raise ConfigError(f"unsupported schema_version {version}")
+        check_keys(user, CONFIG_KEYS, "config")
         cfg.update(user)
+        version = setting(cfg, "schema_version", int)
+        if version != CONFIG_DEFAULTS["schema_version"]:
+            raise ConfigError(f"unsupported schema_version {version}")
     if args.seed is not None:
         cfg["seed"] = args.seed
     if getattr(args, "smoke", False):
@@ -115,7 +110,7 @@ def cmd_chain_simulate(args, cfg) -> int:
     path = simulate_exact_path(
         generator_from_json(cfg["generator"]), setting(cfg, "initial_regime", int),
         setting(cfg, "horizon", float), derive_stream(setting(cfg, "seed", int), 0),
-        max_switches=setting(cfg, "jump_budget", int, 10**6),
+        max_switches=setting(cfg, "jump_budget", int),
     )
     print(_emit(args, "chain.csv", path.to_csv))
     return EXIT_OK
@@ -219,7 +214,7 @@ def main(argv=None) -> int:
     except JumpBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NonFiniteError as exc:

@@ -27,6 +27,7 @@ from .errors import (
     OutOfHorizonError,
     ReducibleError,
     RowSumViolationError,
+    check_keys,
     setting,
 )
 
@@ -168,6 +169,7 @@ def generator_from_json(source) -> GeneratorMatrix:
         source = json.loads(source)
     if not isinstance(source, dict):
         raise ConfigError(f"generator must be a JSON object, got {type(source).__name__}")
+    check_keys(source, ("states", "rates"), "generator")
     declared = setting(source, "states", int)
     gen = validate_generator(setting(source, "rates", [[float]]))
     if declared != gen.n_states:

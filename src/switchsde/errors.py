@@ -40,6 +40,13 @@ def setting(data: dict, key: str, kind, default=None):
     return kind(value)
 
 
+def check_keys(data: dict, known, where: str) -> None:
+    """Raise a ConfigError naming every key of ``data`` outside ``known``."""
+    unknown = sorted(map(str, set(data) - set(known)))
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {', '.join(unknown)}")
+
+
 # --- generator / chain errors -------------------------------------------------
 
 class NonSquareError(ConfigError):

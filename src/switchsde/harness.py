@@ -60,7 +60,7 @@ from .ctmc import (
     stationary_distribution,
 )
 from .errors import (ConfigError, DegenerateFitError, NonPositiveErrorValues, ReducibleError,
-                     setting)
+                     check_keys, setting)
 from .model import HybridModel, model_from_config
 from .solvers import (
     CLASSICAL,
@@ -82,6 +82,15 @@ REFERENCE_CLOSED_FORM = "closed-form"
 REFERENCE_FINE_EM = "fine-em"
 
 _DEFAULT_DELTAS = tuple(2.0 ** -k for k in range(4, 10))
+
+#: The JSON config format's defaults: every key but generator and model, which
+#: `config_from_dict` needs, and reference, whose default depends on the model.
+CONFIG_DEFAULTS = {
+    "schema_version": 1, "seed": 0, "horizon": 1.0, "initial_regime": 1,
+    "deltas": list(_DEFAULT_DELTAS), "p": [2], "samples": 1000, "refinement_exponent": 6,
+    "schemes": [JUMP_ADAPTED, CLASSICAL], "step": 2.0**-4, "jump_budget": 10**6,
+}
+CONFIG_KEYS = {*CONFIG_DEFAULTS, "generator", "model", "reference"}
 
 #: Samples per block of the batched recursion. Fixed, so that neither the
 #: sample count nor a thread count can change the arithmetic; large enough
@@ -190,23 +199,28 @@ class ExperimentConfig:
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from a parsed JSON experiment description."""
+    """Build an ExperimentConfig from a parsed JSON experiment description.
+
+    A key outside CONFIG_KEYS is a ConfigError, and one it leaves out takes
+    its CONFIG_DEFAULTS value; ``generator`` and ``model`` are required."""
+    check_keys(data, CONFIG_KEYS, "config")
+    data = {**CONFIG_DEFAULTS, **data}
     try:
         model = model_from_config(data["model"],
-                                  initial_regime=setting(data, "initial_regime", int, 1))
+                                  initial_regime=setting(data, "initial_regime", int))
         return ExperimentConfig(
             model=model,
             generator=generator_from_json(data["generator"]),
-            horizon=setting(data, "horizon", float, 1.0),
-            p_values=setting(data, "p", [int], [2]),
-            deltas=setting(data, "deltas", [float], _DEFAULT_DELTAS),
-            samples=setting(data, "samples", int, 1000),
-            seed=setting(data, "seed", int, 0),
+            horizon=setting(data, "horizon", float),
+            p_values=setting(data, "p", [int]),
+            deltas=setting(data, "deltas", [float]),
+            samples=setting(data, "samples", int),
+            seed=setting(data, "seed", int),
             reference=data.get("reference", REFERENCE_CLOSED_FORM
                                if model.has_closed_form() else REFERENCE_FINE_EM),
-            ref_refinement=setting(data, "refinement_exponent", int, 6),
-            schemes=setting(data, "schemes", [str], [JUMP_ADAPTED]),
-            jump_budget=setting(data, "jump_budget", int, 10**6),
+            ref_refinement=setting(data, "refinement_exponent", int),
+            schemes=setting(data, "schemes", [str]),
+            jump_budget=setting(data, "jump_budget", int),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid experiment config: {exc}") from exc
@@ -422,8 +436,10 @@ class MomentReport:
         return [pt for pt in self.points if pt.p == p]
 
     def max_ratio(self, p: int) -> float:
+        """Largest over smallest sup-moment at ``p``: inf, or nan, where the smallest is 0."""
         vals = [pt.sup_moment for pt in self.points_for(p)]
-        return max(vals) / min(vals)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.float64(max(vals)) / min(vals))
 
     def all_finite(self) -> bool:
         return all(np.isfinite(pt.sup_moment) for pt in self.points)

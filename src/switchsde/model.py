@@ -28,6 +28,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidRegimeError,
     NonFiniteError,
+    check_keys,
     setting,
 )
 
@@ -136,12 +137,15 @@ def model_from_config(cfg: dict, initial_regime: int = 1) -> HybridModel:
     Supported forms, each coefficient a list of finite numbers:
       {"model": "linear", "a": [...], "b": [...], "z0": ...}
       {"model": "trig", "a": [...], "b": [...], "c": [...], "z0": ...}
+
+    ``z0`` defaults to 1.0, and any other key is a ConfigError.
     """
     shipped = {"linear": (LinearHybridModel, "ab"), "trig": (TrigHybridModel, "abc")}
     kind = cfg.get("model") if isinstance(cfg, dict) else None
     if not isinstance(kind, str) or kind not in shipped:
         raise ConfigError(f"model config needs a 'model' key of {sorted(shipped)}, got {kind!r}")
     cls, keys = shipped[kind]
+    check_keys(cfg, ("model", "z0", *keys), "model")
     return cls(*(setting(cfg, key, [float]) for key in keys),
                z0=setting(cfg, "z0", float, 1.0), initial_regime=initial_regime)
 

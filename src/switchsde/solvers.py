@@ -319,10 +319,11 @@ def euler_block(model: HybridModel, grids, points, bm_values, reference=None):
     runs max K intervals. In each, the 2 coefficient calls per regime that an
     active lane visits fill stacked (regime, lane) rows, and one product f T
     and one g W (elementwise for d = 1, as a 1 x 1 matmul rounds) cover all
-    regimes, or the visited ones alone, as an unvisited scratch row may be
-    stale. numpy's iteration walks each run of intervals with one active count
-    and one kind of rows, with no per-interval lists. T and W are summed over
-    each lane's segments in order. With row-wise coefficients lanes never mix.
+    regimes; a regime no active lane visits has its rows set to 0 first, as
+    a scratch row may be stale. numpy's iteration walks each run of intervals
+    with one active count and one kind of rows, with no per-interval lists.
+    T and W are summed over each lane's segments in order. With row-wise
+    coefficients lanes never mix.
 
     ``reference``, such as a fine-EM grid, is one more grid that is read
     only at the union points. Coefficients, one row per (interval, regime,
@@ -393,10 +394,10 @@ def euler_block(model: HybridModel, grids, points, bm_values, reference=None):
     frozen[:L] = model.initial_value
     f_all = np.zeros((cbase[-1] + N * L, n))
     g_all = np.zeros((cbase[-1] + N * L, n, d))
-    plan = [tuple(range(N))] * K  # the regimes each interval visits
+    plan = [(tuple(range(N)), [])] * K  # the regimes each interval visits, and the rest
     partial = np.flatnonzero(~visited.all(axis=1))
     for k, row in zip(partial.tolist(), visited[partial].tolist()):
-        plan[k] = tuple(j for j in range(N) if row[j])
+        plan[k] = tuple(j for j in range(N) if row[j]), [j for j in range(N) if not row[j]]
     product = np.matmul if d > 1 else np.multiply  # g W: a 1 x 1 matmul is one multiply
     drift, diffusion = model.drift, model.diffusion
     runs = np.flatnonzero(np.diff(np.where(kept, active, -active), prepend=0)).tolist() + [K]
@@ -410,7 +411,7 @@ def euler_block(model: HybridModel, grids, points, bm_values, reference=None):
         fterm, gterm = np.empty((N, a, n)), np.empty((N, a, n, 1))
         fterms, gterms = list(fterm), list(gterm[..., 0])  # each regime's (a, n) terms
         zk = zk[:a]
-        for z, fk, gk, tk, wk, js in zip(
+        for z, fk, gk, tk, wk, (js, idle) in zip(
                 frozen[fbase[k0 + 1]:fbase[k1 + 1]].reshape(-1, a, n), fs, gs,
                 occupation[span].reshape(-1, N, a, 1), noise[span].reshape(-1, N, a, d, 1),
                 plan[k0:k1]):
@@ -423,13 +424,10 @@ def euler_block(model: HybridModel, grids, points, bm_values, reference=None):
                         f"regime {j + 1} coefficients do not broadcast to "
                         f"drift ({a}, {n}) and diffusion ({a}, {n}, {d}): {exc}"
                     ) from None
-            if len(js) == N:
-                np.multiply(fk, tk, out=fterm)
-                product(gk, wk, out=gterm)
-            else:  # an unvisited regime's rows may be stale scratch: leave them out
-                for j in js:
-                    np.multiply(fk[j], tk[j], out=fterm[j])
-                    product(gk[j], wk[j], out=gterm[j])
+            if idle:  # a stale scratch row times a T or W of 0 could be inf * 0
+                fk[idle] = gk[idle] = 0.0
+            np.multiply(fk, tk, out=fterm)
+            product(gk, wk, out=gterm)
             for j in js:  # Z_k, then each regime's drift term and noise term in order
                 np.add(zk, fterms[j], out=z)
                 np.add(z, gterms[j], out=z)
@@ -452,7 +450,7 @@ def euler_block(model: HybridModel, grids, points, bm_values, reference=None):
             k, at = owners[inner], lanes[inner]
             values[:, inner] = _inner_values(
                 inner, times, bvals, grid.regimes - 1, frozen[fbase[k] + at],
-                cbase[k] + at, active[k], N, f_all, g_all,
+                cbase[k] + at, active[k], N, f_all, g_all, product,
             ).T
         if not np.all(np.isfinite(values)):
             raise NonFiniteError("scheme produced non-finite values")
@@ -475,14 +473,14 @@ def euler_block(model: HybridModel, grids, points, bm_values, reference=None):
     return (expand(r) for r in range(len(grids)))
 
 
-def _inner_values(inner, times, bvals, regimes, z, coeff, stride, N, f_all, g_all):
+def _inner_values(inner, times, bvals, regimes, z, coeff, stride, N, f_all, g_all, product):
     """Values at events strictly inside a uniform interval.
 
     An inner event e of interval k gets Z_k + sum_j f_kj T_j(e) + g_kj W_j(e),
     with T_j(e) and W_j(e) the time and Brownian increment in regime j over
     the interval's segments before e, summed left to right. ``z`` is Z_k and
     its regime j coefficients are row ``coeff + j * stride`` of ``f_all`` and
-    ``g_all``.
+    ``g_all``; ``product`` is euler_block's g W.
 
     Segment e - 1 owns one cell of one table, with a (dt, dB) column per
     regime. Cells are ordered by the segment's position in its interval,
@@ -510,7 +508,6 @@ def _inner_values(inner, times, bvals, regimes, z, coeff, stride, N, f_all, g_al
         np.add(table[lo:lo + a], table[prev:prev + a], out=table[lo:lo + a])
     del group, pos, at  # lower the peak memory
     table = np.take(table, cell, axis=0)
-    product = np.matmul if bvals.shape[1] > 1 else np.multiply  # as in euler_block
     for j in range(N):
         z = z + np.take(f_all, coeff + j * stride, axis=0) * table[:, j, :1]
         z = z + product(np.take(g_all, coeff + j * stride, axis=0), table[:, j, 1:, None])[..., 0]

@@ -138,12 +138,13 @@ def piecewise_cumulants(events, drift, diff, times):
     return cum_f[seg] + drift[seg] * off[:, None], cum_q[seg] + q_seg[seg] * off
 
 
-def inner_values(inner, times, bvals, regimes, z, coeff, stride, N, f_all, g_all):
+def inner_values(inner, times, bvals, regimes, z, coeff, stride, N, f_all, g_all, product):
     """`solvers._inner_values` by one (interval, position) table per regime.
 
     Each interval that holds inner events gets a row as wide as the widest
     of them, and the row's cumulative sum gives the time and Brownian
     increment in the regime over the segments before each inner event.
+    ``product`` goes unused: the oracle makes every g W with ``@``.
     """
     d = bvals.shape[1]
     new_group = np.diff(inner, prepend=-1) > 1  # an interval's inner events follow its first

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: config handling, outputs, exit codes, determinism."""
 
 import argparse
+import errno
 import json
 import os
 from pathlib import Path
@@ -418,6 +419,24 @@ def test_failed_write_leaves_old_file_and_no_temp_file(tmp_path, monkeypatch, co
     assert outputs(out) == before
 
 
+def test_a_temp_file_that_cannot_be_removed_keeps_the_renders_error(tmp_path, monkeypatch,
+                                                                      capsys):
+    def no_space(fh):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def no_remove(path):
+        raise PermissionError(errno.EACCES, "Permission denied", path)
+
+    monkeypatch.setattr("switchsde.ctmc.ChainPath.to_csv", lambda path, fh: no_space(fh))
+    monkeypatch.setattr(os, "remove", no_remove)
+    cfg = write_config(tmp_path, **SMALL[SIMULATE])
+    out = tmp_path / "out"
+    assert main(["chain", "simulate", "--config", cfg, "--out", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("output error: cannot write ") and "No space left" in err
+    assert [name.endswith(".tmp") for name in os.listdir(out)] == [True]  # left behind
+
+
 def write_half_then_fail(fh):
     fh.write("time,")
     raise OSError("no space left on device")
@@ -548,6 +567,52 @@ def test_malformed_generator_or_model_value_exits_2_before_writing(tmp_path, com
     out = tmp_path / "out"
     assert main([*command.split(), "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists() or os.listdir(out) == []
+
+
+# --- a key outside the config format is a config error -----------------------------
+
+MISSPELT = [  # (config entries, the error's end, the commands that check them)
+    ({"sampels": 3, "refinment_exponent": 2}, "config keys: refinment_exponent, sampels", EVERY),
+    ({"model": dict(DEFAULT_CONFIG["model"], z_0=5.0)}, "model keys: z_0", MODEL_READERS),
+    ({"generator": dict(TWO_STATE, rate=3.0)}, "generator keys: rate", EVERY),
+]
+
+
+@pytest.mark.parametrize("command, entries, names", [
+    pytest.param(command, entries, names, id=f"{command}-{names}")
+    for entries, names, commands in MISSPELT for command in commands
+])
+def test_an_unknown_key_exits_2_before_anything_is_drawn(tmp_path, monkeypatch, capsys,
+                                                          command, entries, names):
+    def no_draw(*args):
+        raise AssertionError("drew with an unknown key")
+
+    monkeypatch.setattr("switchsde.cli.derive_stream", no_draw)
+    monkeypatch.setattr("switchsde.harness.derive_stream", no_draw)
+    cfg = write_config(tmp_path, **{**SMALL[command], **entries})
+    out = tmp_path / "out"
+    assert main([*command.split(), "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: unknown {names}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, entries", [
+    (SIMULATE, {"deltas": ["0.5"], "p": "2"}),
+    (SIMULATE, {"model": dict(DEFAULT_CONFIG["model"], z_0=5.0)}),
+    (VALIDATE, {"model": {"model": "quadratic", "q": 1}}),
+], ids=["malformed-deltas", "model-key", "model-kind"])
+def test_a_command_reads_only_its_own_keys_values(tmp_path, command, entries):
+    cfg = write_config(tmp_path, **{**SMALL[command], **entries})
+    assert main([*command.split(), "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+def test_a_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(b'\xff\xfe{"seed": 1}')
+    out = tmp_path / "out"
+    assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: 'utf-8' codec can't decode")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("extra", [{"samples": 40.9}, {"deltas": ["0.5", 0.25]}])

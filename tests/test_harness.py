@@ -148,6 +148,33 @@ def test_config_from_dict_roundtrip():
         s.config_from_dict({"model": {"model": "linear", **LINEAR}})
 
 
+def test_config_from_dict_takes_every_default_from_the_table():
+    cfg = s.config_from_dict({"generator": {"states": 2, "rates": [[-1.0, 1.0], [2.0, -2.0]]},
+                              "model": {"model": "linear", "a": [1.0, 2.0], "b": [2.0, 1.0]}})
+    defaults = harness.CONFIG_DEFAULTS
+    assert cfg.schemes == (JUMP_ADAPTED, CLASSICAL) == tuple(defaults["schemes"])
+    assert (cfg.horizon, cfg.samples, cfg.seed, cfg.jump_budget, cfg.ref_refinement) == (
+        defaults["horizon"], defaults["samples"], defaults["seed"], defaults["jump_budget"],
+        defaults["refinement_exponent"])
+    assert cfg.p_values == tuple(defaults["p"]) and cfg.deltas == tuple(defaults["deltas"])
+    assert cfg.model.initial_regime == defaults["initial_regime"]
+    assert cfg.reference == "closed-form"
+
+
+@pytest.mark.parametrize("entries, names", [
+    ({"sampels": 3, "refinment_exponent": 2}, "config keys: refinment_exponent, sampels"),
+    ({"model": {"model": "linear", **LINEAR, "z_0": 5.0}}, "model keys: z_0"),
+    ({"model": {"model": "trig", **LINEAR, "c": [0.0, 0.0], "d": 1}}, "model keys: d"),
+    ({"generator": {"states": 2, "rates": GEN.rates.tolist(), "rate": 1}},
+     "generator keys: rate"),
+], ids=["top", "linear", "trig", "generator"])
+def test_config_from_dict_rejects_an_unknown_key_at_every_level(entries, names):
+    data = {"generator": {"states": 2, "rates": GEN.rates.tolist()},
+            "model": {"model": "linear", **LINEAR}}
+    with pytest.raises(ConfigError, match=f"^unknown {names}$"):
+        s.config_from_dict({**data, **entries})
+
+
 @pytest.mark.parametrize("data, kind, want", [
     ({"k": 3}, int, 3),
     ({"k": 3}, float, 3.0),
@@ -284,6 +311,18 @@ def test_moment_report_flags_growth_beyond_the_factor_and_infinite_moments():
             (6, 0.5, 1.0), (6, 0.25, 1.5)]
     report = s.MomentReport(points=tuple(harness.MomentPoint(*row) for row in rows))
     assert report.flagged() == [(2, 3.0), (4, np.inf)]
+
+
+def test_a_zero_sup_moment_gives_a_non_finite_ratio_that_is_flagged():
+    model = s.TrigHybridModel(a=[0.0, 0.0], b=[0.0, 0.0], c=[0.0, 0.0], z0=0.0)
+    report = s.moment_check(linear_config(model=model, p_values=(2,), samples=8,
+                                          reference="fine-em"))
+    assert {pt.sup_moment for pt in report.points} == {0.0}
+    assert np.isnan(report.max_ratio(2))
+    assert [p for p, _ in report.flagged()] == [2]
+    rows = [(2, 0.5, 1.0), (2, 0.25, 0.0)]
+    one_zero = s.MomentReport(points=tuple(harness.MomentPoint(*row) for row in rows))
+    assert one_zero.flagged() == [(2, np.inf)]
 
 
 def test_moment_check_finite_for_default_model():
