@@ -64,6 +64,20 @@ def _row_of(offsets) -> np.ndarray:
     return np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
 
 
+def _row_search(keys, key_offsets, queries, query_offsets) -> np.ndarray:
+    """The flat index of the last key <= each query among its row's keys.
+
+    Row r's sorted keys are ``keys[key_offsets[r]:key_offsets[r + 1]]`` and
+    its queries ``queries[query_offsets[r]:query_offsets[r + 1]]``; a query
+    below them all gets the row's first key's index less one."""
+    found = np.empty(len(queries), dtype=np.intp)
+    for k0, k1, q0, q1 in zip(key_offsets[:-1].tolist(), key_offsets[1:].tolist(),
+                              query_offsets[:-1].tolist(), query_offsets[1:].tolist()):
+        found[q0:q1] = np.searchsorted(keys[k0:k1], queries[q0:q1], side="right")
+        found[q0:q1] += k0 - 1
+    return found
+
+
 def _row_cumsum(values, offsets) -> np.ndarray:
     """Cumulative sums of ``values`` along axis 0 within each row, in place.
 
@@ -111,14 +125,9 @@ class SampleBlock:
         """The row of each union-grid point."""
         return _row_of(self.offsets)
 
-    @cached_property
-    def switch_keys(self) -> np.ndarray:
-        """row + 1j * time per switch: complex numbers sort by row, then by time."""
-        return _row_of(self.switch_offsets) + 1j * self.switch_times
-
-    def states_at(self, rows, times) -> np.ndarray:
-        """Right-continuous chain state of each (row, time) pair."""
-        return self.states[np.searchsorted(self.switch_keys, rows + 1j * times, side="right") - 1]
+    def states_at(self, times, offsets) -> np.ndarray:
+        """Right-continuous chain state at ``times``, row r's at ``offsets[r]:offsets[r + 1]``."""
+        return self.states[_row_search(self.switch_times, self.switch_offsets, times, offsets)]
 
     @cached_property
     def regimes(self) -> np.ndarray:
@@ -133,7 +142,7 @@ class SampleBlock:
         mid[:-1] = 0.5 * (self.points[:-1] + self.points[1:])
         ends = self.offsets[1:] - 1
         mid[ends] = self.points[ends]
-        return self.states_at(self.rows, mid)
+        return self.states_at(mid, self.offsets)
 
     def on_grid(self, step: float) -> np.ndarray:
         """Read-only mask of the union points on the uniform grid of ``step``, T included."""
@@ -217,7 +226,7 @@ def classical_grid(block: SampleBlock, step: float) -> RefinedGrid:
     """
     keep = np.flatnonzero(block.on_grid(step))
     offsets = np.searchsorted(keep, block.offsets)
-    regimes = block.states_at(block.rows[keep], block.points[keep])
+    regimes = block.states_at(block.points[keep], offsets)
     regimes[offsets[1:] - 1] = regimes[offsets[1:] - 2]
     return RefinedGrid(
         step=float(step), horizon=block.horizon, events=block.points[keep], regimes=regimes,
@@ -284,8 +293,7 @@ class EulerBlock:
         inc[1:] = np.column_stack([self.drift, q])[:-1] * np.diff(self.times)[:, None]
         cum = _row_cumsum(inc, self.offsets)
         query = np.tile(times, R)
-        seg = np.searchsorted(_row_of(self.offsets) + 1j * self.times,
-                              np.repeat(np.arange(R), len(times)) + 1j * query, side="right") - 1
+        seg = _row_search(self.times, self.offsets, query, np.arange(R + 1) * len(times))
         off = query - self.times[seg]
         f = cum[seg, :-1] + self.drift[seg] * off[:, None]
         return f.reshape(R, len(times), -1), (cum[seg, -1] + q[seg] * off).reshape(R, -1)
@@ -392,8 +400,9 @@ def euler_block(model: HybridModel, grids, points, bm_values, reference=None):
 
     frozen = np.empty((fbase[-1], n))
     frozen[:L] = model.initial_value
-    f_all = np.zeros((cbase[-1] + N * L, n))
-    g_all = np.zeros((cbase[-1] + N * L, n, d))
+    zero = cbase[-1] + N * L  # a row never written: each row's last event reads it
+    f_all = np.zeros((zero + 1, n))
+    g_all = np.zeros((zero + 1, n, d))
     plan = [(tuple(range(N)), [])] * K  # the regimes each interval visits, and the rest
     partial = np.flatnonzero(~visited.all(axis=1))
     for k, row in zip(partial.tolist(), visited[partial].tolist()):
@@ -456,12 +465,9 @@ def euler_block(model: HybridModel, grids, points, bm_values, reference=None):
             raise NonFiniteError("scheme produced non-finite values")
         if r < nref and E == len(points):  # every union point is an event
             return values.T
-        seg = np.ones(E, dtype=bool)
-        seg[last] = False
-        drift_e = np.zeros((n, E))
-        diff_e = np.zeros((n, d, E))
-        drift_e[:, seg] = np.take(f_all, cells, axis=0).T
-        diff_e[:, :, seg] = np.take(g_all, cells, axis=0).transpose(1, 2, 0)
+        cells = np.insert(cells, last - np.arange(len(last)), zero)  # one per event
+        drift_e = np.take(f_all, cells, axis=0).T.copy()  # into state-major memory
+        diff_e = np.take(g_all, cells, axis=0).transpose(1, 2, 0).copy()
         del cells
         solved = EulerBlock(step=grid.step, offsets=offsets, times=times, values=values.T,
                             drift=drift_e.T, diff=diff_e.transpose(2, 0, 1),
@@ -494,7 +500,8 @@ def _inner_values(inner, times, bvals, regimes, z, coeff, stride, N, f_all, g_al
     group = np.cumsum(new) - 1
     pos = inner - inner[new][group]
     count = np.bincount(group)  # segments per interval
-    order = np.argsort(-count, kind="stable")
+    key = count.max() - count  # in at most 16 bits numpy's stable sort is a radix sort
+    order = np.argsort(key.astype(np.min_scalar_type(key.max())), kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     reach = np.searchsorted(-count[order], -np.arange(count[order[0]]))  # intervals reaching p
@@ -592,8 +599,8 @@ def exact_linear_solution(model: LinearHybridModel, sample, bm: BrownianPath | N
                              np.array([0, sample.n_segments]), bm.grid.points,
                              np.array([0, len(bm.grid)]), bm.values)
     pts, tol = sample.points, time_tolerance(sample.horizon)
-    seg = np.searchsorted(sample.rows + 1j * pts, sample.switch_keys, side="right") - 1
     sw = sample.switch_times
+    seg = _row_search(pts, sample.offsets, sw, sample.switch_offsets)
     inside = (sw >= pts[seg] + tol) & (sw < pts[np.minimum(seg + 1, len(pts) - 1)] - tol)
     if np.any(inside):
         k = int(seg[np.argmax(inside)])

@@ -12,6 +12,8 @@ inside an interval done with one padded table per regime, and
 `gridpoint_values` its recursion over uniform intervals one lane at a time.
 `closed_class_count` is the reachability count of closed classes that
 `switchsde.stationary_distribution` replaced with strongly connected components.
+`keyed_search` is the lookup of keys row by row that the package made with
+one search over complex keys, row + 1j * time.
 `generator_checks` is `switchsde.validate_generator`'s check and normalization
 entry by entry and row by row.
 `lipschitz_probe` and `growth_probe` are the model probes with one
@@ -76,6 +78,15 @@ def stack(chains, grids, bm_values):
         offsets=np.cumsum([0] + [len(g) for g in grids]),
         bm_values=np.concatenate(bm_values),
     )
+
+
+def keyed_search(keys, key_offsets, queries, query_offsets):
+    """`solvers._row_search` by one search: complex numbers sort by row, then by time."""
+    def rows(offsets):
+        return np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+
+    return np.searchsorted(rows(key_offsets) + 1j * keys, rows(query_offsets) + 1j * queries,
+                           side="right") - 1
 
 
 def refined_grid(path, step, horizon):

@@ -34,6 +34,7 @@ from hypothesis import strategies as st
 import oracles
 import switchsde as s
 import switchsde.harness as harness
+import switchsde.solvers as solvers
 from switchsde._timeutil import time_tolerance
 from switchsde.cli import main
 from switchsde.errors import RegimeNotConstantError
@@ -209,6 +210,63 @@ def test_cumulants_match_per_path_integrals(sample, times):
         want_f, want_q = oracles.piecewise_cumulants(
             solved.times[lo:hi], solved.drift[lo:hi - 1], solved.diff[lo:hi - 1], times)
         assert np.array_equal(f[row], want_f) and np.array_equal(q[row], want_q)
+
+
+def gridpoints_only(block, step):
+    """The block's chain paths on union grids of the step's gridpoints alone,
+    so that a switch more than tol from every gridpoint straddles an interval."""
+    points = s.uniform_grid(block.horizon, step).points
+    rows = len(block)
+    values = np.random.default_rng(rows).standard_normal((rows * len(points), 1))
+    return SampleBlock(block.horizon, block.switch_times, block.states, block.switch_offsets,
+                       np.tile(points, rows), np.arange(rows + 1) * len(points), values)
+
+
+def closed_form(model, block):
+    """The closed form on ``block``, or the message of the straddle it reports."""
+    try:
+        return s.exact_linear_solution(model, block)
+    except RegimeNotConstantError as exc:
+        return str(exc)
+
+
+@settings(max_examples=100)
+@given(blocks(), st.lists(st.floats(0.0, 0.69), min_size=1, max_size=6))
+def test_row_searches_match_the_complex_key_search(sample, times):
+    """Every lookup row by row is `oracles.keyed_search`'s one search over
+    row + 1j * time, exactly: the segment regimes, the classical skeleton, the
+    cumulants and the closed form's straddle check, on union grids with the
+    switches and on union grids of gridpoints alone.
+    """
+    paths, bms, step = sample
+    n_states = int(max(p.states.max() for p in paths))
+    linear = s.LinearHybridModel(a=np.linspace(-1.0, 1.0, n_states),
+                                 b=np.linspace(0.3, 0.9, n_states))
+    model = vector_model(n_states) if bms[0].values.shape[1] == 2 else linear
+    times = np.sort(np.concatenate([times, np.arange(0.0, 0.69, step) + 0.5 * step]))
+
+    def lookups():
+        block = stack(paths, bms)  # a new block each time, as its regimes are cached
+        solved, = euler_block(model, [s.build_refined_grid(block, step)], block.points,
+                              block.bm_values)
+        return [block.regimes, classical_grid(block, step).regimes, *solved.cumulants(times),
+                closed_form(linear, block), closed_form(linear, gridpoints_only(block, step))]
+
+    got = lookups()
+    with mock.patch.object(solvers, "_row_search", oracles.keyed_search):
+        want = lookups()
+    for g, w in zip(got, want):
+        assert type(g) is type(w) and np.array_equal(g, w)
+
+
+@given(st.lists(st.tuples(st.lists(st.floats(0.0, 1.0), max_size=5),
+                          st.lists(st.floats(-0.5, 1.5), max_size=5)), min_size=1, max_size=4))
+def test_row_search_is_the_complex_key_search_with_empty_rows_and_early_queries(rows):
+    keys = [np.sort(k) for k, _ in rows]
+    queries = [np.array(q) for _, q in rows]
+    args = [np.concatenate([[], *keys]), np.cumsum([0] + [len(k) for k in keys]),
+            np.concatenate([[], *queries]), np.cumsum([0] + [len(q) for q in queries])]
+    assert np.array_equal(solvers._row_search(*args), oracles.keyed_search(*args))
 
 
 def test_sup_errors_builds_each_grid_once_per_block(monkeypatch):

@@ -374,6 +374,41 @@ def test_gridpoint_values_round_as_the_per_lane_sums(data):
         assert np.array_equal(solved.values[gridpoints(grid)], want)
 
 
+@pytest.mark.parametrize("kind", ["linear", "vector"])  # n = d = 1 and n = d = 2
+@settings(max_examples=40)
+@given(data=st.data())
+def test_per_event_coefficients_are_the_recursions_in_state_major_memory(kind, data):
+    """Each block's drift and diffusion at event e are f and g at the frozen
+    state of e's interval and e's regime, bit for bit, and 0 at each row's
+    last event. Their memory is state-major, as `_interpolate` reads it.
+    """
+    n_states = data.draw(st.integers(1, 3))
+    model = model_for(kind, n_states)
+    horizon, top = data.draw(horizons), data.draw(steps)
+    paths = [data.draw(chain_paths(n_states, horizon, top))
+             for _ in range(data.draw(st.integers(1, 3)))]
+    block, _ = reference_block(paths, top / 4, model.noise_dim,
+                               seed=data.draw(st.integers(0, 2**16)))
+    grids = [grid(block, delta) for delta in (top, top / 2)
+             for grid in (s.build_refined_grid, classical_grid)]
+    n, d = model.state_dim, model.noise_dim
+    for grid, solved in zip(grids, euler_block(model, grids, block.points, block.bm_values)):
+        assert solved.drift.T.flags.c_contiguous
+        assert solved.diff.transpose(1, 2, 0).flags.c_contiguous
+        last = np.zeros(len(grid), dtype=bool)
+        last[grid.offsets[1:] - 1] = True
+        assert np.all(solved.drift[last] == 0.0) and np.all(solved.diff[last] == 0.0)
+        # each event's interval starts at the last gridpoint event up to it
+        start = np.maximum.accumulate(np.where(gridpoints(grid), np.arange(len(grid)), 0))
+        for j in range(1, n_states + 1):
+            at = (grid.regimes == j) & ~last
+            frozen = solved.values[start[at]]
+            f = np.broadcast_to(model.drift(frozen, j), (len(frozen), n))
+            g = np.broadcast_to(model.diffusion(frozen, j), (len(frozen), n, d))
+            assert np.array_equal(solved.drift[at], f)
+            assert np.array_equal(solved.diff[at], g)
+
+
 @pytest.mark.parametrize("kind", ["dense", "column"])
 def test_runs_mix_kept_and_scratch_intervals_and_unvisited_regimes(kind):
     """The same check on a block built to have every kind of interval.
