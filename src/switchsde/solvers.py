@@ -97,7 +97,8 @@ class SampleBlock:
     the horizon, and its Brownian values are the same rows of ``bm_values``
     (None for a block without them). A union grid holds every gridpoint of
     every step the block serves, and each switching time of its row unless
-    that lies within the time tolerance of another point.
+    that lies within the time tolerance of another point. ``points`` and
+    ``offsets`` are read-only: every event grid of the block points into them.
     """
 
     horizon: float
@@ -108,6 +109,10 @@ class SampleBlock:
     offsets: np.ndarray
     bm_values: np.ndarray | None = None
     _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.points.setflags(write=False)
+        self.offsets.setflags(write=False)
 
     @classmethod
     def union(cls, fine: TimeGrid, chains) -> SampleBlock:
@@ -120,14 +125,11 @@ class SampleBlock:
     def __len__(self) -> int:
         return len(self.offsets) - 1
 
-    @cached_property
-    def rows(self) -> np.ndarray:
-        """The row of each union-grid point."""
-        return _row_of(self.offsets)
-
     def states_at(self, times, offsets) -> np.ndarray:
-        """Right-continuous chain state at ``times``, row r's at ``offsets[r]:offsets[r + 1]``."""
-        return self.states[_row_search(self.switch_times, self.switch_offsets, times, offsets)]
+        """Right-continuous chain state at ``times``, row r's at ``offsets[r]:offsets[r + 1]``,
+        in the smallest unsigned type that holds the states: one byte up to 255."""
+        states = self.states.astype(np.min_scalar_type(self.states.max()))
+        return states[_row_search(self.switch_times, self.switch_offsets, times, offsets)]
 
     @cached_property
     def regimes(self) -> np.ndarray:
@@ -136,13 +138,15 @@ class SampleBlock:
         This is the regime rule of every scheme and reference: a segment's
         state is read at its midpoint, so a switch that the grid absorbed
         into a nearby point (one within the time tolerance) still governs
-        the segment it opens.
+        the segment it opens. Read-only, as the grids select from it.
         """
         mid = self.points.copy()
         mid[:-1] = 0.5 * (self.points[:-1] + self.points[1:])
         ends = self.offsets[1:] - 1
         mid[ends] = self.points[ends]
-        return self.states_at(mid, self.offsets)
+        regimes = self.states_at(mid, self.offsets)
+        regimes.setflags(write=False)
+        return regimes
 
     def on_grid(self, step: float) -> np.ndarray:
         """Read-only mask of the union points on the uniform grid of ``step``, T included."""
@@ -163,33 +167,39 @@ class SampleBlock:
 
 @dataclass(frozen=True)
 class RefinedGrid:
-    """Event times of one Euler scheme for a block of rows, one row per chain path.
+    """Events of one Euler scheme for a block of rows, as a selection of their union grid.
 
-    Row r owns ``offsets[r]:offsets[r + 1]`` of the flat arrays. Its
-    ``events`` are its uniform gridpoints up to T, its interior switching
-    times and T itself, in order; ``regimes[i]`` is the chain state on
-    [events[i], events[i+1]); ``owner_interval[i]`` is the index k of the
-    uniform interval [k*step, (k+1)*step) containing the event, and K, the
-    interval count, for the T that closes the last one, in every grid; and
-    ``union_index[i]`` is the event's position in the union grid it was
-    selected from.
+    Row r owns ``offsets[r]:offsets[r + 1]`` of the flat arrays. Event i is
+    union point ``points[union_index[i]]``; a row's ``events`` are its
+    uniform gridpoints up to T, its interior switching times and T itself,
+    in order. ``regimes[i]`` is the chain state on [events[i], events[i+1]),
+    one byte per event up to 255 states in a block's grids; ``owner_interval[i]`` is the index
+    k of the uniform interval [k*step, (k+1)*step) containing the event, and
+    K, the interval count, for the T that closes the last one, in every grid.
+    ``points`` is the union grid's own array, shared by every grid of the
+    block and not copied; every array is read-only.
     """
 
     step: float
     horizon: float
-    events: np.ndarray
+    points: np.ndarray
+    union_index: np.ndarray
     regimes: np.ndarray
     owner_interval: np.ndarray
     offsets: np.ndarray
-    union_index: np.ndarray
 
     def __post_init__(self):
-        self.events.setflags(write=False)
-        self.regimes.setflags(write=False)
-        self.owner_interval.setflags(write=False)
+        for values in (self.points, self.union_index, self.regimes, self.owner_interval,
+                       self.offsets):
+            values.setflags(write=False)
+
+    @property
+    def events(self) -> np.ndarray:
+        """The event times, gathered from the union grid on each read."""
+        return self.points[self.union_index]
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.union_index)
 
 
 def build_refined_grid(sample, step: float) -> RefinedGrid:
@@ -210,10 +220,10 @@ def build_refined_grid(sample, step: float) -> RefinedGrid:
     keep = np.flatnonzero(on_grid | np.append(True, regimes[1:] != regimes[:-1]))
     offsets = np.searchsorted(keep, sample.offsets)
     count = np.cumsum(on_grid)  # a point's interval is the gridpoints up to it, less one
-    owners = count[keep] - count[sample.offsets[:-1]][sample.rows[keep]]
+    owners = count[keep] - np.repeat(count[sample.offsets[:-1]], np.diff(offsets))
     return RefinedGrid(
-        step=float(step), horizon=sample.horizon, events=sample.points[keep],
-        regimes=regimes[keep], owner_interval=owners, offsets=offsets, union_index=keep,
+        step=float(step), horizon=sample.horizon, points=sample.points, union_index=keep,
+        regimes=regimes[keep], owner_interval=owners, offsets=offsets,
     )
 
 
@@ -229,9 +239,9 @@ def classical_grid(block: SampleBlock, step: float) -> RefinedGrid:
     regimes = block.states_at(block.points[keep], offsets)
     regimes[offsets[1:] - 1] = regimes[offsets[1:] - 2]
     return RefinedGrid(
-        step=float(step), horizon=block.horizon, events=block.points[keep], regimes=regimes,
+        step=float(step), horizon=block.horizon, points=block.points, union_index=keep,
+        regimes=regimes, offsets=offsets,
         owner_interval=np.arange(len(keep)) - np.repeat(offsets[:-1], np.diff(offsets)),
-        offsets=offsets, union_index=keep,
     )
 
 
@@ -371,20 +381,29 @@ def euler_block(model: HybridModel, grids, points, bm_values, reference=None):
     # T and W: each cell sums its lane's segments in order
     occupation = np.zeros(base[-1])
     noise = np.zeros((base[-1], d))
-    bins = {}  # grid: the cell of each segment
+    dense = reference is not None and len(reference) == len(points)  # all points are its events
+
+    def on_events(r):  # grid r's event times and Brownian values, gathered once per phase
+        if r < nref and dense:  # its union_index is every point in order
+            return points, bm_values
+        return grids[r].events, np.take(bm_values, grids[r].union_index, axis=0)
+
+    bins = {}  # grid: the cell of each segment, for the grids whose expand reads them
     for r in order:  # one grid at a time keeps temporaries small
-        grid = grids[r]
+        grid, (times, bvals) = grids[r], on_events(r)
         seg = np.ones(len(grid), dtype=bool)
         seg[grid.offsets[1:] - 1] = False
         owners = grid.owner_interval
         cells = base[owners] + (grid.regimes - 1) * active_end[owners]
         cells += lane0[r] + _row_of(grid.offsets)
-        bins[r] = cells = cells[seg]
-        np.add.at(occupation, cells, np.diff(grid.events)[seg[:-1]])
-        db = np.diff(np.take(bm_values, grid.union_index, axis=0), axis=0)[seg[:-1]]
+        cells = cells[seg]
+        if r >= nref or not dense:
+            bins[r] = cells
+        np.add.at(occupation, cells, np.diff(times)[seg[:-1]])
+        db = np.diff(bvals, axis=0)[seg[:-1]]
         for e in range(d):  # a column at a time is several times faster
             np.add.at(noise[:, e], cells, db[:, e])
-    del seg, owners, cells, db
+    del seg, owners, cells, db, times, bvals
     # a regime no active lane spends time in costs no coefficient call
     firsts = (base[:-1, None] + np.arange(N) * active[:, None]).ravel()
     visited = np.logical_or.reduceat(occupation > 0.0, firsts).reshape(K, N)
@@ -394,7 +413,7 @@ def euler_block(model: HybridModel, grids, points, bm_values, reference=None):
     if reference is not None:
         owners = reference.owner_interval
         kept[owners[:-1][np.diff(owners) == 0]] = True
-        kept |= len(reference.events) < len(points)  # the interpolant reads every segment
+        kept |= not dense  # the interpolant reads every segment
     # a kept interval's rows start at cbase[k], as its cells do at base[k]; scratch at cbase[K]
     cbase = np.concatenate([[0], np.cumsum(N * active * kept)])
 
@@ -443,10 +462,9 @@ def euler_block(model: HybridModel, grids, points, bm_values, reference=None):
                 zk = z
 
     def expand(r):
-        grid, grids[r] = grids[r], None  # not needed again
-        offsets, times, owners = grid.offsets, grid.events, grid.owner_interval
-        bvals = np.take(bm_values, grid.union_index, axis=0)
-        cells = bins.pop(r)  # its coefficient rows too: base and cbase agree where it reads
+        grid, (times, bvals) = grids[r], on_events(r)
+        grids[r] = None  # not needed again
+        offsets, owners = grid.offsets, grid.owner_interval
         lanes = lane0[r] + _row_of(offsets)
         E, last = len(times), offsets[1:] - 1
         values = np.empty((n, E))
@@ -463,8 +481,9 @@ def euler_block(model: HybridModel, grids, points, bm_values, reference=None):
             ).T
         if not np.all(np.isfinite(values)):
             raise NonFiniteError("scheme produced non-finite values")
-        if r < nref and E == len(points):  # every union point is an event
+        if r < nref and dense:  # no interpolation, so no coefficients per event
             return values.T
+        cells = bins.pop(r)  # its coefficient rows too: base and cbase agree where it reads
         cells = np.insert(cells, last - np.arange(len(last)), zero)  # one per event
         drift_e = np.take(f_all, cells, axis=0).T.copy()  # into state-major memory
         diff_e = np.take(g_all, cells, axis=0).transpose(1, 2, 0).copy()
@@ -533,7 +552,8 @@ def em_jump_adapted(model: HybridModel, grid: RefinedGrid, bm: BrownianPath) -> 
     index = match_indices(bm.grid.points, grid.events, time_tolerance(bm.grid.horizon))
     if np.any(index < 0):
         raise GridMismatchError(f"Brownian path lacks a value at t={grid.events[index < 0][0]}")
-    return next(euler_block(model, [replace(grid, union_index=index)], bm.grid.points, bm.values))
+    grid = replace(grid, points=bm.grid.points, union_index=index)
+    return next(euler_block(model, [grid], bm.grid.points, bm.values))
 
 
 def em_classical(model: HybridModel, skeleton, step: float, bm: BrownianPath) -> EulerBlock:
@@ -549,9 +569,9 @@ def em_classical(model: HybridModel, skeleton, step: float, bm: BrownianPath) ->
     if len(skeleton) not in (m, m + 1):
         raise LengthMismatchError(f"skeleton has {len(skeleton)} states for {m} intervals")
     index = np.arange(m + 1)
-    grid = RefinedGrid(step=float(step), horizon=bm.grid.horizon, events=pts,
+    grid = RefinedGrid(step=float(step), horizon=bm.grid.horizon, points=pts, union_index=index,
                        regimes=np.append(skeleton[:m], skeleton[m - 1]), owner_interval=index,
-                       offsets=np.array([0, m + 1]), union_index=index)
+                       offsets=np.array([0, m + 1]))
     return next(euler_block(model, [grid], pts, bm.values))
 
 
@@ -607,8 +627,8 @@ def exact_linear_solution(model: LinearHybridModel, sample, bm: BrownianPath | N
         raise RegimeNotConstantError(
             f"interval [{pts[k]}, {pts[k + 1]}] straddles a regime switch"
         )
-    a = model.a[sample.regimes[:-1] - 1]
-    b = model.b[sample.regimes[:-1] - 1]
+    regime = sample.regimes[:-1].astype(np.intp) - 1  # numpy indexes fastest with intp
+    a, b = model.a[regime], model.b[regime]
     log_inc = np.zeros(len(pts))
     log_inc[1:] = (a - 0.5 * b * b) * np.diff(pts) + b * np.diff(sample.bm_values[:, 0])
     log_inc[sample.offsets[:-1]] = 0.0

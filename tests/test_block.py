@@ -186,12 +186,57 @@ def test_block_grids_match_per_path_oracles(sample):
                 and np.array_equal(refined.regimes[r], regimes)
                 and np.array_equal(refined.owner_interval[r], owners)):
             continue  # a cluster: the regimes of segments shorter than 4 tol may differ
-        grid = s.RefinedGrid(step=step, horizon=horizon, events=events, regimes=regimes,
-                             owner_interval=owners, offsets=np.array([0, len(events)]),
-                             union_index=np.zeros(len(events), dtype=np.int64))
+        grid = s.RefinedGrid(step=step, horizon=horizon, points=events,
+                             union_index=np.arange(len(events)), regimes=regimes,
+                             owner_interval=owners, offsets=np.array([0, len(events)]))
         want = s.em_jump_adapted(model, grid, bm).values
         scale = max(1.0, float(np.max(np.abs(want))))
         assert np.max(np.abs(solved.values[r] - want)) <= 1e-12 * scale
+
+
+def owned_bytes(values):
+    """The bytes of the buffer that ``values`` keeps alive."""
+    while values.base is not None:
+        values = values.base
+    return values.nbytes
+
+
+@settings(max_examples=50)
+@given(sample=blocks())
+@pytest.mark.parametrize("shift", [0, 297], ids=["N<=3", "N=300"])
+def test_grids_point_into_the_union_grid_with_regimes_in_the_smallest_type(shift, sample):
+    """Each grid shares its block's union points and owns two 8-byte indices and
+    one regime per event: 17 bytes up to 255 states, against 32 with copied
+    event times and 8-byte regimes. ``shift`` relabels states 1..3 as 298..300."""
+    paths, bms, step = sample
+    paths = [s.ChainPath(p.horizon, p.switch_times, p.states + shift) for p in paths]
+    block = stack(paths, bms)
+    small = np.uint16 if shift else np.uint8
+    assert block.regimes.dtype == small
+    refined, classical = s.build_refined_grid(block, step), classical_grid(block, step)
+    for grid in (refined, classical):
+        assert grid.points is block.points
+        assert grid.events.tobytes() == block.points[grid.union_index].tobytes()
+        assert grid.regimes.dtype == small
+        owned = sum(map(owned_bytes, (grid.union_index, grid.owner_interval, grid.regimes)))
+        assert owned <= (16 + np.dtype(small).itemsize) * len(grid)
+    assert np.array_equal(refined.regimes, block.regimes[refined.union_index])
+    want = block.states_at(classical.events, classical.offsets)
+    last = classical.offsets[1:] - 1
+    want[last] = want[last - 1]  # the last event repeats the last interval's state
+    assert np.array_equal(classical.regimes, want)
+
+
+def test_the_arrays_that_grids_share_are_read_only():
+    """An in-place write would silently move the events of every grid of the block."""
+    block = SampleBlock.union(s.uniform_grid(1.0, 0.125),
+                              [with_switches(1.0, [0.3, 0.55]), with_switches(1.0, [])])
+    shared = [block.points, block.offsets, block.regimes]
+    for grid in (s.build_refined_grid(block, 0.25), classical_grid(block, 0.25)):
+        shared += [grid.union_index, grid.offsets]
+    for values in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = values[1]
 
 
 @given(blocks(), st.lists(st.floats(0.0, 0.69), min_size=1, max_size=6))

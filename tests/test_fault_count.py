@@ -18,3 +18,19 @@ def test_counts_the_faults_of_warm_rounds_in_a_process_of_their_own():
     assert (counts["rounds"], counts["samples"]) == (2, 8)
     assert 0 <= counts["minflt_median"] <= counts["minflt_max"]
     assert counts["round_s_median"] > 0.0
+
+
+def test_measures_copies_of_the_tree_in_sibling_directories_of_equal_name_length():
+    run = subprocess.run([sys.executable, str(TOOL), str(ROOT), "--workload", "vector-fine",
+                          "--rounds", "2", "--locations", "2"],
+                         capture_output=True, text=True, check=True, timeout=60)
+    result = json.loads(run.stdout)
+    assert result["tree"] == str(ROOT)
+    copies = [Path(location["tree"]) for location in result["locations"]]
+    assert len(set(copies)) == 2 and copies[0].parent == copies[1].parent
+    assert len(copies[0].name) == len(copies[1].name)
+    assert not copies[0].parent.exists()  # removed once measured
+    for location in result["locations"]:
+        counts = location["workloads"]["vector-fine"]
+        assert (counts["rounds"], counts["samples"]) == (2, 8)
+        assert 0 <= counts["minflt_median"] <= counts["minflt_max"]

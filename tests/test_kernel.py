@@ -34,6 +34,7 @@ MEMORY_BOUND_MB = 25  # about twice the 11.6 MB peak of the burst block below
 CLOSED_FORM_BOUND_MB = 40  # about twice the closed form's 20 MB peak on its burst block
 REFERENCE_BOUND_MB = 36  # between the 44 MB of every coefficient row kept and 25 MB now
 DIAGNOSTIC_BOUND_MB = 11  # between 12.4 MB with a spent block's solution kept and 10 MB without
+TRIG_REFERENCE_BOUND_MB = 130  # between 145.3-148.1 MB with copied event times and 115 MB without
 
 
 # --- inputs -------------------------------------------------------------------------
@@ -269,7 +270,7 @@ def test_a_diverging_rung_is_reported_wherever_it_stands(bad):
     )
     block = oracles.coupled_block(config, config.finest_step)
     grids = [s.build_refined_grid(block, delta) for delta in (0.0625, 0.25, 0.125)]
-    grids[bad] = dataclasses.replace(grids[bad], events=grids[bad].events * 1e300)  # overflows
+    grids[bad] = dataclasses.replace(grids[bad], points=grids[bad].points * 1e300)  # overflows
     solved = euler_block(model, grids, block.points, block.bm_values)
     for _ in range(bad):
         assert np.all(np.isfinite(next(solved).values))
@@ -575,6 +576,26 @@ def test_a_fine_em_reference_keeps_coefficients_only_where_they_are_read():
     sups, peak = peak_memory(lambda: harness._sup_errors(config))
     assert sups.shape == (1, 4, 64) and np.all(np.isfinite(sups))
     assert peak < REFERENCE_BOUND_MB * 1e6, peak
+
+
+def test_a_2_to_the_minus_14_reference_block_selects_its_events_from_the_union_grid():
+    """The 2**-14 trig block: 64 rows, ladder 2**-4..2**-9, a reference 2**5 times finer.
+
+    Grids that copied their event times, kept 8-byte regimes and kept the
+    segment cells of a reference that no one interpolates peaked at 145.3 to
+    148.1 MB under tracemalloc. Grids that point into the union grid, with
+    one-byte regimes and no cells for that reference, peak at 113.4 to 115.0 MB.
+    It runs in about 1.6 s.
+    """
+    config = s.ExperimentConfig(
+        model=s.TrigHybridModel(a=[1.0, -0.5], b=[0.8, 0.3], c=[0.2, -0.1], z0=0.5),
+        generator=s.validate_generator([[-1.0, 1.0], [2.0, -2.0]]), horizon=1.0,
+        deltas=tuple(2.0**-k for k in range(4, 10)), samples=64, seed=5,
+        reference="fine-em", ref_refinement=5,
+    )
+    sups, peak = peak_memory(lambda: harness._sup_errors(config))
+    assert sups.shape == (1, 6, 64) and np.all(np.isfinite(sups))
+    assert peak < TRIG_REFERENCE_BOUND_MB * 1e6, peak
 
 
 def test_a_multi_block_diagnostic_frees_each_block_before_the_next():

@@ -2,7 +2,7 @@
 
 Usage::
 
-    python tools/fault_count.py TREE [--rounds 60] [--workload W]
+    python tools/fault_count.py TREE [--rounds 60] [--workload W] [--locations K]
 
 ``TREE`` is a source tree with ``src/switchsde``, ``perfbench/workloads.py``
 and ``BENCHMARK.json``: this checkout, or a ``git archive`` of another
@@ -14,7 +14,13 @@ workload's round size and seed ``SEED``, and reads
 ``resource.getrusage(RUSAGE_SELF).ru_minflt`` around each. The tool prints
 one JSON object: per workload, the median and the largest fault count of a
 round and the median round time in seconds. With ``--workload`` it measures
-that workload alone, in its own process.
+that workload alone, in this process.
+
+With ``--locations K`` the tool copies TREE's ``src``, ``perfbench`` (less
+its ``out``) and ``BENCHMARK.json`` into K sibling temporary directories
+whose names have equal length, runs itself on each copy with the other
+options, and prints every copy's result in ``locations``, in order. Two
+trees measured this way sit at paths of equal length too.
 
 A warm round that allocates nothing new takes about no faults; a round
 whose freed heap glibc hands back to the system, and takes again, takes
@@ -30,6 +36,7 @@ import argparse
 import json
 import os
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
@@ -63,13 +70,38 @@ def measure(tree: str, name: str, rounds: int) -> dict:
             "round_s_median": statistics.median(seconds)}
 
 
+def at_locations(tree: str, count: int, options: list) -> list:
+    """This tool's result on ``count`` copies of ``tree``, one fresh process per copy."""
+    with tempfile.TemporaryDirectory(prefix="fault_count-") as root:
+        copies = [os.path.join(root, f"{i:0{len(str(count - 1))}d}") for i in range(count)]
+        for copy in copies:
+            shutil.copytree(os.path.join(tree, "src"), os.path.join(copy, "src"),
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            shutil.copytree(os.path.join(tree, "perfbench"), os.path.join(copy, "perfbench"),
+                            ignore=shutil.ignore_patterns("__pycache__", "out"))
+            shutil.copy(os.path.join(tree, "BENCHMARK.json"), copy)
+        return [json.loads(subprocess.run(
+            [sys.executable, os.path.abspath(__file__), copy, *options],
+            stdout=subprocess.PIPE, text=True, check=True).stdout) for copy in copies]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("tree")
     parser.add_argument("--rounds", type=int, default=60, help="warm rounds per workload")
     parser.add_argument("--workload", help="measure this workload alone, in this process")
+    parser.add_argument("--locations", type=int, metavar="K",
+                        help="measure K copies of TREE in sibling directories")
     args = parser.parse_args(argv)
+    if args.locations is not None and args.locations < 1:
+        parser.error("--locations needs K >= 1")
     tree = os.path.abspath(args.tree)
+    if args.locations:
+        options = ["--rounds", str(args.rounds)]
+        options += ["--workload", args.workload] if args.workload else []
+        print(json.dumps({"tree": tree, "seed": SEED,
+                          "locations": at_locations(tree, args.locations, options)}))
+        return 0
     if args.workload:
         result = {args.workload: measure(tree, args.workload, args.rounds)}
     else:
