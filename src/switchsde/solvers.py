@@ -125,11 +125,37 @@ class SampleBlock:
     def __len__(self) -> int:
         return len(self.offsets) - 1
 
-    def states_at(self, times, offsets) -> np.ndarray:
-        """Right-continuous chain state at ``times``, row r's at ``offsets[r]:offsets[r + 1]``,
-        in the smallest unsigned type that holds the states: one byte up to 255."""
+    @cached_property
+    def switch_points(self) -> np.ndarray:
+        """For each switch, the union point at or before it in its row: the
+        block's one chain lookup, which `regimes` and `point_states` count
+        from. Read-only."""
+        found = _row_search(self.points, self.offsets, self.switch_times, self.switch_offsets)
+        found.setflags(write=False)
+        return found
+
+    def _states_from(self, start) -> np.ndarray:
+        """The state at each union point when switch q holds from point ``start[q]`` on.
+
+        Each switch holds until the next one starts. Each row's first switch
+        starts at the row's first point and no start passes its row's end,
+        so the starts rise through the block and one flat run per switch
+        covers every row. The states come in the smallest unsigned type that
+        holds them: one byte up to 255. Read-only, as the grids select from them.
+        """
         states = self.states.astype(np.min_scalar_type(self.states.max()))
-        return states[_row_search(self.switch_times, self.switch_offsets, times, offsets)]
+        out = np.repeat(states, np.diff(start, append=len(self.points)))
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def point_states(self) -> np.ndarray:
+        """Right-continuous chain state at each union point.
+
+        A switch holds from its own point when it lies on it, else from the next.
+        """
+        at = self.switch_points
+        return self._states_from(at + (self.points[at] != self.switch_times))
 
     @cached_property
     def regimes(self) -> np.ndarray:
@@ -138,15 +164,20 @@ class SampleBlock:
         This is the regime rule of every scheme and reference: a segment's
         state is read at its midpoint, so a switch that the grid absorbed
         into a nearby point (one within the time tolerance) still governs
-        the segment it opens. Read-only, as the grids select from it.
+        the segment it opens. A switch holds from the first segment of its
+        row whose midpoint is at or after it: the one at its point, or the
+        next, or the one before when that midpoint rounds up to the switch.
+        Read-only, as the grids select from it.
         """
         mid = self.points.copy()
         mid[:-1] = 0.5 * (self.points[:-1] + self.points[1:])
         ends = self.offsets[1:] - 1
         mid[ends] = self.points[ends]
-        regimes = self.states_at(mid, self.offsets)
-        regimes.setflags(write=False)
-        return regimes
+        at, sw = self.switch_points, self.switch_times
+        start = at + (mid[at] < sw)
+        start -= (self.points[at] == sw) & (mid[at - 1] >= sw)
+        start[self.switch_offsets[:-1]] = self.offsets[:-1]  # each row's first switch, at 0
+        return self._states_from(start)
 
     def on_grid(self, step: float) -> np.ndarray:
         """Read-only mask of the union points on the uniform grid of ``step``, T included."""
@@ -236,7 +267,7 @@ def classical_grid(block: SampleBlock, step: float) -> RefinedGrid:
     """
     keep = np.flatnonzero(block.on_grid(step))
     offsets = np.searchsorted(keep, block.offsets)
-    regimes = block.states_at(block.points[keep], offsets)
+    regimes = block.point_states[keep]
     regimes[offsets[1:] - 1] = regimes[offsets[1:] - 2]
     return RefinedGrid(
         step=float(step), horizon=block.horizon, points=block.points, union_index=keep,
@@ -466,24 +497,23 @@ def euler_block(model: HybridModel, grids, points, bm_values, reference=None):
         grids[r] = None  # not needed again
         offsets, owners = grid.offsets, grid.owner_interval
         lanes = lane0[r] + _row_of(offsets)
-        E, last = len(times), offsets[1:] - 1
-        values = np.empty((n, E))
-        first = np.ones(E, dtype=bool)
-        first[1:] = owners[1:] != owners[:-1]
-        first[offsets[:-1]] = True
-        values[:, first] = np.take(frozen, fbase[owners[first]] + lanes[first], axis=0).T
-        inner = np.flatnonzero(~first)
+        at = fbase[owners] + lanes  # the frozen row of each event's interval
+        values = np.take(frozen.T, at, axis=1)  # every event's Z_k, (n, E): state-major
+        # an event is inner when the one before it owns its interval, as a row's T
+        # and the next 0 never do; an inner value adds its segments to Z_k
+        inner = np.flatnonzero(owners[1:] == owners[:-1]) + 1
         if len(inner):
-            k, at = owners[inner], lanes[inner]
+            k = owners[inner]
             values[:, inner] = _inner_values(
-                inner, times, bvals, grid.regimes - 1, frozen[fbase[k] + at],
-                cbase[k] + at, active[k], N, f_all, g_all, product,
+                inner, times, bvals, grid.regimes - 1, frozen[at[inner]],
+                cbase[k] + lanes[inner], active[k], N, f_all, g_all, product,
             ).T
         if not np.all(np.isfinite(values)):
             raise NonFiniteError("scheme produced non-finite values")
         if r < nref and dense:  # no interpolation, so no coefficients per event
             return values.T
         cells = bins.pop(r)  # its coefficient rows too: base and cbase agree where it reads
+        last = offsets[1:] - 1
         cells = np.insert(cells, last - np.arange(len(last)), zero)  # one per event
         drift_e = np.take(f_all, cells, axis=0).T.copy()  # into state-major memory
         diff_e = np.take(g_all, cells, axis=0).transpose(1, 2, 0).copy()
@@ -619,8 +649,7 @@ def exact_linear_solution(model: LinearHybridModel, sample, bm: BrownianPath | N
                              np.array([0, sample.n_segments]), bm.grid.points,
                              np.array([0, len(bm.grid)]), bm.values)
     pts, tol = sample.points, time_tolerance(sample.horizon)
-    sw = sample.switch_times
-    seg = _row_search(pts, sample.offsets, sw, sample.switch_offsets)
+    sw, seg = sample.switch_times, sample.switch_points
     inside = (sw >= pts[seg] + tol) & (sw < pts[np.minimum(seg + 1, len(pts) - 1)] - tol)
     if np.any(inside):
         k = int(seg[np.argmax(inside)])

@@ -221,7 +221,8 @@ def test_grids_point_into_the_union_grid_with_regimes_in_the_smallest_type(shift
         owned = sum(map(owned_bytes, (grid.union_index, grid.owner_interval, grid.regimes)))
         assert owned <= (16 + np.dtype(small).itemsize) * len(grid)
     assert np.array_equal(refined.regimes, block.regimes[refined.union_index])
-    want = block.states_at(classical.events, classical.offsets)
+    want = np.concatenate([s.states_at(p, classical.events[c])
+                           for p, c in zip(paths, row_slices(classical.offsets))])
     last = classical.offsets[1:] - 1
     want[last] = want[last - 1]  # the last event repeats the last interval's state
     assert np.array_equal(classical.regimes, want)
@@ -263,8 +264,16 @@ def gridpoints_only(block, step):
     points = s.uniform_grid(block.horizon, step).points
     rows = len(block)
     values = np.random.default_rng(rows).standard_normal((rows * len(points), 1))
+    offsets = np.arange(rows + 1) * len(points)
+    values[offsets[:-1]] = 0.0  # B(0) = 0 in every row
     return SampleBlock(block.horizon, block.switch_times, block.states, block.switch_offsets,
-                       np.tile(points, rows), np.arange(rows + 1) * len(points), values)
+                       np.tile(points, rows), offsets, values)
+
+
+def brownian_rows(block):
+    """The block's rows as one Brownian path each."""
+    return [s.BrownianPath(s.TimeGrid(block.points[r]), block.bm_values[r])
+            for r in row_slices(block.offsets)]
 
 
 def closed_form(model, block):
@@ -275,12 +284,44 @@ def closed_form(model, block):
         return str(exc)
 
 
+def closed_form_by_path(model, paths, bms):
+    """`oracles.exact_linear` row by row, stacked as the block's (P, 1) values, or
+    None where a row straddles a switch."""
+    try:
+        return np.concatenate([oracles.exact_linear(model, p, bm) for p, bm in zip(paths, bms)])[
+            :, None]
+    except RegimeNotConstantError:
+        return None
+
+
+def assert_lookups_match_per_path_oracles(paths, block, step, linear):
+    """The chain lookups of ``block``, which holds ``paths`` one per row, against
+    per-path `states_at`: the segment regimes at the midpoints, the classical
+    regimes at the gridpoints, and both closed forms, on the block's union
+    grids and on grids of the step's gridpoints alone."""
+    horizon = block.horizon
+    assert block.regimes.tobytes() == np.concatenate([
+        oracles.segment_states(p, block.points[r])
+        for p, r in zip(paths, row_slices(block.offsets))]).astype(block.regimes.dtype).tobytes()
+    classical = classical_grid(block, step).regimes
+    assert np.array_equal(classical, np.concatenate(
+        [oracles.classical_grid(p, step, horizon)[1] for p in paths]))
+    for on in (block, gridpoints_only(block, step)):
+        got, want = closed_form(linear, on), closed_form_by_path(linear, paths, brownian_rows(on))
+        if want is None:
+            assert isinstance(got, str) and "straddles a regime switch" in got
+        else:
+            assert got.tobytes() == want.tobytes()
+
+
 @settings(max_examples=100)
 @given(blocks(), st.lists(st.floats(0.0, 0.69), min_size=1, max_size=6))
 def test_row_searches_match_the_complex_key_search(sample, times):
     """Every lookup row by row is `oracles.keyed_search`'s one search over
-    row + 1j * time, exactly: the segment regimes, the classical skeleton, the
-    cumulants and the closed form's straddle check, on union grids with the
+    row + 1j * time, exactly: the block's switch points, from which it counts
+    the segment regimes, the classical skeleton and the closed form's
+    straddle check, and the cumulants. Those three no longer search, so they
+    are checked against per-path oracles too, on union grids with the
     switches and on union grids of gridpoints alone.
     """
     paths, bms, step = sample
@@ -291,17 +332,71 @@ def test_row_searches_match_the_complex_key_search(sample, times):
     times = np.sort(np.concatenate([times, np.arange(0.0, 0.69, step) + 0.5 * step]))
 
     def lookups():
-        block = stack(paths, bms)  # a new block each time, as its regimes are cached
+        block = stack(paths, bms)  # a new block each time, as its lookups are cached
         solved, = euler_block(model, [s.build_refined_grid(block, step)], block.points,
                               block.bm_values)
-        return [block.regimes, classical_grid(block, step).regimes, *solved.cumulants(times),
-                closed_form(linear, block), closed_form(linear, gridpoints_only(block, step))]
+        return [block.switch_points, block.regimes, classical_grid(block, step).regimes,
+                *solved.cumulants(times), closed_form(linear, block),
+                closed_form(linear, gridpoints_only(block, step))]
 
     got = lookups()
     with mock.patch.object(solvers, "_row_search", oracles.keyed_search):
         want = lookups()
     for g, w in zip(got, want):
         assert type(g) is type(w) and np.array_equal(g, w)
+    assert_lookups_match_per_path_oracles(paths, stack(paths, bms), step, linear)
+
+
+def adjacent_pair_rounding_up(t):
+    """The first two adjacent floats from ``t`` on whose midpoint rounds up to the larger."""
+    a = t
+    while 0.5 * (a + np.nextafter(a, 2.0)) != np.nextafter(a, 2.0):
+        a = np.nextafter(a, 2.0)
+    return a, np.nextafter(a, 2.0)
+
+
+@pytest.mark.parametrize("horizon", [1.0, 0.7])
+def test_lookups_at_switches_near_gridpoints_match_per_path_oracles(horizon):
+    """Switches within TIME_TOL before and after a gridpoint, on one, and a pair
+    closer than tol, against the per-path oracles."""
+    tol, step, fine = time_tolerance(horizon), 0.125, 0.0625
+    paths = [
+        with_switches(horizon, [0.25 - 0.5 * tol, 0.5 + 0.5 * tol]),
+        with_switches(horizon, [0.25, 0.375 - 0.9 * tol, 0.5625 + 0.9 * tol]),
+        with_switches(horizon, [0.3, 0.3 + 0.5 * tol, horizon - 0.5 * tol]),
+        with_switches(horizon, []),
+    ]
+    grid = s.uniform_grid(horizon, fine)
+    bms = [s.generate_increments(s.merge_grids(grid, s.make_grid(np.append(p.switch_times,
+                                                                           horizon))),
+                                 1, np.random.default_rng(row))
+           for row, p in enumerate(paths)]
+    block = stack(paths, bms)
+    linear = s.LinearHybridModel(a=[0.5, -1.0], b=[0.3, 0.8])
+    assert_lookups_match_per_path_oracles(paths, block, step, linear)
+    # a switch just before a gridpoint sits at the point before it, one just after at it
+    assert block.switch_points[:3].tolist() == [0, 3, 8]
+
+
+def test_a_one_path_closed_form_on_points_closer_than_2_tol_matches_its_oracle():
+    """``exact_linear_solution(ChainPath, bm)`` on a Brownian grid of its own with
+    points closer than 2 tol, and a pair of adjacent floats whose midpoint rounds
+    up to the switch on the larger: each segment runs in its midpoint's state."""
+    tol = time_tolerance(1.0)
+    a, b = adjacent_pair_rounding_up(0.6)
+    points = np.array([0.0, 0.25, 0.3, 0.3 + 1.5 * tol, 0.5, a, b, 0.75, 1.0])
+    bm = s.generate_increments(s.TimeGrid(points), 1, np.random.default_rng(3))
+    linear = s.LinearHybridModel(a=[0.5, -1.0], b=[0.3, 0.8])
+    halfway = 0.5 * (points[2] + points[3])  # on the midpoint of the close pair
+    for switches in ([0.3 + 0.7 * tol], [0.3 + 1.5 * tol], [halfway], [0.3, b], [b],
+                     [0.3 + 0.7 * tol, b]):
+        path = with_switches(1.0, switches)
+        got = s.exact_linear_solution(linear, path, bm)
+        assert got.tobytes() == oracles.exact_linear(linear, path, bm)[:, None].tobytes()
+        block = SampleBlock(1.0, path.switch_times, path.states,
+                            np.array([0, path.n_segments]), points, np.array([0, len(points)]))
+        assert np.array_equal(block.regimes, oracles.segment_states(path, points))
+        assert np.array_equal(block.point_states, s.states_at(path, points))
 
 
 @given(st.lists(st.tuples(st.lists(st.floats(0.0, 1.0), max_size=5),
@@ -312,6 +407,48 @@ def test_row_search_is_the_complex_key_search_with_empty_rows_and_early_queries(
     args = [np.concatenate([[], *keys]), np.cumsum([0] + [len(k) for k in keys]),
             np.concatenate([[], *queries]), np.cumsum([0] + [len(q) for q in queries])]
     assert np.array_equal(solvers._row_search(*args), oracles.keyed_search(*args))
+
+
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=5), st.sampled_from([(), (2,)]),
+       st.data())
+def test_row_cumsum_is_each_rows_own_cumsum_bit_for_bit(lengths, tail, data):
+    """Each row of `_row_cumsum` is that row's own np.cumsum, bit for bit: rows of
+    unequal length, a single row, 1-D values and (P, 2) values."""
+    offsets = np.cumsum([0] + lengths)
+    shape = (int(offsets[-1]),) + tail
+    values = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=int(np.prod(shape)),
+                                         max_size=int(np.prod(shape)))),
+                      dtype=np.float64).reshape(shape)
+    got = solvers._row_cumsum(values.copy(), offsets)
+    want = np.concatenate([np.cumsum(values[lo:hi], axis=0)
+                           for lo, hi in zip(offsets[:-1], offsets[1:])])
+    assert got.shape == values.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rates,a,b", [
+    ([[-1.0, 1.0], [2.0, -2.0]], [1.0, 2.0], [2.0, 1.0]),  # linear-closed
+    ([[-500.0, 300.0, 200.0], [250.0, -600.0, 350.0], [400.0, 200.0, -600.0]],
+     [1.0, 2.0, -0.5], [2.0, 1.0, 0.5]),  # fastswitch-closed
+], ids=["linear-closed", "fastswitch-closed"])
+def test_one_row_search_per_block(monkeypatch, rates, a, b):
+    """The segment regimes, the classical skeletons and the closed form's
+    straddle check all count from the block's switch points: one row search
+    per block, where each of them used to search on its own (8 per block)."""
+    calls = []
+    search = solvers._row_search
+
+    def counting(*args):
+        calls.append(len(args[2]))  # the queries: the block's switches
+        return search(*args)
+
+    monkeypatch.setattr(solvers, "_row_search", counting)
+    config = s.ExperimentConfig(
+        model=s.LinearHybridModel(a=a, b=b, z0=1.0), generator=s.validate_generator(rates),
+        horizon=1.0, p_values=(2, 4), samples=harness.BLOCK_SIZE + 3,
+        reference="closed-form", schemes=(JUMP_ADAPTED, CLASSICAL),
+    )
+    harness._sup_errors(config)
+    assert len(calls) == 2  # two blocks, and each searches its switches once
 
 
 def test_sup_errors_builds_each_grid_once_per_block(monkeypatch):

@@ -18,6 +18,13 @@ def test_counts_the_faults_of_warm_rounds_in_a_process_of_their_own():
     assert (counts["rounds"], counts["samples"]) == (2, 8)
     assert 0 <= counts["minflt_median"] <= counts["minflt_max"]
     assert counts["round_s_median"] > 0.0
+    stages = counts["stage_ms_median"]
+    assert list(stages) == ["draw", "closed_form", "grids", "recursion", "expand",
+                            "interpolation", "rest"]
+    assert all(ms >= 0.0 for ms in stages.values())
+    assert stages["recursion"] > 0.0 and stages["closed_form"] == 0.0  # a fine-EM workload
+    # the median of two rounds is their mean, so the stages of a round add up to it
+    assert sum(stages.values()) <= 1e3 * counts["round_s_median"] * (1 + 1e-9)
 
 
 def test_measures_copies_of_the_tree_in_sibling_directories_of_equal_name_length():

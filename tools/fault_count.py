@@ -13,8 +13,17 @@ runs the workload's reference round, then ``--rounds`` warm rounds at the
 workload's round size and seed ``SEED``, and reads
 ``resource.getrusage(RUSAGE_SELF).ru_minflt`` around each. The tool prints
 one JSON object: per workload, the median and the largest fault count of a
-round and the median round time in seconds. With ``--workload`` it measures
-that workload alone, in this process.
+round, the median round time in seconds, and in ``stage_ms_median`` the
+median milliseconds of a round spent in each stage (`STAGES`). With
+``--workload`` it measures that workload alone, in this process.
+
+The stages are timed by wrapping, in this process only, the names that
+``switchsde.harness`` binds: the block draw, the closed form, the grid
+builders and the ``euler_block`` call, which builds the tables and runs the
+recursion; each ``next`` on the iterator that call returns is the expand
+stage; and ``EulerBlock.on_brownian_grids`` is the interpolation. A stage's
+time excludes the stages nested in it, as the interpolation of a fine-EM
+reference inside its expand, and ``rest`` is the remainder of the round.
 
 With ``--locations K`` the tool copies TREE's ``src``, ``perfbench`` (less
 its ``out``) and ``BENCHMARK.json`` into K sibling temporary directories
@@ -33,6 +42,7 @@ repeat a measurement before trusting a difference.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import resource
@@ -41,8 +51,65 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 SEED = 1  # the seed of every warm round
+# the stages of a round, then what they leave of it
+STAGES = ("draw", "closed_form", "grids", "recursion", "expand", "interpolation", "rest")
+
+
+class StageTimer:
+    """Exclusive time per stage, summed over the calls of one round."""
+
+    def __init__(self):
+        self.seconds = dict.fromkeys(STAGES[:-1], 0.0)
+        self._nested = [0.0]  # per open call, the time of the stages inside it
+
+    def timed(self, stage, call, *args, **kwargs):
+        self._nested.append(0.0)
+        start = time.perf_counter()
+        try:
+            return call(*args, **kwargs)
+        finally:
+            elapsed = time.perf_counter() - start
+            self.seconds[stage] += elapsed - self._nested.pop()
+            self._nested[-1] += elapsed
+
+    def wrap(self, stage, call):
+        return functools.wraps(call)(lambda *args, **kwargs: self.timed(stage, call, *args,
+                                                                        **kwargs))
+
+    def install(self, harness, euler_block_type) -> None:
+        """Time the stages through ``harness``' bindings and the EulerBlock method."""
+        for name, stage in (("_draw_block", "draw"), ("exact_linear_solution", "closed_form"),
+                            ("build_refined_grid", "grids"), ("classical_grid", "grids")):
+            setattr(harness, name, self.wrap(stage, getattr(harness, name)))
+        kernel = harness.euler_block
+        harness.euler_block = functools.wraps(kernel)(lambda *args, **kwargs: TimedNext(
+            self, "expand", self.timed("recursion", kernel, *args, **kwargs)))
+        euler_block_type.on_brownian_grids = self.wrap(
+            "interpolation", euler_block_type.on_brownian_grids)
+
+    def take(self) -> dict:
+        """The seconds per stage since the last take, and start again from zero."""
+        seconds, self.seconds = self.seconds, dict.fromkeys(STAGES[:-1], 0.0)
+        return seconds
+
+
+class TimedNext:
+    """An iterator whose every ``next`` is timed as ``stage``.
+
+    A class, not a generator: a generator's frame moved the heap layout
+    enough to turn a fault-free warm round into one of about 2,000 faults."""
+
+    def __init__(self, timer, stage, iterator):
+        self.timer, self.stage, self.iterator = timer, stage, iterator
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        return self.timer.timed(self.stage, next, self.iterator)
 
 
 def measure(tree: str, name: str, rounds: int) -> dict:
@@ -51,23 +118,31 @@ def measure(tree: str, name: str, rounds: int) -> dict:
     src = os.path.join(tree, "src")
     sys.path[:0] = [src, os.path.join(tree, "perfbench")]
     import switchsde
+    import switchsde.harness
     from workloads import WORKLOADS
 
     if not switchsde.__file__.startswith(src + os.sep):
         raise RuntimeError(f"switchsde was imported from outside {src}")
     workload = WORKLOADS[name]
+    timer = StageTimer()
+    timer.install(switchsde.harness, switchsde.EulerBlock)
     with tempfile.TemporaryDirectory() as workdir:
         workload.prepare(workdir, {workload.samples, workload.check_samples})
         workload.round(workload.check_seed, workload.check_samples)
-        faults, seconds = [], []
+        faults, seconds, stages = [], [], []
         for _ in range(rounds):
+            timer.take()
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             elapsed, _, _ = workload.round(SEED, workload.samples)
             faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
             seconds.append(elapsed)
+            stage = timer.take()
+            stages.append(dict(stage, rest=elapsed - sum(stage.values())))
     return {"rounds": rounds, "samples": workload.samples,
             "minflt_median": statistics.median(faults), "minflt_max": max(faults),
-            "round_s_median": statistics.median(seconds)}
+            "round_s_median": statistics.median(seconds),
+            "stage_ms_median": {key: 1e3 * statistics.median(s[key] for s in stages)
+                                for key in STAGES}}
 
 
 def at_locations(tree: str, count: int, options: list) -> list:
