@@ -254,14 +254,13 @@ def simulate_exact_path(
     absorbing = (diag == 0.0).tolist()
     top_rate = -float(diag.min())
 
-    times = [np.zeros(1)]
-    states = [initial - 1]
+    times, walks, switches = [], [], 0  # a later chunk's first entry repeats the last one's end
     t = 0.0
     state = initial - 1
     while not absorbing[state] and t < horizon:
         # enough pairs for the expected switches plus four standard deviations
         expected = (horizon - t) * top_rate
-        pairs = int(max(1, min(CHUNK_PAIRS, max_switches - len(states) + 2,
+        pairs = int(max(1, min(CHUNK_PAIRS, max_switches - switches + 1,
                                expected + 4.0 * math.sqrt(expected) + 2.0)))
         saved = rng.bit_generator.state
         u = rng.random(2 * pairs)
@@ -278,18 +277,20 @@ def simulate_exact_path(
             state = step_map[state]
             visited.append(state)
         live = len(visited) - 1
+        walk = np.array(visited)
 
         clock = np.empty(live + 1)
         clock[0] = t
-        clock[1:] = np.log1p(-u[0:2 * live:2]) / diag[visited[:live]]
+        clock[1:] = np.log1p(-u[0:2 * live:2]) / diag[walk[:live]]
         zero_hold = clock[1:] <= 0.0  # u = 0 gives a zero hold, which is redrawn
         np.cumsum(clock, out=clock)
         stops = np.flatnonzero(zero_hold | (clock[1:] >= horizon))
         done = int(stops[0]) if len(stops) else live
-        if len(states) - 1 + done > max_switches:
+        switches += done
+        if switches > max_switches:
             raise JumpBudgetError(f"more than {max_switches} switches before t={horizon}")
-        times.append(clock[1:done + 1])
-        states.extend(visited[1:done + 1])
+        times.append(clock[bool(times):done + 1])
+        walks.append(walk[bool(walks):done + 1])
         state = visited[done]
         t = clock[min(done + 1, live)]
 
@@ -299,7 +300,8 @@ def simulate_exact_path(
             rng.bit_generator.state = saved
             rng.random(used)
 
-    return ChainPath(float(horizon), np.concatenate(times), np.array(states, dtype=np.int64) + 1)
+    states = np.concatenate(walks or [[initial - 1]]) + 1  # one state when absorbing at 0
+    return ChainPath(float(horizon), np.concatenate(times or [[0.0]]), states)
 
 
 def state_at(path: ChainPath, t: float) -> int:

@@ -354,8 +354,11 @@ def _sup_errors(config: ExperimentConfig) -> np.ndarray:
     the reference too when it is the switch-adapted run on the reference
     step. Each grid is built once per block and step.
     """
+    def distance(gap):  # for n = 1 the norm sqrt(x * x) is |x| unless x * x under- or overflows
+        return np.abs(gap[:, 0]) if gap.shape[1] == 1 else np.linalg.norm(gap, axis=1)
+
     sups = np.concatenate([
-        [np.maximum.reduceat(np.linalg.norm(approx - ref, axis=1), offsets[:-1])
+        [np.maximum.reduceat(distance(approx - ref), offsets[:-1])
          for approx in map(EulerBlock.on_brownian_grids, solved)]
         for offsets, ref, solved in _solved_blocks(config, config.schemes, reference=True)
     ], axis=1)  # in the ladder's order

@@ -12,6 +12,9 @@ must be pure and reentrant, and they are batch-first: the solvers call
 `drift_eval`/`diffusion_eval` evaluate one state as a batch of one and
 return the (n,) and (n, d) shapes. The probes are batch calls too: one drift
 and one diffusion call per regime on all their points.
+The Euler recursion takes an interval's coefficients from one
+`HybridModel.fill_coefficients` call: one drift and one diffusion call per visited
+regime by default, one of each on the column of all regimes in the shipped models.
 
 Two families ship with the package: a per-regime linear model (which has a
 conditional closed-form solution, used as the strong-error reference) and a
@@ -71,9 +74,24 @@ class HybridModel:
             raise InvalidRegimeError(
                 f"initial regime {self.initial_regime} outside 1..{self.regime_count}"
             )
+        self.regime_column = np.arange(1, self.regime_count + 1).reshape(-1, 1, 1)  # (N, 1, 1)
 
     def has_closed_form(self) -> bool:
         return False
+
+    def fill_coefficients(self, Z, visited, drift_rows, diffusion_rows) -> None:
+        """Write f(Z, j + 1) into ``drift_rows[j]`` and g(Z, j + 1) into ``diffusion_rows[j]``
+        for each j in ``visited``: (N, B, n) and (N, B, n, d) rows for the (B, n)
+        states Z. Other rows may be left as they are, or written."""
+        for j in visited:
+            f, g = self.drift(Z, j + 1), self.diffusion(Z, j + 1)
+            try:
+                drift_rows[j], diffusion_rows[j] = f, g
+            except ValueError as exc:
+                raise DimensionMismatchError(
+                    f"regime {j + 1} coefficients do not broadcast to drift "
+                    f"{drift_rows.shape[1:]} and diffusion {diffusion_rows.shape[1:]}: {exc}"
+                ) from None
 
 
 class LinearHybridModel(HybridModel):
@@ -86,10 +104,11 @@ class LinearHybridModel(HybridModel):
     """
 
     def __init__(self, a, b, z0=1.0, initial_regime=1):
-        a = self.a = np.asarray(a, dtype=np.float64)
-        b = self.b = np.asarray(b, dtype=np.float64)
+        a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
         if a.shape != b.shape or a.ndim != 1:
             raise ConfigError("a and b must be 1-d arrays of equal length")
+        a1, b1 = (np.append(np.nan, v) for v in (a, b))  # regime i's entry at index i
+        self.a, self.b = a1[1:], b1[1:]
         z0 = np.ravel(z0).astype(np.float64)  # a copy, so the caller's array stays theirs
         if z0.shape != (1,) or not z0[0] > 0.0:
             raise ConfigError(f"z0 must be a positive scalar, got {z0}")
@@ -97,14 +116,20 @@ class LinearHybridModel(HybridModel):
             state_dim=1,
             noise_dim=1,
             regime_count=len(a),
-            drift=lambda z, i: a[i - 1] * z,
-            diffusion=lambda z, i: (b[i - 1] * z)[..., None],
+            drift=lambda z, i: a1[i] * z,
+            diffusion=lambda z, i: (b1[i] * z)[..., None],
             initial_value=z0,
             initial_regime=initial_regime,
         )
 
     def has_closed_form(self) -> bool:
         return True
+
+    def fill_coefficients(self, Z, visited, drift_rows, diffusion_rows) -> None:
+        """Every regime's rows from one call of ``self.drift`` and of ``self.diffusion``
+        (so a replaced or wrapped one is called) on ``regime_column``, bit for bit."""
+        drift_rows[...] = self.drift(Z, self.regime_column)
+        diffusion_rows[...] = self.diffusion(Z, self.regime_column)
 
 
 class TrigHybridModel(HybridModel):
@@ -115,20 +140,22 @@ class TrigHybridModel(HybridModel):
     """
 
     def __init__(self, a, b, c, z0=1.0, initial_regime=1):
-        a = self.a = np.asarray(a, dtype=np.float64)
-        b = self.b = np.asarray(b, dtype=np.float64)
-        c = self.c = np.asarray(c, dtype=np.float64)
+        a, b, c = (np.asarray(v, dtype=np.float64) for v in (a, b, c))
         if not (a.shape == b.shape == c.shape) or a.ndim != 1:
             raise ConfigError("a, b, c must be 1-d arrays of equal length")
+        a1, b1, c1 = (np.append(np.nan, v) for v in (a, b, c))  # regime i's entry at index i
+        self.a, self.b, self.c = a1[1:], b1[1:], c1[1:]
         super().__init__(
             state_dim=1,
             noise_dim=1,
             regime_count=len(a),
-            drift=lambda z, i: a[i - 1] * np.sin(z) + c[i - 1],
-            diffusion=lambda z, i: (b[i - 1] * np.cos(z))[..., None],
+            drift=lambda z, i: a1[i] * np.sin(z) + c1[i],
+            diffusion=lambda z, i: (b1[i] * np.cos(z))[..., None],
             initial_value=[float(z0)],
             initial_regime=initial_regime,
         )
+
+    fill_coefficients = LinearHybridModel.fill_coefficients
 
 
 def model_from_config(cfg: dict, initial_regime: int = 1) -> HybridModel:

@@ -45,7 +45,6 @@ from .brownian import BrownianPath, TimeGrid, uniform_grid, union_rows
 from .ctmc import ChainPath
 from .errors import (
     ConfigError,
-    DimensionMismatchError,
     GridMismatchError,
     InvalidRegimeError,
     LengthMismatchError,
@@ -365,11 +364,12 @@ def euler_block(model: HybridModel, grids, points, bm_values, reference=None):
     are independent recursions that share only the loop index: the lanes are
     stacked with the grids of more intervals first, and iteration k advances
     the prefix of lanes whose grid has more than k intervals. So one block
-    runs max K intervals. In each, the 2 coefficient calls per regime that an
-    active lane visits fill stacked (regime, lane) rows, and one product f T
-    and one g W (elementwise for d = 1, as a 1 x 1 matmul rounds) cover all
-    regimes; a regime no active lane visits has its rows set to 0 first, as
-    a scratch row may be stale. numpy's iteration walks each run of intervals
+    runs max K intervals. In each, one fill (`HybridModel.fill_coefficients`)
+    writes the stacked (regime, lane) rows of the regimes an active lane
+    visits, and one product f T and one g W (elementwise for d = 1, as a
+    1 x 1 matmul rounds) cover all regimes; a regime no active lane visits
+    has its rows set to 0 after the fill, as a scratch row may be stale and
+    the fill may write any row. numpy's iteration walks each run of intervals
     with one active count and one kind of rows, with no per-interval lists.
     T and W are summed over each lane's segments in order. With row-wise
     coefficients lanes never mix.
@@ -458,7 +458,7 @@ def euler_block(model: HybridModel, grids, points, bm_values, reference=None):
     for k, row in zip(partial.tolist(), visited[partial].tolist()):
         plan[k] = tuple(j for j in range(N) if row[j]), [j for j in range(N) if not row[j]]
     product = np.matmul if d > 1 else np.multiply  # g W: a 1 x 1 matmul is one multiply
-    drift, diffusion = model.drift, model.diffusion
+    fill = model.fill_coefficients
     runs = np.flatnonzero(np.diff(np.where(kept, active, -active), prepend=0)).tolist() + [K]
     zk = frozen[:L]
     for k0, k1 in zip(runs[:-1], runs[1:]):  # a run has one active count and one row kind
@@ -474,16 +474,8 @@ def euler_block(model: HybridModel, grids, points, bm_values, reference=None):
                 frozen[fbase[k0 + 1]:fbase[k1 + 1]].reshape(-1, a, n), fs, gs,
                 occupation[span].reshape(-1, N, a, 1), noise[span].reshape(-1, N, a, d, 1),
                 plan[k0:k1]):
-            for j in js:
-                f, g = drift(zk, j + 1), diffusion(zk, j + 1)
-                try:
-                    fk[j], gk[j] = f, g
-                except ValueError as exc:
-                    raise DimensionMismatchError(
-                        f"regime {j + 1} coefficients do not broadcast to "
-                        f"drift ({a}, {n}) and diffusion ({a}, {n}, {d}): {exc}"
-                    ) from None
-            if idle:  # a stale scratch row times a T or W of 0 could be inf * 0
+            fill(zk, js, fk, gk)
+            if idle:  # a stale or filled row of an idle regime times a T or W of 0 could be inf * 0
                 fk[idle] = gk[idle] = 0.0
             np.multiply(fk, tk, out=fterm)
             product(gk, wk, out=gterm)

@@ -506,15 +506,27 @@ RUNS = {"closed-form": harness._sup_errors, "fine-em": harness._sup_errors,
         "moments": harness.moment_check, "local": harness.local_error_scaling}
 
 
-@pytest.mark.parametrize("run", sorted(RUNS))
-def test_one_recursion_per_block(monkeypatch, run):
-    """One kernel call per block, with one drift and one diffusion call per regime and interval.
+class DefaultFill(s.LinearHybridModel):
+    """The linear model with the fill every other model has: one call per regime."""
 
-    Every regime is visited in every interval of the longest grid in these
-    blocks, so each kernel call makes exactly N K drift calls, K being the
-    longest grid's interval count, and as many diffusion calls.
+    fill_coefficients = s.HybridModel.fill_coefficients
+
+
+@pytest.mark.parametrize("kind", ["shipped", "generic"])
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_one_recursion_per_block(monkeypatch, run, kind):
+    """One kernel call per block, with one fill of the coefficients per interval.
+
+    The shipped linear model fills every regime's rows with one drift and one
+    diffusion call on the column of regimes 1..N, so each kernel call makes
+    exactly K drift calls, K being the longest grid's interval count, and as
+    many diffusion calls. The same model with `HybridModel`'s own fill, as
+    any other model has it, makes one call of each per regime an active lane
+    visits; every regime is visited in every interval of the longest grid in
+    these blocks, so that is N K of each.
     """
-    model = s.LinearHybridModel(a=[1.0, 2.0], b=[2.0, 1.0], z0=1.0)
+    model = (s.LinearHybridModel if kind == "shipped" else DefaultFill)(
+        a=[1.0, 2.0], b=[2.0, 1.0], z0=1.0)
     calls = {"drift": [], "diffusion": []}
     for name, log in calls.items():
         def counted(z, i, coefficient=getattr(model, name), log=log):
@@ -543,8 +555,13 @@ def test_one_recursion_per_block(monkeypatch, run):
                                       else config.finest_step))
     assert len(per_call) == 3  # three blocks
     assert longest == (32 if run == "fine-em" else 16)
-    each = model.regime_count * longest
+    each = longest if kind == "shipped" else model.regime_count * longest
     assert per_call == [{"drift": each, "diffusion": each}] * 3
+    for log in calls.values():
+        if kind == "shipped":
+            assert all(np.array_equal(i, [[[1]], [[2]]]) for i in log)
+        else:
+            assert all(isinstance(i, int) for i in log) and set(log) == {1, 2}
 
 
 def test_solve_runs_every_scheme_in_one_recursion(monkeypatch, tmp_path):

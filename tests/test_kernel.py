@@ -435,6 +435,34 @@ def test_runs_mix_kept_and_scratch_intervals_and_unvisited_regimes(kind):
                               oracles.gridpoint_values(model, grid, block.bm_values))
 
 
+@pytest.mark.parametrize("union_step", [1 / 16, 1 / 32])  # each union point an event, or not
+@pytest.mark.parametrize("kind", ["linear", "trig"])
+def test_the_shipped_fill_solves_as_the_default_fill_byte_for_byte(kind, union_step):
+    """A shipped model, which fills every regime's rows with one call of each
+    coefficient, and a plain `HybridModel` of the same coefficients, which
+    calls them once per visited regime, give the same bytes: every grid's
+    `EulerBlock` and the reference's values. Regime 3 is idle in intervals
+    0-8 and 14-15 of the reference step 1/16, and regime 1 in intervals 5-12,
+    where the shipped fill writes rows that the recursion then zeroes."""
+    shipped = (s.LinearHybridModel(a=[0.5, -1.0, 2.0], b=[0.3, 0.8, -0.4])
+               if kind == "linear" else
+               s.TrigHybridModel(a=[0.5, -1.0, 2.0], b=[0.3, 0.8, -0.4], c=[0.1, 0.0, -0.2]))
+    plain = s.HybridModel(1, 1, 3, shipped.drift, shipped.diffusion, shipped.initial_value)
+    paths = [s.ChainPath(horizon=1.0, switch_times=np.array([0.0, 0.3, 0.6, 0.85]),
+                         states=np.array([1, 2, 3, 1])),
+             s.ChainPath(horizon=1.0, switch_times=np.array([0.0]), states=np.array([2]))]
+    block, _ = reference_block(paths, union_step, 1, seed=3)
+    reference = s.build_refined_grid(block, 1 / 16)
+    grids = [s.build_refined_grid(block, 0.25), classical_grid(block, 0.25)]
+    got, want = (list(euler_block(model, grids, block.points, block.bm_values,
+                                  reference=reference)) for model in (shipped, plain))
+    assert got[0].tobytes() == want[0].tobytes()
+    for solved, expected in zip(got[1:], want[1:]):
+        for name in ("times", "values", "drift", "diff", "bm_index", "bm_values"):
+            assert getattr(solved, name).tobytes() == getattr(expected, name).tobytes(), name
+            assert getattr(solved, name).shape == getattr(expected, name).shape, name
+
+
 def test_a_non_finite_scratch_row_of_an_unvisited_regime_changes_no_lane():
     """A regime's scratch rows keep the last values written to them; where no
     lane visits the regime they must neither reach a lane nor warn.

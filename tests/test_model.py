@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 import switchsde as s
@@ -190,3 +192,31 @@ def test_evaluation_is_pure(linear):
     first = s.drift_eval(linear, z, 2)
     second = s.drift_eval(linear, z, 2)
     assert np.array_equal(first, second)
+
+
+# ±0.0, the smallest and largest subnormals, the smallest normal, and large finite states
+EDGE_STATES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+               1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308]
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.data())
+def test_the_shipped_fill_is_the_per_regime_calls_bit_for_bit(data):
+    """A shipped model's one-call fill writes every regime's rows with the
+    bits of ``drift(Z, i)`` and ``diffusion(Z, i)`` called with each int i."""
+    n_states = data.draw(st.integers(1, 5))
+    kind = data.draw(st.sampled_from([s.LinearHybridModel, s.TrigHybridModel]))
+    coefficients = [data.draw(st.lists(finite, min_size=n_states, max_size=n_states))
+                    for _ in range(2 if kind is s.LinearHybridModel else 3)]
+    model = kind(*coefficients)
+    states = data.draw(st.lists(st.one_of(st.sampled_from(EDGE_STATES), finite),
+                                min_size=1, max_size=8))
+    Z = np.array(states)[:, None]
+    drift_rows = np.full((n_states, len(Z), 1), np.nan)
+    diffusion_rows = np.full((n_states, len(Z), 1, 1), np.nan)
+    with np.errstate(all="ignore"):  # a large coefficient times a large state overflows alike
+        model.fill_coefficients(Z, range(n_states), drift_rows, diffusion_rows)
+        f = [np.broadcast_to(model.drift(Z, i), Z.shape) for i in range(1, n_states + 1)]
+        g = [model.diffusion(Z, i) for i in range(1, n_states + 1)]
+    assert drift_rows.tobytes() == np.stack(f).tobytes()
+    assert diffusion_rows.tobytes() == np.stack(g).tobytes()

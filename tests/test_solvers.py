@@ -228,7 +228,8 @@ def test_euler_block_rejects_coefficients_that_do_not_broadcast(drift, diffusion
                           diffusion=diffusion, initial_value=[1.0])
     block = three_row_block()
     grid = s.build_refined_grid(block, 0.25)
-    with pytest.raises(DimensionMismatchError, match="do not broadcast"):
+    with pytest.raises(DimensionMismatchError, match=r"regime 1 coefficients do not broadcast to "
+                                                     r"drift \(3, 1\) and diffusion \(3, 1, 1\)"):
         next(euler_block(model, [grid], block.points, block.bm_values))
 
 
