@@ -6,7 +6,8 @@ all schemes and the reference solution are driven by the same noise. The
 cumulative path values are the only representation: increments are computed
 as differences of the anchored cumulative values, which makes aggregation a
 pure index-subsetting operation and keeps shared times bit-identical across
-resolutions.
+resolutions. The union grids of a block's rows are laid end to end
+(`union_rows`), each point with its rank among the fine gridpoints.
 """
 
 from __future__ import annotations
@@ -107,21 +108,25 @@ def merge_grids(a: TimeGrid, b: TimeGrid) -> TimeGrid:
     return TimeGrid(points=pts)
 
 
-def union_rows(fine: TimeGrid, times, offsets) -> tuple[np.ndarray, np.ndarray]:
+def union_rows(fine: TimeGrid, times, offsets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """merge_grids(fine, make_grid(row + [T])) for rows of sorted times split at ``offsets``.
 
-    Returns the union grids laid end to end and their offsets. No row is sorted:
+    Returns the union grids laid end to end, their offsets and each point's
+    fine rank, in the smallest unsigned type: twice the index of the last point
+    of ``fine`` at or before it, plus 1 unless it is that point. No row is sorted:
     T drops none of a row's times, and the survivors go in by position."""
     F, tol, rows = len(fine), time_tolerance(fine.horizon), np.arange(len(offsets))
     keep = _cluster_firsts(times, offsets[:-1], tol)
     keep &= match_indices(fine.points, times, tol) < 0
     extra = times[keep]
     row = np.searchsorted(offsets, np.flatnonzero(keep), side="right") - 1
-    points = np.insert(np.tile(fine.points, len(offsets) - 1),
-                       row * F + np.searchsorted(fine.points, extra), extra)
+    at = np.searchsorted(fine.points, extra)  # fine point at - 1 < extra < fine point at
+    pos, ranks = row * F + at, np.arange(0, 2 * F, 2, dtype=np.min_scalar_type(2 * F))
+    points = np.insert(np.tile(fine.points, len(offsets) - 1), pos, extra)
+    rank = np.insert(np.tile(ranks, len(offsets) - 1), pos, 2 * at - 1)
     points_offsets = rows * F + np.searchsorted(row, rows)  # and the earlier rows' extra times
     _check_rows(points, points_offsets)
-    return points, points_offsets
+    return points, points_offsets, rank
 
 
 @dataclass(frozen=True)

@@ -378,16 +378,18 @@ def run_strong_error(config: ExperimentConfig, threads: int = 1) -> ErrorReport:
     points = []
     fits = []
     m = config.samples
+    moments = {}  # per p, each (scheme, delta) row reduced along its contiguous samples,
+    for p in config.p_values:  # which rounds as the row's own mean and std
+        powered = all_sups ** p
+        moments[p] = powered.mean(axis=-1), powered.std(axis=-1, ddof=1)
     for si, scheme in enumerate(config.schemes):
         for p in config.p_values:
             ladder = []
+            mean, std = moments[p]
             for di, delta in enumerate(config.deltas):
-                powered = all_sups[si, di] ** p
-                mean_p = float(powered.mean())
-                eps = mean_p ** (1.0 / p)
+                eps = float(mean[si, di]) ** (1.0 / p)
                 if eps > 0.0:
-                    sd = float(powered.std(ddof=1))
-                    stderr = eps ** (1 - p) * sd / (p * np.sqrt(m))
+                    stderr = eps ** (1 - p) * float(std[si, di]) / (p * np.sqrt(m))
                 else:
                     stderr = 0.0
                 points.append(ErrorPoint(scheme, p, delta, eps, float(stderr), m))

@@ -83,8 +83,9 @@ class HybridModel:
         """Write f(Z, j + 1) into ``drift_rows[j]`` and g(Z, j + 1) into ``diffusion_rows[j]``
         for each j in ``visited``: (N, B, n) and (N, B, n, d) rows for the (B, n)
         states Z. Other rows may be left as they are, or written."""
+        drift, diffusion = self.drift, self.diffusion
         for j in visited:
-            f, g = self.drift(Z, j + 1), self.diffusion(Z, j + 1)
+            f, g = drift(Z, j + 1), diffusion(Z, j + 1)
             try:
                 drift_rows[j], diffusion_rows[j] = f, g
             except ValueError as exc:

@@ -23,7 +23,8 @@ The schemes consume pre-generated chain and Brownian paths and never draw
 randomness, which is what makes coupled-error measurement possible. A block
 of coupled samples is one `SampleBlock`: flat chain paths and union grids.
 Every event of every scheme, step and reference is a union-grid point, so
-the event grids of a whole block are index masks over it, built with a
+the event grids of a whole block are index masks over it, built by integer
+arithmetic on each point's rank among the finest step's gridpoints with a
 fixed number of array operations however many rows the block has. The
 kernel's solutions are one `EulerBlock` per grid, and the one-path schemes
 return a one-row block. A block carries its per-segment coefficients so the
@@ -40,7 +41,7 @@ from itertools import repeat
 
 import numpy as np
 
-from ._timeutil import match_indices, time_tolerance, uniform_points
+from ._timeutil import match_indices, time_tolerance
 from .brownian import BrownianPath, TimeGrid, uniform_grid, union_rows
 from .ctmc import ChainPath
 from .errors import (
@@ -95,8 +96,9 @@ class SampleBlock:
     union grid is ``points`` over ``offsets[r]:offsets[r + 1]``, from 0 to
     the horizon, and its Brownian values are the same rows of ``bm_values``
     (None for a block without them). A union grid holds every gridpoint of
-    every step the block serves, and each switching time of its row unless
-    that lies within the time tolerance of another point. ``points`` and
+    step ``fine_step``, placed by ``fine_rank`` (`brownian.union_rows`; no
+    event grid without it), and each switching time of its row unless that
+    lies within the time tolerance of another point. ``points`` and
     ``offsets`` are read-only: every event grid of the block points into them.
     """
 
@@ -107,6 +109,8 @@ class SampleBlock:
     points: np.ndarray
     offsets: np.ndarray
     bm_values: np.ndarray | None = None
+    fine_step: float | None = None
+    fine_rank: np.ndarray | None = None
     _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -115,11 +119,12 @@ class SampleBlock:
 
     @classmethod
     def union(cls, fine: TimeGrid, chains) -> SampleBlock:
-        """One row per chain path, on ``brownian.union_rows``' union grids."""
+        """One row per chain path, on ``brownian.union_rows``' grids with the uniform ``fine``."""
         switch_offsets = np.cumsum([0] + [len(c.states) for c in chains])
         times = np.concatenate([c.switch_times for c in chains])
-        return cls(fine.horizon, times, np.concatenate([c.states for c in chains]),
-                   switch_offsets, *union_rows(fine, times, switch_offsets))
+        points, offsets, rank = union_rows(fine, times, switch_offsets)
+        return cls(fine.horizon, times, np.concatenate([c.states for c in chains]), switch_offsets,
+                   points, offsets, fine_step=float(fine.points[1]), fine_rank=rank)
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
@@ -185,14 +190,30 @@ class SampleBlock:
         return self._masks[step]
 
     def _grid_mask(self, step: float) -> np.ndarray:
-        tol = time_tolerance(self.horizon)
-        on_grid = np.abs(np.rint(self.points / step) * step - self.points) <= tol
+        on_grid = (self.fine_rank & ((1 << self._shift(step)) - 1)) == 0
         on_grid[self.offsets[1:] - 1] = True
-        count = np.add.reduceat(on_grid, self.offsets[:-1], dtype=np.int64)
-        if np.any(count != len(uniform_points(self.horizon, step))):
-            raise GridMismatchError(f"a union grid lacks a gridpoint of step {step}")
         on_grid.setflags(write=False)
         return on_grid
+
+    def _shift(self, step: float) -> int:
+        """log2 of twice ``step`` over the fine step, a power of two whose gridpoints up to
+        T lie within tolerance of fine ones, or the rank's bits past T: 1 << shift divides
+        a gridpoint's fine rank, and any point's rank >> shift is its interval."""
+        ratio = round(step / self.fine_step)
+        miss = abs(ratio * self.fine_step - step) * self.horizon / step  # by the last gridpoint
+        if ratio & (ratio - 1) or miss > time_tolerance(self.horizon):  # ratio 0 misses by T
+            raise GridMismatchError(f"a union grid lacks a gridpoint of step {step}")
+        return min(ratio.bit_length(), 8 * self.fine_rank.itemsize)
+
+    def select(self, mask, step: float) -> tuple:
+        """(union_index, offsets, owner_interval) of the union points in ``mask``, with
+        each row's T: a point's interval of ``step`` is the index of the last fine
+        gridpoint at or before it over the step's ratio, and T's is K, the interval count."""
+        keep, shift = np.flatnonzero(mask), self._shift(step)
+        offsets = np.searchsorted(keep, self.offsets)
+        owners = np.right_shift(self.fine_rank[keep], shift, dtype=np.intp)
+        owners[offsets[1:] - 1] = -(-int(self.fine_rank[self.offsets[1] - 1]) >> shift)  # ceil
+        return keep, offsets, owners
 
 
 @dataclass(frozen=True)
@@ -245,12 +266,9 @@ def build_refined_grid(sample, step: float) -> RefinedGrid:
     """
     if isinstance(sample, ChainPath):  # uniform_grid checks the step
         sample = SampleBlock.union(uniform_grid(sample.horizon, step), [sample])
-    on_grid = sample.on_grid(step)
     regimes = sample.regimes
-    keep = np.flatnonzero(on_grid | np.append(True, regimes[1:] != regimes[:-1]))
-    offsets = np.searchsorted(keep, sample.offsets)
-    count = np.cumsum(on_grid)  # a point's interval is the gridpoints up to it, less one
-    owners = count[keep] - np.repeat(count[sample.offsets[:-1]], np.diff(offsets))
+    keep, offsets, owners = sample.select(
+        sample.on_grid(step) | np.append(True, regimes[1:] != regimes[:-1]), step)
     return RefinedGrid(
         step=float(step), horizon=sample.horizon, points=sample.points, union_index=keep,
         regimes=regimes[keep], owner_interval=owners, offsets=offsets,
@@ -264,14 +282,12 @@ def classical_grid(block: SampleBlock, step: float) -> RefinedGrid:
     the path's skeleton as `skeleton_from_path` reads it; the last event
     repeats the last interval's state.
     """
-    keep = np.flatnonzero(block.on_grid(step))
-    offsets = np.searchsorted(keep, block.offsets)
+    keep, offsets, owners = block.select(block.on_grid(step), step)
     regimes = block.point_states[keep]
     regimes[offsets[1:] - 1] = regimes[offsets[1:] - 2]
     return RefinedGrid(
         step=float(step), horizon=block.horizon, points=block.points, union_index=keep,
-        regimes=regimes, offsets=offsets,
-        owner_interval=np.arange(len(keep)) - np.repeat(offsets[:-1], np.diff(offsets)),
+        regimes=regimes, owner_interval=owners, offsets=offsets,
     )
 
 
@@ -409,9 +425,11 @@ def euler_block(model: HybridModel, grids, points, bm_values, reference=None):
     fbase = np.concatenate([[0, L], L + np.cumsum(active)])
     active_end = np.append(active, 0)  # a row's last event, T, owns interval K
 
-    # T and W: each cell sums its lane's segments in order
-    occupation = np.zeros(base[-1])
-    noise = np.zeros((base[-1], d))
+    # T and W: each cell sums its lane's segments in order. A row's T gets cell -1:
+    # its segment to the next row's 0 goes to a last cell that no interval reads,
+    # and its coefficients come from the last row of f_all and g_all, never written
+    occupation = np.zeros(base[-1] + 1)
+    noise = np.zeros((base[-1] + 1, d))
     dense = reference is not None and len(reference) == len(points)  # all points are its events
 
     def on_events(r):  # grid r's event times and Brownian values, gathered once per phase
@@ -422,22 +440,20 @@ def euler_block(model: HybridModel, grids, points, bm_values, reference=None):
     bins = {}  # grid: the cell of each segment, for the grids whose expand reads them
     for r in order:  # one grid at a time keeps temporaries small
         grid, (times, bvals) = grids[r], on_events(r)
-        seg = np.ones(len(grid), dtype=bool)
-        seg[grid.offsets[1:] - 1] = False
         owners = grid.owner_interval
         cells = base[owners] + (grid.regimes - 1) * active_end[owners]
         cells += lane0[r] + _row_of(grid.offsets)
-        cells = cells[seg]
+        cells[grid.offsets[1:] - 1] = -1
         if r >= nref or not dense:
             bins[r] = cells
-        np.add.at(occupation, cells, np.diff(times)[seg[:-1]])
-        db = np.diff(bvals, axis=0)[seg[:-1]]
+        np.add.at(occupation, cells[:-1], np.diff(times))
+        db = np.diff(bvals, axis=0)
         for e in range(d):  # a column at a time is several times faster
-            np.add.at(noise[:, e], cells, db[:, e])
-    del seg, owners, cells, db, times, bvals
+            np.add.at(noise[:, e], cells[:-1], db[:, e])
+    del owners, cells, db, times, bvals
     # a regime no active lane spends time in costs no coefficient call
     firsts = (base[:-1, None] + np.arange(N) * active[:, None]).ravel()
-    visited = np.logical_or.reduceat(occupation > 0.0, firsts).reshape(K, N)
+    visited = np.logical_or.reduceat(occupation[:-1] > 0.0, firsts).reshape(K, N)
     # coefficient rows where a reader needs them (see the docstring); an event is inner
     # when the one before it owns its interval, as a row's T and the next 0 never do
     kept = np.arange(K) < max(counts[nref:], default=0)
@@ -450,9 +466,8 @@ def euler_block(model: HybridModel, grids, points, bm_values, reference=None):
 
     frozen = np.empty((fbase[-1], n))
     frozen[:L] = model.initial_value
-    zero = cbase[-1] + N * L  # a row never written: each row's last event reads it
-    f_all = np.zeros((zero + 1, n))
-    g_all = np.zeros((zero + 1, n, d))
+    f_all = np.zeros((cbase[-1] + N * L + 1, n))  # kept rows, scratch rows, then cell -1
+    g_all = np.zeros((len(f_all), n, d))
     plan = [(tuple(range(N)), [])] * K  # the regimes each interval visits, and the rest
     partial = np.flatnonzero(~visited.all(axis=1))
     for k, row in zip(partial.tolist(), visited[partial].tolist()):
@@ -505,8 +520,6 @@ def euler_block(model: HybridModel, grids, points, bm_values, reference=None):
         if r < nref and dense:  # no interpolation, so no coefficients per event
             return values.T
         cells = bins.pop(r)  # its coefficient rows too: base and cbase agree where it reads
-        last = offsets[1:] - 1
-        cells = np.insert(cells, last - np.arange(len(last)), zero)  # one per event
         drift_e = np.take(f_all, cells, axis=0).T.copy()  # into state-major memory
         diff_e = np.take(g_all, cells, axis=0).transpose(1, 2, 0).copy()
         del cells
@@ -529,12 +542,13 @@ def _inner_values(inner, times, bvals, regimes, z, coeff, stride, N, f_all, g_al
     its regime j coefficients are row ``coeff + j * stride`` of ``f_all`` and
     ``g_all``; ``product`` is euler_block's g W.
 
-    Segment e - 1 owns one cell of one table, with a (dt, dB) column per
-    regime. Cells are ordered by the segment's position in its interval,
-    then by the interval's rank: intervals with more segments rank first, so
-    those that reach position p are a prefix. Adding position p - 1's prefix
-    to position p, for p = 1, 2, ..., leaves in each cell the sums up to its
-    segment; another regime's segment adds an exact 0.0.
+    Segment e - 1 owns one cell, a (dt, dB) row in each regime's table, and
+    fills the row of its own regime. Cells are ordered by the segment's
+    position in its interval, then by the interval's rank: intervals with
+    more segments rank first, so those that reach position p are a prefix.
+    Adding position p - 1's prefix to position p, for p = 1, 2, ..., leaves
+    in each cell the sums up to its segment; another regime's segment adds
+    an exact 0.0.
     """
     # an interval's inner events directly follow its first event, which parts them from others
     new = np.diff(inner, prepend=-1) > 1
@@ -548,17 +562,17 @@ def _inner_values(inner, times, bvals, regimes, z, coeff, stride, N, f_all, g_al
     reach = np.searchsorted(-count[order], -np.arange(count[order[0]]))  # intervals reaching p
     off = np.concatenate([[0], np.cumsum(reach)])
     cell = off[pos] + rank[group]
-    table = np.zeros((len(inner), N, 1 + bvals.shape[1]))
-    flat, at = table.reshape(len(inner) * N, -1), cell * N + regimes[inner - 1]
+    table = np.zeros((N, len(inner), 1 + bvals.shape[1]))
+    flat, at = table.reshape(N * len(inner), -1), cell + regimes[inner - 1] * np.intp(len(inner))
     for c, column in enumerate([times, *bvals.T]):  # a column at a time is faster
         flat[at, c] = np.take(column, inner) - np.take(column, inner - 1)
     for prev, lo, a in zip(off[:-2].tolist(), off[1:-1].tolist(), reach[1:].tolist()):
-        np.add(table[lo:lo + a], table[prev:prev + a], out=table[lo:lo + a])
+        np.add(table[:, lo:lo + a], table[:, prev:prev + a], out=table[:, lo:lo + a])
     del group, pos, at  # lower the peak memory
-    table = np.take(table, cell, axis=0)
-    for j in range(N):
-        z = z + np.take(f_all, coeff + j * stride, axis=0) * table[:, j, :1]
-        z = z + product(np.take(g_all, coeff + j * stride, axis=0), table[:, j, 1:, None])[..., 0]
+    for j in range(N):  # regime j's sums in event order, one regime at a time
+        sums = np.take(table[j], cell, axis=0)
+        z = z + np.take(f_all, coeff + j * stride, axis=0) * sums[:, :1]
+        z = z + product(np.take(g_all, coeff + j * stride, axis=0), sums[:, 1:, None])[..., 0]
     return z
 
 

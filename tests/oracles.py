@@ -23,15 +23,21 @@ a Brownian path on its union grid, as the harness made it before it drew a
 whole block at once; `stack` lays such draws end to end as one block
 record, and `coupled_block` stacks the harness's first block of them, which
 the harness no longer hands out.
+`grid_mask` is the float rule by which each step once found its gridpoints
+on a block's union grids, before the union grid recorded each point's fine
+rank, and `grid_events` the switch-adapted and classical grids as they were
+built from it, with the count of gridpoints up to each event as its owner.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
 import switchsde as s
 import switchsde.harness as harness
 from switchsde._timeutil import match_indices, time_tolerance, uniform_points
-from switchsde.errors import (NegativeOffDiagonalError, RegimeNotConstantError,
-                              RowSumViolationError)
+from switchsde.errors import (GridMismatchError, NegativeOffDiagonalError,
+                              RegimeNotConstantError, RowSumViolationError)
 from switchsde.solvers import SampleBlock
 
 
@@ -64,20 +70,45 @@ def coupled_block(config, fine_step):
                        s.derive_stream(config.seed, m), config.jump_budget)
         for m in range(min(config.samples, harness.BLOCK_SIZE))
     ))
-    return stack(chains, [bm.grid for bm in bms], [bm.values for bm in bms])
+    return stack(chains, [bm.grid for bm in bms], [bm.values for bm in bms], fine_step)
 
 
-def stack(chains, grids, bm_values):
-    """The block of one row per chain path, its union grid and its Brownian values."""
-    return SampleBlock(
-        horizon=grids[0].horizon,
-        switch_times=np.concatenate([c.switch_times for c in chains]),
-        states=np.concatenate([c.states for c in chains]),
-        switch_offsets=np.cumsum([0] + [len(c.states) for c in chains]),
-        points=np.concatenate([g.points for g in grids]),
-        offsets=np.cumsum([0] + [len(g) for g in grids]),
-        bm_values=np.concatenate(bm_values),
-    )
+def stack(chains, grids, bm_values, fine_step):
+    """The block of one row per chain path, its union grid and its Brownian values.
+
+    ``grids`` are the rows' union grids with the uniform grid of ``fine_step``,
+    which `SampleBlock.union` builds again with their fine ranks."""
+    block = SampleBlock.union(s.uniform_grid(grids[0].horizon, fine_step), chains)
+    assert block.points.tobytes() == np.concatenate([g.points for g in grids]).tobytes()
+    return replace(block, bm_values=np.concatenate(bm_values))
+
+
+def grid_mask(block, step):
+    """The union points within tolerance of a multiple of ``step``, and each row's T.
+
+    Raises GridMismatchError when a row has more or fewer than the step's gridpoints."""
+    tol = time_tolerance(block.horizon)
+    on_grid = np.abs(np.rint(block.points / step) * step - block.points) <= tol
+    on_grid[block.offsets[1:] - 1] = True
+    count = np.add.reduceat(on_grid, block.offsets[:-1], dtype=np.int64)
+    if np.any(count != len(uniform_points(block.horizon, step))):
+        raise GridMismatchError(f"a union grid lacks a gridpoint of step {step}")
+    return on_grid
+
+
+def grid_events(block, step, classical):
+    """(union_index, owner_interval, regimes) of the switch-adapted or the classical grid."""
+    on_grid, regimes = grid_mask(block, step), block.regimes
+    keep = np.flatnonzero(on_grid if classical else
+                          on_grid | np.append(True, regimes[1:] != regimes[:-1]))
+    offsets = np.searchsorted(keep, block.offsets)
+    count = np.cumsum(on_grid)  # a point's interval is the gridpoints up to it, less one
+    owners = count[keep] - np.repeat(count[block.offsets[:-1]], np.diff(offsets))
+    if not classical:
+        return keep, owners, regimes[keep]
+    regimes = block.point_states[keep]
+    regimes[offsets[1:] - 1] = regimes[offsets[1:] - 2]
+    return keep, owners, regimes
 
 
 def keyed_search(keys, key_offsets, queries, query_offsets):

@@ -37,7 +37,7 @@ import switchsde.harness as harness
 import switchsde.solvers as solvers
 from switchsde._timeutil import time_tolerance
 from switchsde.cli import main
-from switchsde.errors import RegimeNotConstantError
+from switchsde.errors import GridMismatchError, RegimeNotConstantError
 from switchsde.solvers import CLASSICAL, JUMP_ADAPTED, SampleBlock, classical_grid, euler_block
 
 GENERATORS = {  # two of them with an absorbing state
@@ -88,11 +88,11 @@ def blocks(draw):
     unions = [s.merge_grids(grid, s.make_grid(np.append(p.switch_times, horizon))) for p in paths]
     bms = [s.generate_increments(union, d, np.random.default_rng([seed, 99, row]))
            for row, union in enumerate(unions)]
-    return paths, bms, step
+    return paths, bms, step, fine
 
 
-def stack(paths, bms):
-    return oracles.stack(paths, [bm.grid for bm in bms], [bm.values for bm in bms])
+def stack(paths, bms, fine):
+    return oracles.stack(paths, [bm.grid for bm in bms], [bm.values for bm in bms], fine)
 
 
 def row_slices(offsets):
@@ -145,8 +145,8 @@ def vector_model(n_states):
 @settings(max_examples=100)
 @given(blocks())
 def test_block_grids_match_per_path_oracles(sample):
-    paths, bms, step = sample
-    block = stack(paths, bms)
+    paths, bms, step, fine = sample
+    block = stack(paths, bms, fine)
     horizon, tol = block.horizon, time_tolerance(block.horizon)
     refined = s.build_refined_grid(block, step)
     classical = classical_grid(block, step)
@@ -208,9 +208,9 @@ def test_grids_point_into_the_union_grid_with_regimes_in_the_smallest_type(shift
     """Each grid shares its block's union points and owns two 8-byte indices and
     one regime per event: 17 bytes up to 255 states, against 32 with copied
     event times and 8-byte regimes. ``shift`` relabels states 1..3 as 298..300."""
-    paths, bms, step = sample
+    paths, bms, step, fine = sample
     paths = [s.ChainPath(p.horizon, p.switch_times, p.states + shift) for p in paths]
-    block = stack(paths, bms)
+    block = stack(paths, bms, fine)
     small = np.uint16 if shift else np.uint8
     assert block.regimes.dtype == small
     refined, classical = s.build_refined_grid(block, step), classical_grid(block, step)
@@ -242,8 +242,8 @@ def test_the_arrays_that_grids_share_are_read_only():
 
 @given(blocks(), st.lists(st.floats(0.0, 0.69), min_size=1, max_size=6))
 def test_cumulants_match_per_path_integrals(sample, times):
-    paths, bms, step = sample
-    block = stack(paths, bms)
+    paths, bms, step, fine = sample
+    block = stack(paths, bms, fine)
     n_states = int(max(p.states.max() for p in paths))
     model = vector_model(n_states) if block.bm_values.shape[1] == 2 else \
         s.LinearHybridModel(a=np.linspace(-1.0, 1.0, n_states), b=np.linspace(0.3, 0.9, n_states))
@@ -324,7 +324,7 @@ def test_row_searches_match_the_complex_key_search(sample, times):
     are checked against per-path oracles too, on union grids with the
     switches and on union grids of gridpoints alone.
     """
-    paths, bms, step = sample
+    paths, bms, step, fine = sample
     n_states = int(max(p.states.max() for p in paths))
     linear = s.LinearHybridModel(a=np.linspace(-1.0, 1.0, n_states),
                                  b=np.linspace(0.3, 0.9, n_states))
@@ -332,7 +332,7 @@ def test_row_searches_match_the_complex_key_search(sample, times):
     times = np.sort(np.concatenate([times, np.arange(0.0, 0.69, step) + 0.5 * step]))
 
     def lookups():
-        block = stack(paths, bms)  # a new block each time, as its lookups are cached
+        block = stack(paths, bms, fine)  # a new block each time, as its lookups are cached
         solved, = euler_block(model, [s.build_refined_grid(block, step)], block.points,
                               block.bm_values)
         return [block.switch_points, block.regimes, classical_grid(block, step).regimes,
@@ -344,7 +344,7 @@ def test_row_searches_match_the_complex_key_search(sample, times):
         want = lookups()
     for g, w in zip(got, want):
         assert type(g) is type(w) and np.array_equal(g, w)
-    assert_lookups_match_per_path_oracles(paths, stack(paths, bms), step, linear)
+    assert_lookups_match_per_path_oracles(paths, stack(paths, bms, fine), step, linear)
 
 
 def adjacent_pair_rounding_up(t):
@@ -371,7 +371,7 @@ def test_lookups_at_switches_near_gridpoints_match_per_path_oracles(horizon):
                                                                            horizon))),
                                  1, np.random.default_rng(row))
            for row, p in enumerate(paths)]
-    block = stack(paths, bms)
+    block = stack(paths, bms, fine)
     linear = s.LinearHybridModel(a=[0.5, -1.0], b=[0.3, 0.8])
     assert_lookups_match_per_path_oracles(paths, block, step, linear)
     # a switch just before a gridpoint sits at the point before it, one just after at it
@@ -468,6 +468,69 @@ def test_sup_errors_builds_each_grid_once_per_block(monkeypatch):
     )
     harness._sup_errors(config)
     assert steps == [0.25, 0.125] * 3  # three blocks, two rungs
+
+
+@st.composite
+def ranked_blocks(draw):
+    """(block, ladder): rows with switches 0, 0.5, 0.9 or 1.5 tol around gridpoints of the
+    finest step, bursts inside one of its intervals, on the ladder 2^-2 ... 2^-j."""
+    horizon = draw(st.sampled_from([1.0, 0.7]))
+    tol, ladder = time_tolerance(horizon), [2.0**-k for k in range(2, draw(st.integers(2, 6)) + 1)]
+    fine = ladder[-1]
+    chains = []
+    for row in range(draw(st.integers(1, 4))):
+        times = set()
+        for k in draw(st.lists(st.integers(0, int(horizon / fine) + 1), max_size=5)):
+            offset = draw(st.sampled_from([-1.5, -0.9, -0.5, 0.0, 0.5, 0.9, 1.5]))
+            times.add(min(k * fine, horizon) + offset * tol)
+        if draw(st.booleans()):  # a burst
+            start = draw(st.integers(0, int(horizon / fine) - 1)) * fine
+            times.update(start + fine * np.random.default_rng(row).random(draw(st.integers(1, 30))))
+        times = [0.0] + sorted(t for t in times if 0.0 < t < horizon)
+        states = 1 + np.arange(len(times)) % draw(st.sampled_from([2, 3]))
+        chains.append(s.ChainPath(horizon=horizon, switch_times=np.array(times), states=states))
+    return SampleBlock.union(s.uniform_grid(horizon, fine), chains), ladder
+
+
+@settings(max_examples=150)
+@given(ranked_blocks())
+def test_grids_from_the_fine_rank_match_the_float_rule(sample):
+    """Masks, events, owners and regimes of both grids at every step of the ladder are
+    those that each step's float comparison with its multiples and the count of its
+    gridpoints gave."""
+    block, ladder = sample
+    for step in ladder:
+        assert block.on_grid(step).tobytes() == oracles.grid_mask(block, step).tobytes()
+        for grid, classical in ((s.build_refined_grid(block, step), False),
+                                (classical_grid(block, step), True)):
+            keep, owners, regimes = oracles.grid_events(block, step, classical)
+            assert grid.union_index.tobytes() == keep.tobytes()
+            assert grid.owner_interval.tobytes() == owners.tobytes()
+            assert grid.regimes.tobytes() == regimes.tobytes()
+
+
+@pytest.mark.parametrize("ratio", [0.5, 0.75, 1.5, 3.0, 6.0])
+def test_a_step_off_the_dyadic_multiples_of_the_fine_step_is_a_grid_mismatch(ratio):
+    block = SampleBlock.union(s.uniform_grid(1.0, 0.0625), [with_switches(1.0, [0.3])])
+    with pytest.raises(GridMismatchError, match="a union grid lacks a gridpoint of step"):
+        block.on_grid(0.0625 * ratio)
+    if ratio < 1.0 or ratio == 1.5:  # steps whose gridpoints the union grid lacks
+        with pytest.raises(GridMismatchError, match="a union grid lacks a gridpoint of step"):
+            oracles.grid_mask(block, 0.0625 * ratio)
+
+
+@pytest.mark.parametrize("horizon", [1.0, 0.7])
+@pytest.mark.parametrize("step", [2.0, 4.0, 512.0])
+def test_a_step_past_the_horizon_makes_grids_of_0_and_t(horizon, step):
+    """As the float rule did, also where the step's ratio has more bits than the rank."""
+    block = SampleBlock.union(s.uniform_grid(horizon, 0.5),
+                              [with_switches(horizon, [0.3, 0.6]), with_switches(horizon, [])])
+    for grid, classical in ((s.build_refined_grid(block, step), False),
+                            (classical_grid(block, step), True)):
+        keep, owners, regimes = oracles.grid_events(block, step, classical)
+        assert grid.union_index.tobytes() == keep.tobytes()
+        assert grid.owner_interval.tobytes() == owners.tobytes()
+        assert grid.regimes.tobytes() == regimes.tobytes()
 
 
 def test_each_grid_mask_is_computed_once_per_block_and_step(monkeypatch, tmp_path):

@@ -4,11 +4,14 @@ import argparse
 import errno
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import switchsde.cli as cli
 from switchsde.cli import DEFAULT_CONFIG, build_parser, main
 from switchsde.harness import config_from_dict
 from switchsde.errors import GridMismatchError, NonFiniteError
@@ -287,6 +290,24 @@ def test_converge_seed_flag_overrides(tmp_path):
 def test_unsupported_schema_version_exits_2(tmp_path):
     cfg = converge_config(tmp_path, schema_version=99)
     assert main(["converge", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+def test_a_process_builds_one_parser_on_its_first_main_call(tmp_path):
+    """None at import, so importing the CLI costs no parser; then one for every call."""
+    code = "import switchsde.cli as cli; print(cli._parser.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120, check=True)
+    assert out.stdout.strip() == "0"
+    cli._parser.cache_clear()
+    cfg, outputs = converge_config(tmp_path), []
+    for run in ("first", "second"):
+        assert main(["converge", "--config", cfg, "--out", str(tmp_path / run)]) == 0
+        outputs.append({f: (tmp_path / run / f).read_bytes()
+                        for f in sorted(os.listdir(tmp_path / run))})
+    assert cli._parser.cache_info().misses == 1
+    assert sorted(outputs[0]) == ["errors.csv", "fit.csv", "summary.txt"]
+    assert outputs[0] == outputs[1]
 
 
 # --- error mapping ----------------------------------------------------------------

@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import switchsde as s
 import switchsde.harness as harness
@@ -283,6 +285,34 @@ def test_error_report_csv_headers():
     buf = io.StringIO()
     report.write_fit_csv(buf)
     assert buf.getvalue().splitlines()[0] == "scheme,p,slope,intercept,r2"
+
+
+@settings(max_examples=60, deadline=None)
+@given(samples=st.sampled_from([2, 3, 7, 8, 9, 16, 40, 64, 70, 129, 1000, 5000]),
+       schemes=st.sampled_from([(JUMP_ADAPTED,), (JUMP_ADAPTED, CLASSICAL)]),
+       rungs=st.integers(2, 4), zero=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_moment_statistics_round_as_one_row_at_a_time(samples, schemes, rungs, zero, seed):
+    """run_strong_error's eps and stderr, reduced over every (scheme, delta) row at
+    once, equal the mean and std of each row alone, bit for bit, on sups from 1e-6 to
+    1e3 laid out as `_sup_errors` lays them out; an all-zero row has stderr 0."""
+    rng = np.random.default_rng(seed)
+    sups = (10.0 ** rng.uniform(-6.0, 3.0, (rungs, len(schemes), samples))).swapaxes(0, 1)
+    if zero:
+        sups[-1, 0] = 0.0
+    config = linear_config(samples=samples, schemes=schemes, p_values=(2, 3, 4),
+                           deltas=tuple(2.0**-k for k in range(4, 4 + rungs)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_sup_errors", lambda config: sups)
+        report = s.run_strong_error(config)
+    want = []
+    for si in range(len(schemes)):
+        for p in config.p_values:
+            for di in range(rungs):
+                powered = sups[si, di] ** p
+                eps = float(powered.mean()) ** (1.0 / p)
+                sd = float(powered.std(ddof=1))
+                want.append((eps, eps ** (1 - p) * sd / (p * np.sqrt(samples)) if eps else 0.0))
+    assert [(pt.eps, pt.stderr) for pt in report.points] == want
 
 
 # --- moment_check ---------------------------------------------------------------------

@@ -201,7 +201,7 @@ def test_block_rows_do_not_mix(data):
 
     def solve(rows, model=model, values=tuple(bm.values for bm in bms)):
         sample = oracles.stack([paths[r] for r in rows], [bms[r].grid for r in rows],
-                               [values[r] for r in rows])
+                               [values[r] for r in rows], step / 4)  # brownian_for's
         grid = s.build_refined_grid(sample, step)
         return euler_block(model, [grid], sample.points, sample.bm_values)
 
@@ -305,7 +305,7 @@ def test_the_reference_values_are_its_grids_own(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
     bms = [s.generate_increments(s.merge_grids(s.uniform_grid(horizon, fine), s.make_grid(
         np.append(p.switch_times, horizon))), model.noise_dim, rng) for p in paths]
-    block = oracles.stack(paths, [bm.grid for bm in bms], [bm.values for bm in bms])
+    block = oracles.stack(paths, [bm.grid for bm in bms], [bm.values for bm in bms], fine)
     reference = s.build_refined_grid(block, ref_step)
     grids = [grid(block, delta) for delta in deltas
              for grid in (s.build_refined_grid, classical_grid)]
@@ -340,7 +340,7 @@ def reference_block(paths, step, d, brownian=None, seed=0):
     rng = np.random.default_rng(seed)
     values = [brownian[row](g.points) if brownian else s.generate_increments(g, d, rng).values
               for row, g in enumerate(grids)]
-    block = oracles.stack(paths, grids, values)
+    block = oracles.stack(paths, grids, values, step)
     return block, s.build_refined_grid(block, step)
 
 
@@ -516,7 +516,8 @@ def test_inner_values_match_the_per_regime_tables(data):
              for row in range(3)]
     paths.append(data.draw(chain_paths(gen.n_states, horizon, top)))
     bms = [brownian_for(p, deltas[-1], 2, [seed, row]) for row, p in enumerate(paths)]
-    block = oracles.stack(paths, [bm.grid for bm in bms], [bm.values for bm in bms])
+    block = oracles.stack(paths, [bm.grid for bm in bms], [bm.values for bm in bms],
+                          deltas[-1] / 4)
     grids = [grid(block, delta) for delta in deltas
              for grid in (s.build_refined_grid, classical_grid)]
     got = list(euler_block(model, grids, block.points, block.bm_values))
@@ -544,7 +545,7 @@ def burst_block(rows: int, burst: int, others: int, seed: int) -> SampleBlock:
                                  states=1 + np.arange(len(times)) % 3))
         union = s.merge_grids(fine, s.make_grid(np.append(times, horizon)))
         bms.append(s.generate_increments(union, 1, rng))
-    return oracles.stack(paths, [bm.grid for bm in bms], [bm.values for bm in bms])
+    return oracles.stack(paths, [bm.grid for bm in bms], [bm.values for bm in bms], 2.0**-9)
 
 
 BURST_MODEL = s.LinearHybridModel(a=[1.0, 2.0, -0.5], b=[2.0, 1.0, 0.5], z0=1.0)

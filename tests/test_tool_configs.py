@@ -4,9 +4,11 @@
 `config_from_dict` and `switchsde converge`, and README shows one to its
 readers. Each must pass the key check and build the experiment it always
 built, so a renamed key fails here and not silently in a benchmark run.
-The files are loaded read-only, without writing bytecode beside them.
+The files are loaded read-only, without writing bytecode beside them. The
+digest's ``--expect`` gate, which exits 1 on another total, is checked here too.
 """
 
+import hashlib
 import importlib.util
 import json
 import sys
@@ -84,6 +86,25 @@ def test_digest_configs_build_the_experiments_they_always_built(monkeypatch, hor
         config = dict(base, horizon=horizon, seed=10, schema_version=1)  # as the digest runs it
         config.setdefault("samples", digest.SAMPLES)
         assert plain(config_from_dict(config)) == want[label], label
+
+
+def test_digest_expect_exits_1_unless_the_total_matches(monkeypatch, capsys):
+    digest = load(ROOT / "tools" / "output_digest.py", monkeypatch)
+    outputs = [("errors.csv", b"a,b\n"), ("fit.csv", b"c\n")]
+    monkeypatch.setattr(digest, "items", lambda src: iter(outputs))
+    total = hashlib.sha256("".join(f"{name}\t{hashlib.sha256(data).hexdigest()}\n"
+                                   for name, data in outputs).encode()).hexdigest()
+    src = str(ROOT / "src")
+    assert digest.main([src]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"{total}  TOTAL"
+    assert digest.main([src, "--expect", total]) == 0
+    assert digest.main([src, "--expect", total.upper()]) == 0
+    assert digest.main([src, "--expect", "0" * 64]) == 1
+    out = capsys.readouterr()
+    assert out.out.splitlines()[-1] == f"{total}  TOTAL" and "differs" in out.err
+    with pytest.raises(SystemExit) as exc:
+        digest.main([str(ROOT / "tools")])  # holds no switchsde package
+    assert exc.value.code == 2
 
 
 def test_readme_example_builds_the_experiment_it_always_built():

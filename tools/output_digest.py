@@ -2,12 +2,14 @@
 
 Usage::
 
-    python tools/output_digest.py SRC_DIR
+    python tools/output_digest.py SRC_DIR [--expect HEX]
 
 ``SRC_DIR`` is a source directory that holds the ``switchsde`` package, such
 as ``src`` of this checkout or of an exported older commit. The package is
 imported from there alone, so two runs on two trees print the same total
-exactly when every output below is byte-identical:
+exactly when every output below is byte-identical. With ``--expect`` the
+tool exits 1 when the total is not ``HEX``, so the byte-identity check of a
+change is one command:
 
 * ``converge``: ``errors.csv``, ``fit.csv`` and ``summary.txt`` on the
   default linear config, a fast-switching 3-state config and a
@@ -25,6 +27,7 @@ samples span two blocks of samples, so block boundaries are covered.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -152,17 +155,21 @@ def items(src: str):
 
 
 def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    if len(args) != 1 or not os.path.isdir(os.path.join(args[0], "switchsde")):
-        print("usage: python tools/output_digest.py SRC_DIR, where SRC_DIR holds the "
-              "switchsde package", file=sys.stderr)
-        return 2
+    parser = argparse.ArgumentParser(description="SHA-256 of every output of the package")
+    parser.add_argument("src", metavar="SRC_DIR", help="a directory holding switchsde")
+    parser.add_argument("--expect", metavar="HEX", help="exit 1 unless the TOTAL is HEX")
+    args = parser.parse_args(argv)
+    if not os.path.isdir(os.path.join(args.src, "switchsde")):
+        parser.error(f"{args.src} holds no switchsde package")
     total = hashlib.sha256()
-    for name, data in items(args[0]):
+    for name, data in items(args.src):
         digest = hashlib.sha256(data).hexdigest()
         total.update(f"{name}\t{digest}\n".encode())
         print(f"{digest}  {name}")
     print(f"{total.hexdigest()}  TOTAL")
+    if args.expect is not None and total.hexdigest() != args.expect.lower():
+        print(f"TOTAL differs from the expected {args.expect}", file=sys.stderr)
+        return 1
     return 0
 
 
