@@ -1,7 +1,7 @@
 """Shared helpers for time arithmetic on [0, T] grids.
 
-All grid builders in the package go through these functions so that the
-same times are always represented by bit-identical floats.
+All grid builders in the package go through these functions, so that the
+same times are bit-identical floats and one rule makes a ladder dyadic.
 """
 
 from __future__ import annotations
@@ -28,6 +28,15 @@ def num_whole_steps(horizon: float, step: float) -> int:
     if (n + 1) * step <= horizon + tol:
         n += 1
     return n
+
+
+def dyadic_ratio(step: float, fine_step: float, horizon: float) -> int | None:
+    """The power of two that ``step / fine_step`` rounds to, or None where that many fine
+    steps per step miss a gridpoint of ``step`` up to T by more than the time tolerance."""
+    ratio = round(step / fine_step)
+    miss = abs(ratio * fine_step - step) * horizon / step  # by the last gridpoint
+    dyadic = ratio >= 1 and not ratio & (ratio - 1) and miss <= time_tolerance(horizon)
+    return ratio if dyadic else None
 
 
 def uniform_points(horizon: float, step: float, include_horizon: bool = True) -> np.ndarray:

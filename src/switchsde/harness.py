@@ -76,7 +76,7 @@ from .solvers import (
     evaluate_path,
     exact_linear_solution,
 )
-from ._timeutil import match_indices, time_tolerance, uniform_points
+from ._timeutil import dyadic_ratio, uniform_points
 
 REFERENCE_CLOSED_FORM = "closed-form"
 REFERENCE_FINE_EM = "fine-em"
@@ -116,12 +116,12 @@ def derive_stream(master_seed: int, index: int) -> np.random.Generator:
 class ExperimentConfig:
     """Everything a strong-error experiment needs.
 
-    ``deltas`` must be a finite descending dyadic ladder: every entry a
-    power-of-two multiple of the smallest, with each of its gridpoints within
-    the time tolerance of a gridpoint of the smallest step, in a finite
-    horizon. Moment orders and ``samples`` must be at least 2; ``samples``,
-    ``seed``, ``ref_refinement`` and ``jump_budget`` are integers (not bools).
-    The reference is the closed form when the model has one, or a fine
+    ``deltas`` must be a finite descending dyadic ladder in a finite horizon:
+    each entry a power-of-two multiple of the smallest to within the time
+    tolerance, by the rule the grids are built by (`_timeutil.dyadic_ratio`).
+    Moment orders and ``samples`` must be at least 2; ``samples``, ``seed``,
+    ``ref_refinement`` and ``jump_budget`` are integers (not bools). The
+    reference is the closed form when the model has one, or a fine
     jump-adapted run ``2**ref_refinement`` times finer than the smallest step.
     """
 
@@ -158,20 +158,10 @@ class ExperimentConfig:
             raise ConfigError("steps must lie in (0, T]")
         if any(a <= b for a, b in zip(deltas, deltas[1:])):
             raise ConfigError("step ladder must be strictly descending")
-        smallest, tol = deltas[-1], time_tolerance(self.horizon)
-        finest = uniform_points(self.horizon, smallest)
         for d in deltas:
-            k = round(np.log2(d / smallest))
-            if k < 0 or abs(d - smallest * 2.0 ** k) > 1e-12 * d:
-                raise ConfigError(
-                    f"step {d} is not a power-of-two multiple of {smallest}: "
-                    "the ladder must be dyadic"
-                )
-            if np.any(match_indices(finest, uniform_points(self.horizon, d), tol) < 0):
-                raise ConfigError(
-                    f"a gridpoint of step {d} misses the grid of step {smallest} by more "
-                    f"than {tol:g}: the ladder must be dyadic to within the time tolerance"
-                )
+            if dyadic_ratio(d, deltas[-1], self.horizon) is None:
+                raise ConfigError(f"step {d} is not a power-of-two multiple of {deltas[-1]} "
+                                  "to within the time tolerance: the ladder must be dyadic")
         unknown = set(self.schemes) - {JUMP_ADAPTED, CLASSICAL}
         if unknown or not self.schemes:
             raise ConfigError(f"unknown schemes {sorted(unknown)}")
@@ -347,6 +337,11 @@ def _solved_blocks(config: ExperimentConfig, schemes, reference=False):
         yield block.offsets, next(solved) if fine_em else ref, solved
 
 
+def _distance(gap) -> np.ndarray:
+    """The norm of each row of ``gap``: |x| for n = 1, sqrt(x * x) save under- or overflow."""
+    return np.abs(gap[:, 0]) if gap.shape[1] == 1 else np.linalg.norm(gap, axis=1)
+
+
 def _sup_errors(config: ExperimentConfig) -> np.ndarray:
     """sup_t |z - Z| over each sample's union grid, shaped (scheme, delta, sample).
 
@@ -354,11 +349,8 @@ def _sup_errors(config: ExperimentConfig) -> np.ndarray:
     the reference too when it is the switch-adapted run on the reference
     step. Each grid is built once per block and step.
     """
-    def distance(gap):  # for n = 1 the norm sqrt(x * x) is |x| unless x * x under- or overflows
-        return np.abs(gap[:, 0]) if gap.shape[1] == 1 else np.linalg.norm(gap, axis=1)
-
     sups = np.concatenate([
-        [np.maximum.reduceat(distance(approx - ref), offsets[:-1])
+        [np.maximum.reduceat(_distance(approx - ref), offsets[:-1])
          for approx in map(EulerBlock.on_brownian_grids, solved)]
         for offsets, ref, solved in _solved_blocks(config, config.schemes, reference=True)
     ], axis=1)  # in the ladder's order
@@ -468,7 +460,7 @@ def moment_check(config: ExperimentConfig) -> MomentReport:
     Ratios beyond ``GROWTH_FLAG_FACTOR`` are reported by ``flagged()``.
     """
     sups = np.concatenate([
-        [np.maximum.reduceat(np.linalg.norm(rung.values, axis=1), rung.offsets[:-1])
+        [np.maximum.reduceat(_distance(rung.values), rung.offsets[:-1])
          for rung in solved]
         for _, _, solved in _solved_blocks(config, (JUMP_ADAPTED,))
     ], axis=1)

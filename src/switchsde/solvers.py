@@ -41,7 +41,7 @@ from itertools import repeat
 
 import numpy as np
 
-from ._timeutil import match_indices, time_tolerance
+from ._timeutil import dyadic_ratio, match_indices, time_tolerance
 from .brownian import BrownianPath, TimeGrid, uniform_grid, union_rows
 from .ctmc import ChainPath
 from .errors import (
@@ -173,13 +173,13 @@ class SampleBlock:
         next, or the one before when that midpoint rounds up to the switch.
         Read-only, as the grids select from it.
         """
-        mid = self.points.copy()
-        mid[:-1] = 0.5 * (self.points[:-1] + self.points[1:])
-        ends = self.offsets[1:] - 1
-        mid[ends] = self.points[ends]
-        at, sw = self.switch_points, self.switch_times
-        start = at + (mid[at] < sw)
-        start -= (self.points[at] == sw) & (mid[at - 1] >= sw)
+        at, sw, points = self.switch_points, self.switch_times, self.points
+        row = _row_of(self.switch_offsets)
+        # the midpoints of the segments from and up to point at; a row's last one is its T
+        after = 0.5 * (points[at] + points[at + (at != self.offsets[row + 1] - 1)])
+        before = 0.5 * (points[at - 1] + points[at - (at == self.offsets[row])])
+        start = at + (after < sw)
+        start -= (points[at] == sw) & (before >= sw)
         start[self.switch_offsets[:-1]] = self.offsets[:-1]  # each row's first switch, at 0
         return self._states_from(start)
 
@@ -196,12 +196,10 @@ class SampleBlock:
         return on_grid
 
     def _shift(self, step: float) -> int:
-        """log2 of twice ``step`` over the fine step, a power of two whose gridpoints up to
-        T lie within tolerance of fine ones, or the rank's bits past T: 1 << shift divides
-        a gridpoint's fine rank, and any point's rank >> shift is its interval."""
-        ratio = round(step / self.fine_step)
-        miss = abs(ratio * self.fine_step - step) * self.horizon / step  # by the last gridpoint
-        if ratio & (ratio - 1) or miss > time_tolerance(self.horizon):  # ratio 0 misses by T
+        """log2 of twice ``step``'s `dyadic_ratio`, or the rank's bits past T: 1 << shift
+        divides a gridpoint's fine rank, and any point's rank >> shift is its interval."""
+        ratio = dyadic_ratio(step, self.fine_step, self.horizon)
+        if ratio is None:
             raise GridMismatchError(f"a union grid lacks a gridpoint of step {step}")
         return min(ratio.bit_length(), 8 * self.fine_rank.itemsize)
 

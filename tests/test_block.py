@@ -378,6 +378,21 @@ def test_lookups_at_switches_near_gridpoints_match_per_path_oracles(horizon):
     assert block.switch_points[:3].tolist() == [0, 3, 8]
 
 
+def test_a_switch_past_a_hand_built_rows_last_point_holds_on_none_of_its_segments():
+    """Rows that stop short of their paths' T: a switch past a row's last point
+    leaves each row's segments in their midpoints' states, the last at its end."""
+    rows = [(np.array([0.0, 0.25, 0.5]), with_switches(1.0, [0.4, 0.75])),
+            (np.array([0.0, 0.5, 1.0]), with_switches(1.0, [0.5])),
+            (np.array([0.0, 0.3]), with_switches(1.0, [0.3, 0.9]))]
+    points, paths = zip(*rows)
+    block = SampleBlock(1.0, np.concatenate([p.switch_times for p in paths]),
+                        np.concatenate([p.states for p in paths]),
+                        np.cumsum([0] + [p.n_segments for p in paths]),
+                        np.concatenate(points), np.cumsum([0] + [len(t) for t in points]))
+    want = np.concatenate([oracles.segment_states(p, t) for t, p in zip(points, paths)])
+    assert block.regimes.tolist() == want.tolist()
+
+
 def test_a_one_path_closed_form_on_points_closer_than_2_tol_matches_its_oracle():
     """``exact_linear_solution(ChainPath, bm)`` on a Brownian grid of its own with
     points closer than 2 tol, and a pair of adjacent floats whose midpoint rounds

@@ -245,6 +245,20 @@ def test_converge_rejects_ladder_off_the_finest_grid(tmp_path):
     assert main(["converge", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("horizon", [1.0, 0.7])
+def test_converge_rejects_a_ladder_whose_grids_do_not_build(tmp_path, capsys, horizon):
+    # 0.5000000000000072 is 16 finest steps to 1.44e-14 relative: more than tol at T
+    cfg = converge_config(tmp_path, horizon=horizon, deltas=[0.5000000000000072, 0.03125])
+    assert main(["converge", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_converge_runs_a_ladder_whose_grids_build_at_t_3(tmp_path):
+    cfg = converge_config(tmp_path, horizon=3.0, deltas=[0.007812500000000078, 0.00390625])
+    assert main(["converge", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+
 @pytest.mark.parametrize("deltas", [[0.25, 0.125], [0.3, 0.15]])
 def test_converge_runs_ladders_on_the_finest_grid(tmp_path, deltas):
     cfg = converge_config(tmp_path, deltas=deltas)

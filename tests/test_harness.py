@@ -7,14 +7,15 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import switchsde as s
 import switchsde.harness as harness
-from switchsde.errors import ConfigError, DegenerateFitError, NonPositiveErrorValues
+from switchsde.errors import (ConfigError, DegenerateFitError, GridMismatchError,
+                              NonPositiveErrorValues)
 from switchsde.harness import setting
-from switchsde.solvers import CLASSICAL, JUMP_ADAPTED
+from switchsde.solvers import CLASSICAL, JUMP_ADAPTED, SampleBlock
 
 GEN = s.validate_generator([[-1.0, 1.0], [2.0, -2.0]])
 LINEAR = {"a": [1.0, 2.0], "b": [2.0, 1.0], "z0": 1.0}
@@ -81,6 +82,40 @@ def test_config_rejects_ladder_off_the_finest_grid():
         linear_config(deltas=(0.25, 0.1250000000000625))
     for deltas in ((0.25, 0.125), (0.3, 0.15)):
         assert linear_config(deltas=deltas).deltas == deltas
+
+
+@st.composite
+def near_dyadic_rungs(draw):
+    """(rung, finest): a rung 2^k finest steps long, k = 1..4, off by a relative 1e-17..1e-11."""
+    finest = 2.0 ** -draw(st.integers(3, 8))
+    off = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-17.0, -11.0))
+    return finest * 2.0 ** draw(st.integers(1, 4)) * (1.0 + off), finest
+
+
+def builds_grids(horizon, rung, fine):
+    chain = s.ChainPath(horizon=horizon, switch_times=np.array([0.0]), states=np.array([1]))
+    try:
+        SampleBlock.union(s.uniform_grid(horizon, fine), [chain]).on_grid(rung)
+    except GridMismatchError:
+        return False
+    return True
+
+
+@given(st.sampled_from([0.3, 0.7, 1.0, 3.0, 10.0]), near_dyadic_rungs(), st.integers(1, 6))
+@example(1.0, (0.5000000000000072, 0.03125), 3)  # passed the config, then failed the grids
+@example(0.7, (0.5000000000000072, 0.03125), 3)
+@example(3.0, (0.007812500000000078, 0.00390625), 3)  # refused, though its grids build
+def test_config_accepts_exactly_the_ladders_whose_grids_build(horizon, ladder, refinement):
+    rung, finest = ladder
+    assume(rung <= horizon)
+    try:
+        linear_config(horizon=horizon, deltas=ladder)
+        accepted = True
+    except ConfigError as exc:
+        assert "the ladder must be dyadic" in str(exc)
+        accepted = False
+    for fine in (finest, finest / 2.0 ** refinement):  # the finest step and a reference step
+        assert builds_grids(horizon, rung, fine) == accepted
 
 
 def test_config_rejects_ascending_ladder():

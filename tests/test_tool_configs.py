@@ -69,7 +69,7 @@ def test_benchmark_workloads_build_the_experiments_they_always_built(monkeypatch
         assert plain(config_from_dict(config)) == experiment(rates, model, seed=7, samples=64)
 
 
-@pytest.mark.parametrize("horizon", [1.0, 0.7])
+@pytest.mark.parametrize("horizon", [1.0, 0.7, 3.0])
 def test_digest_configs_build_the_experiments_they_always_built(monkeypatch, horizon):
     digest = load(ROOT / "tools" / "output_digest.py", monkeypatch)
     trig = s.TrigHybridModel(a=[1.0, -0.5], b=[0.8, 0.3], c=[0.2, -0.1], z0=0.5)

@@ -13,8 +13,9 @@ change is one command:
 
 * ``converge``: ``errors.csv``, ``fit.csv`` and ``summary.txt`` on the
   default linear config, a fast-switching 3-state config and a
-  trigonometric config with a fine-EM reference, at T = 1 and 0.7 and
-  seeds 0 and 10;
+  trigonometric config with a fine-EM reference, at T = 1, 0.7 and 3 and
+  seeds 0 and 10; past T = 1 the time tolerance, and every grid rule built
+  on it, scales with T;
 * ``solve``: every file it writes, on the same configs, horizons and seeds;
 * ``chain simulate`` and ``chain validate``, with their exit codes;
 * the ``repr`` of ``moment_check``, ``local_error_scaling`` and
@@ -38,7 +39,7 @@ import tempfile
 
 SAMPLES = 70  # more than one block of 64
 SEEDS = (0, 10)
-HORIZONS = (1.0, 0.7)
+HORIZONS = (1.0, 0.7, 3.0)
 
 LINEAR = {
     "generator": {"states": 2, "rates": [[-1.0, 1.0], [2.0, -2.0]]},
