@@ -65,7 +65,6 @@ from .model import HybridModel, model_from_config
 from .solvers import (
     CLASSICAL,
     JUMP_ADAPTED,
-    EulerBlock,
     SampleBlock,
     _row_cumsum,
     build_refined_grid,
@@ -95,8 +94,8 @@ CONFIG_KEYS = {*CONFIG_DEFAULTS, "generator", "model", "reference"}
 #: Samples per block of the batched recursion. Fixed, so that neither the
 #: sample count nor a thread count can change the arithmetic; large enough
 #: that each coefficient call of a block's one recursion (at most 2N per
-#: interval of the finest grid) serves many samples, small enough that a
-#: block's buffers stay a few MB.
+#: interval of the finest grid) serves many samples. A block's peak grows with rows x union
+#: points per row in the recursion's tables (94 MB for 64 rows at 2**-14), not the sup pass.
 BLOCK_SIZE = 64
 
 
@@ -350,8 +349,9 @@ def _sup_errors(config: ExperimentConfig) -> np.ndarray:
     step. Each grid is built once per block and step.
     """
     sups = np.concatenate([
-        [np.maximum.reduceat(_distance(approx - ref), offsets[:-1])
-         for approx in map(EulerBlock.on_brownian_grids, solved)]
+        [np.concatenate([np.maximum.reduceat(_distance(values - ref[at]), offsets[rows] - at.start)
+                         for rows, at, values in approx.in_chunks()])
+         for approx in solved]
         for offsets, ref, solved in _solved_blocks(config, config.schemes, reference=True)
     ], axis=1)  # in the ladder's order
     return sups.reshape(len(config.deltas), len(config.schemes), -1).swapaxes(0, 1)

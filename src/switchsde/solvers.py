@@ -58,6 +58,9 @@ from .model import HybridModel, LinearHybridModel
 JUMP_ADAPTED = "jump-adapted"
 CLASSICAL = "classical"
 
+#: The most values (n per union point) that `EulerBlock.in_chunks` interpolates at once.
+CHUNK_VALUES = 2**16
+
 
 def _row_of(offsets) -> np.ndarray:
     """The row of each flat entry of rows laid end to end at ``offsets``."""
@@ -184,8 +187,9 @@ class SampleBlock:
         return self._states_from(start)
 
     def on_grid(self, step: float) -> np.ndarray:
-        """Read-only mask of the union points on the uniform grid of ``step``, T included."""
+        """Read-only mask of union points on ``step``'s grid and T, kept for the last step only."""
         if step not in self._masks:  # built once per block and step
+            self._masks.clear()
             self._masks[step] = self._grid_mask(step)
         return self._masks[step]
 
@@ -269,7 +273,8 @@ def build_refined_grid(sample, step: float) -> RefinedGrid:
         sample.on_grid(step) | np.append(True, regimes[1:] != regimes[:-1]), step)
     return RefinedGrid(
         step=float(step), horizon=sample.horizon, points=sample.points, union_index=keep,
-        regimes=regimes[keep], owner_interval=owners, offsets=offsets,
+        regimes=regimes if len(keep) == len(regimes) else regimes[keep],  # every point: no copy
+        owner_interval=owners, offsets=offsets,
     )
 
 
@@ -352,14 +357,24 @@ class EulerBlock:
         f = cum[seg, :-1] + self.drift[seg] * off[:, None]
         return f.reshape(R, len(times), -1), (cum[seg, -1] + q[seg] * off).reshape(R, -1)
 
-    def on_brownian_grids(self) -> np.ndarray:
-        """Continuous-scheme values at every point of the union grid: (P, n)."""
+    def on_brownian_grids(self, r0: int = 0, r1: int | None = None) -> np.ndarray:
+        """Continuous-scheme values at the union points of rows r0..r1 - 1, or all: (Q, n)."""
+        e0, e1 = self.offsets[[r0, -1 if r1 is None else r1]]
+        p0, p1 = self.bm_index[e0], self.bm_index[e1] if e1 < len(self.times) else len(self.points)
         if len(self.times) == len(self.points):  # every union point is an event
-            return self.values
-        seg = np.repeat(np.arange(len(self.times)),
-                        np.diff(self.bm_index, append=len(self.points)))
-        return _interpolate(self, seg, self.points - np.take(self.times, seg),
-                            self.point_values.T - np.take(self.bm_values.T, seg, axis=1))
+            return self.values[p0:p1]
+        seg = np.repeat(np.arange(e0, e1), np.diff(self.bm_index[e0:e1], append=p1))
+        return _interpolate(self, seg, self.points[p0:p1] - np.take(self.times, seg),
+                            self.point_values[p0:p1].T - np.take(self.bm_values.T, seg, axis=1))
+
+    def in_chunks(self):
+        """Runs of rows of at most CHUNK_VALUES values, or one row: (rows, points, their values)."""
+        starts = np.append(self.bm_index[self.offsets[:-1]], len(self.points))
+        r0, width = 0, CHUNK_VALUES // self.values.shape[1]
+        while r0 < len(starts) - 1:
+            r1 = max(r0 + 1, int(np.searchsorted(starts, starts[r0] + width, side="right")) - 1)
+            yield slice(r0, r1), slice(starts[r0], starts[r1]), self.on_brownian_grids(r0, r1)
+            r0 = r1
 
 
 def euler_block(model: HybridModel, grids, points, bm_values, reference=None):
@@ -395,10 +410,10 @@ def euler_block(model: HybridModel, grids, points, bm_values, reference=None):
     it, or in all of them if some union point is no reference event. Every
     other interval's calls write into one scratch row per regime.
 
-    Returns an iterator: the reference's (P, n) values when it is given,
-    then one EulerBlock per grid, in the order given. Each is built only
-    when asked for, so a block holds one grid's per-event arrays at a time;
-    a grid with a non-finite value raises NonFiniteError then.
+    Returns an iterator: the reference's (P, n) values when it is given, interpolated
+    in runs of rows (`EulerBlock.in_chunks`), then one EulerBlock per grid, in
+    the order given. Each is built only when asked for, so a block holds one grid's
+    per-event arrays at a time; a grid with a non-finite value raises NonFiniteError then.
     """
     n, d, N = model.state_dim, model.noise_dim, model.regime_count
     nref = 0 if reference is None else 1  # the reference, when given, is grid 0
@@ -525,7 +540,12 @@ def euler_block(model: HybridModel, grids, points, bm_values, reference=None):
                             drift=drift_e.T, diff=diff_e.transpose(2, 0, 1),
                             bm_index=grid.union_index, bm_values=bvals, points=points,
                             point_values=bm_values)
-        return solved.on_brownian_grids() if r < nref else solved
+        if r >= nref:
+            return solved
+        ref = np.empty((n, len(points))).T  # state-major, as one call's values are
+        for _, at, part in solved.in_chunks():
+            ref[at] = part
+        return ref
 
     # a generator's frame, and with it the tables, is freed once it finishes
     return (expand(r) for r in range(len(grids)))

@@ -1,5 +1,6 @@
 """``tools/fault_count.py`` on this checkout: one workload, two warm rounds."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -23,8 +24,22 @@ def test_counts_the_faults_of_warm_rounds_in_a_process_of_their_own():
                             "interpolation", "rest"]
     assert all(ms >= 0.0 for ms in stages.values())
     assert stages["recursion"] > 0.0 and stages["closed_form"] == 0.0  # a fine-EM workload
+    assert stages["interpolation"] > 0.0
     # the median of two rounds is their mean, so the stages of a round add up to it
     assert sum(stages.values()) <= 1e3 * counts["round_s_median"] * (1 + 1e-9)
+
+
+def test_reports_the_traced_peak_of_each_stage_of_the_reference_round():
+    run = subprocess.run([sys.executable, str(TOOL), str(ROOT), "--workload", "vector-fine",
+                          "--rounds", "1"], capture_output=True, text=True, check=True, timeout=60)
+    counts = json.loads(run.stdout)["workloads"]["vector-fine"]
+    peaks, round_peak = counts["stage_peak_mb"], counts["round_peak_mb"]
+    assert list(peaks) == ["draw", "closed_form", "grids", "recursion", "expand",
+                           "interpolation"]
+    assert peaks["closed_form"] == 0.0  # never called on a fine-EM workload
+    assert all(peaks[stage] > 0.0 for stage in ("draw", "grids", "recursion", "expand",
+                                                "interpolation"))
+    assert max(peaks.values()) <= round_peak
 
 
 def test_measures_copies_of_the_tree_in_sibling_directories_of_equal_name_length():
@@ -41,3 +56,28 @@ def test_measures_copies_of_the_tree_in_sibling_directories_of_equal_name_length
         counts = location["workloads"]["vector-fine"]
         assert (counts["rounds"], counts["samples"]) == (2, 8)
         assert 0 <= counts["minflt_median"] <= counts["minflt_max"]
+
+
+def test_a_stage_peak_holds_the_peaks_of_the_stages_nested_in_it():
+    spec = importlib.util.spec_from_file_location("fault_count", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    timer = tool.StageTimer()
+
+    def interpolation():
+        return len(bytearray(4_000_000))  # freed on return
+
+    def expand():
+        timer.timed("interpolation", interpolation)
+        return len(bytearray(1_000_000))
+
+    def round_():
+        timer.timed("expand", expand)
+        timer.timed("grids", bytearray, 500_000)  # restarts tracemalloc's one peak
+        return len(bytearray(2_000_000))
+
+    round_peak = timer.traced_peak(round_)
+    assert 4e6 <= timer.peaks["interpolation"] <= timer.peaks["expand"] < 4.5e6
+    assert 0.5e6 <= timer.peaks["grids"] < 1e6
+    assert 4e6 <= round_peak < 4.5e6
+    assert timer.peaks["draw"] == 0  # not run

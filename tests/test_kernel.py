@@ -12,6 +12,7 @@ checked separately, against integrals taken from the chain path alone.
 """
 
 import dataclasses
+import itertools
 import tracemalloc
 import warnings
 from unittest import mock
@@ -34,7 +35,7 @@ MEMORY_BOUND_MB = 25  # about twice the 11.6 MB peak of the burst block below
 CLOSED_FORM_BOUND_MB = 40  # about twice the closed form's 20 MB peak on its burst block
 REFERENCE_BOUND_MB = 36  # between the 44 MB of every coefficient row kept and 25 MB now
 DIAGNOSTIC_BOUND_MB = 11  # between 12.4 MB with a spent block's solution kept and 10 MB without
-TRIG_REFERENCE_BOUND_MB = 130  # between 145.3-148.1 MB with copied event times and 115 MB without
+TRIG_REFERENCE_BOUND_MB = 100  # between 109.6 MB with whole-grid sups and 93.9 MB in row chunks
 
 
 # --- inputs -------------------------------------------------------------------------
@@ -613,8 +614,11 @@ def test_a_2_to_the_minus_14_reference_block_selects_its_events_from_the_union_g
     Grids that copied their event times, kept 8-byte regimes and kept the
     segment cells of a reference that no one interpolates peaked at 145.3 to
     148.1 MB under tracemalloc. Grids that point into the union grid, with
-    one-byte regimes and no cells for that reference, peak at 113.4 to 115.0 MB.
-    It runs in about 1.6 s.
+    one-byte regimes and no cells for that reference, peaked at 109.6 MB
+    while each grid's sups were taken over all its union points at once and
+    the block kept one mask per step. Sups taken in runs of rows that hold
+    at most CHUNK_VALUES values, with the last step's mask kept only and the
+    dense reference's regimes not copied, peak at 93.9 MB. It runs in about 1.6 s.
     """
     config = s.ExperimentConfig(
         model=s.TrigHybridModel(a=[1.0, -0.5], b=[0.8, 0.3], c=[0.2, -0.1], z0=0.5),
@@ -625,6 +629,73 @@ def test_a_2_to_the_minus_14_reference_block_selects_its_events_from_the_union_g
     sups, peak = peak_memory(lambda: harness._sup_errors(config))
     assert sups.shape == (1, 6, 64) and np.all(np.isfinite(sups))
     assert peak < TRIG_REFERENCE_BOUND_MB * 1e6, peak
+
+
+def chunk_configs():
+    """A closed-form config, a fine-EM one and a fine-EM one whose reference is not dense."""
+    linear = s.ExperimentConfig(
+        model=model_for("linear", 2), generator=s.validate_generator([[-3.0, 3.0], [2.0, -2.0]]),
+        horizon=1.0, deltas=(0.25, 0.125, 0.0625), samples=9, seed=7,
+        schemes=(JUMP_ADAPTED, CLASSICAL))
+    vector = dataclasses.replace(linear, model=model_for("vector", 2), horizon=0.7,
+                                 reference="fine-em", ref_refinement=2)
+    return {"closed-form": linear, "fine-em": vector, "not-dense": vector}
+
+
+def with_a_returning_pair(t: float, samples: int):
+    """`simulate_exact_path`, but sample 3 of every ``samples`` draws gets two switches
+    closer than TIME_TOL at ``t`` that return to its initial state 1."""
+    calls = itertools.count()
+
+    def simulate(*args, **kwargs):
+        path = s.simulate_exact_path(*args, **kwargs)  # its stream moves on as before
+        if next(calls) % samples != 3:
+            return path
+        return s.ChainPath(horizon=path.horizon, states=np.array([1, 2, 1]),
+                           switch_times=np.array([0.0, t, t + 0.5 * TIME_TOL]))
+
+    return simulate
+
+
+@pytest.mark.parametrize("kind", ["closed-form", "fine-em", "not-dense"])
+def test_sups_in_row_chunks_are_the_sups_of_whole_grids(monkeypatch, kind):
+    """`_sup_errors` returns the same bytes whatever `solvers.CHUNK_VALUES` is: 1 value (one
+    row per interpolation call, each row longer than a chunk), about 2.5 rows'
+    values (runs of unequal row counts), and more than any block holds.
+
+    In the not-dense case one row has two switches within TIME_TOL that return
+    to the state before them, so one union point is no reference event and the
+    kernel interpolates the reference, in chunks too."""
+    config = chunk_configs()[kind]
+    if kind == "not-dense":
+        monkeypatch.setattr(harness, "simulate_exact_path",
+                            with_a_returning_pair(0.3 * config.reference_step, config.samples))
+    block = harness._draw_block(config, s.uniform_grid(config.horizon, config.reference_step),
+                                range(config.samples))
+    if config.reference == "fine-em":
+        dense = len(s.build_refined_grid(block, config.reference_step)) == len(block.points)
+        assert dense == (kind == "fine-em")
+    calls = []  # the rows of each interpolation call
+    interpolate = solvers.EulerBlock.on_brownian_grids
+
+    def spy(solved, r0=0, r1=None):
+        calls.append(r1 - r0)
+        return interpolate(solved, r0, r1)
+
+    monkeypatch.setattr(solvers.EulerBlock, "on_brownian_grids", spy)
+    want = harness._sup_errors(config)
+    assert calls and set(calls) == {config.samples}  # one call per grid
+    n = config.model.state_dim
+    for chunk in (1, int(2.5 * n * len(block.points) / config.samples), 2**40):
+        calls.clear()
+        monkeypatch.setattr(solvers, "CHUNK_VALUES", chunk)
+        assert harness._sup_errors(config).tobytes() == want.tobytes(), chunk
+        if chunk == 1:
+            assert set(calls) == {1}
+        elif chunk < 2**40:
+            assert len(set(calls)) > 1 and max(calls) > 1, calls
+        else:
+            assert set(calls) == {config.samples}
 
 
 def test_a_multi_block_diagnostic_frees_each_block_before_the_next():

@@ -14,8 +14,11 @@ workload's round size and seed ``SEED``, and reads
 ``resource.getrusage(RUSAGE_SELF).ru_minflt`` around each. The tool prints
 one JSON object: per workload, the median and the largest fault count of a
 round, the median round time in seconds, and in ``stage_ms_median`` the
-median milliseconds of a round spent in each stage (`STAGES`). With
-``--workload`` it measures that workload alone, in this process.
+median milliseconds of a round spent in each stage (`STAGES`). After the
+warm rounds it runs the reference round once more under ``tracemalloc`` and
+reports, in ``stage_peak_mb``, the peak of traced memory reached while each
+stage ran (nested stages included) and, in ``round_peak_mb``, the round's.
+With ``--workload`` it measures that workload alone, in this process.
 
 The stages are timed by wrapping, in this process only, the names that
 ``switchsde.harness`` binds: the block draw, the closed form, the grid
@@ -52,6 +55,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 
 SEED = 1  # the seed of every warm round
 # the stages of a round, then what they leave of it
@@ -59,13 +63,21 @@ STAGES = ("draw", "closed_form", "grids", "recursion", "expand", "interpolation"
 
 
 class StageTimer:
-    """Exclusive time per stage, summed over the calls of one round."""
+    """Exclusive time per stage, summed over the calls of one round, and while
+    ``tracemalloc`` traces, the peak of traced bytes reached inside each stage."""
 
     def __init__(self):
         self.seconds = dict.fromkeys(STAGES[:-1], 0.0)
+        self.peaks = dict.fromkeys(STAGES[:-1], 0)
         self._nested = [0.0]  # per open call, the time of the stages inside it
+        self._peaks = [0]  # per open call, its peak before the last stage nested in it ran
 
     def timed(self, stage, call, *args, **kwargs):
+        tracing = tracemalloc.is_tracing()
+        if tracing:  # tracemalloc keeps one peak: the caller's so far is kept before a restart
+            self._peaks[-1] = max(self._peaks[-1], tracemalloc.get_traced_memory()[1])
+            self._peaks.append(0)
+            tracemalloc.reset_peak()
         self._nested.append(0.0)
         start = time.perf_counter()
         try:
@@ -74,6 +86,20 @@ class StageTimer:
             elapsed = time.perf_counter() - start
             self.seconds[stage] += elapsed - self._nested.pop()
             self._nested[-1] += elapsed
+            if tracing:
+                peak = max(self._peaks.pop(), tracemalloc.get_traced_memory()[1])
+                self.peaks[stage] = max(self.peaks[stage], peak)
+
+    def traced_peak(self, call, *args) -> int:
+        """The peak of traced bytes while ``call(*args)`` ran, stages included, from a
+        fresh start of ``tracemalloc``; ``peaks`` then holds each stage's."""
+        self.peaks, self._peaks = dict.fromkeys(STAGES[:-1], 0), [0]
+        tracemalloc.start()
+        try:
+            call(*args)
+            return max(self._peaks[0], tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
 
     def wrap(self, stage, call):
         return functools.wraps(call)(lambda *args, **kwargs: self.timed(stage, call, *args,
@@ -138,11 +164,15 @@ def measure(tree: str, name: str, rounds: int) -> dict:
             seconds.append(elapsed)
             stage = timer.take()
             stages.append(dict(stage, rest=elapsed - sum(stage.values())))
+        round_peak = timer.traced_peak(workload.round, workload.check_seed,
+                                       workload.check_samples)
     return {"rounds": rounds, "samples": workload.samples,
             "minflt_median": statistics.median(faults), "minflt_max": max(faults),
             "round_s_median": statistics.median(seconds),
             "stage_ms_median": {key: 1e3 * statistics.median(s[key] for s in stages)
-                                for key in STAGES}}
+                                for key in STAGES},
+            "stage_peak_mb": {key: peak / 1e6 for key, peak in timer.peaks.items()},
+            "round_peak_mb": round_peak / 1e6}
 
 
 def at_locations(tree: str, count: int, options: list) -> list:
