@@ -74,6 +74,7 @@ from .solvers import (
     euler_block,
     evaluate_path,
     exact_linear_solution,
+    reference_grid,
 )
 from ._timeutil import dyadic_ratio, uniform_points
 
@@ -122,6 +123,7 @@ class ExperimentConfig:
     ``ref_refinement`` and ``jump_budget`` are integers (not bools). The
     reference is the closed form when the model has one, or a fine
     jump-adapted run ``2**ref_refinement`` times finer than the smallest step.
+    Every step, the reference's too, is positive with a grid np.intp can rank.
     """
 
     model: HybridModel
@@ -157,10 +159,6 @@ class ExperimentConfig:
             raise ConfigError("steps must lie in (0, T]")
         if any(a <= b for a, b in zip(deltas, deltas[1:])):
             raise ConfigError("step ladder must be strictly descending")
-        for d in deltas:
-            if dyadic_ratio(d, deltas[-1], self.horizon) is None:
-                raise ConfigError(f"step {d} is not a power-of-two multiple of {deltas[-1]} "
-                                  "to within the time tolerance: the ladder must be dyadic")
         unknown = set(self.schemes) - {JUMP_ADAPTED, CLASSICAL}
         if unknown or not self.schemes:
             raise ConfigError(f"unknown schemes {sorted(unknown)}")
@@ -170,6 +168,14 @@ class ExperimentConfig:
             raise ConfigError("closed-form reference requested for a model without one")
         if self.reference == REFERENCE_FINE_EM and self.ref_refinement < 1:
             raise ConfigError("refinement exponent must be at least 1")
+        most = np.iinfo(np.intp).max // 2  # the points a grid may hold: its fine ranks are 2x
+        for d in (*deltas, self.reference_step):  # a uniform grid has at most T / d + 2 points
+            if not d > 0.0 or self.horizon / d + 2 > most:
+                raise ConfigError(f"step {d} is not positive or makes over {most} gridpoints")
+        for d in deltas:
+            if dyadic_ratio(d, deltas[-1], self.horizon) is None:
+                raise ConfigError(f"step {d} is not a power-of-two multiple of {deltas[-1]} "
+                                  "to within the time tolerance: the ladder must be dyadic")
         if self.model.regime_count != self.generator.n_states:
             raise ConfigError(
                 f"model has {self.model.regime_count} regimes but the generator "
@@ -182,8 +188,8 @@ class ExperimentConfig:
 
     @property
     def reference_step(self) -> float:
-        if self.reference == REFERENCE_FINE_EM:
-            return self.finest_step / 2.0 ** self.ref_refinement
+        if self.reference == REFERENCE_FINE_EM:  # 0.5 ** k underflows to 0.0, 2.0 ** k overflows
+            return self.finest_step * 0.5 ** self.ref_refinement
         return self.finest_step
 
 
@@ -306,11 +312,11 @@ def _solve_ladder(model: HybridModel, block: SampleBlock, deltas, schemes,
                   reference_step: float | None = None):
     """One Euler recursion for a block: one grid per (step, scheme), in that order.
 
-    The switch-adapted run on ``reference_step``, when given, comes first,
-    as its values at the union points. Returns euler_block's iterator; it
-    holds the only reference to the grids, so each is freed once expanded.
+    The switch-adapted run on ``reference_step``, when given, comes first, on every union
+    point (`reference_grid`), as its recursion's values there. Returns euler_block's
+    iterator; it holds the only reference to the grids, so each is freed once expanded.
     """
-    reference = build_refined_grid(block, reference_step) if reference_step else None
+    reference = reference_grid(block, reference_step) if reference_step else None
     grids = [build_refined_grid(block, delta) if scheme == JUMP_ADAPTED
              else classical_grid(block, delta) for delta in deltas for scheme in schemes]
     return euler_block(model, grids, block.points, block.bm_values, reference=reference)

@@ -278,6 +278,13 @@ def build_refined_grid(sample, step: float) -> RefinedGrid:
     )
 
 
+def reference_grid(block: SampleBlock, step: float) -> RefinedGrid:
+    """The fine-EM reference's events: every union point, in the intervals of ``step``."""
+    keep, offsets, owners = block.select(np.ones(len(block.points), dtype=bool), step)
+    return RefinedGrid(float(step), block.horizon, block.points, union_index=keep,
+                       regimes=block.regimes, owner_interval=owners, offsets=offsets)
+
+
 def classical_grid(block: SampleBlock, step: float) -> RefinedGrid:
     """The classical scheme's events for a block: each row's gridpoints of ``step``.
 
@@ -403,19 +410,20 @@ def euler_block(model: HybridModel, grids, points, bm_values, reference=None):
     T and W are summed over each lane's segments in order. With row-wise
     coefficients lanes never mix.
 
-    ``reference``, such as a fine-EM grid, is one more grid that is read
-    only at the union points. Coefficients, one row per (interval, regime,
-    lane), are kept only where a reader needs them: in every interval a grid
-    of ``grids`` runs, and in each reference interval with an event inside
-    it, or in all of them if some union point is no reference event. Every
-    other interval's calls write into one scratch row per regime.
+    ``reference``, such as `reference_grid`'s fine-EM grid, is one more grid
+    whose events are every union point (else a ConfigError), so its values are
+    the recursion's, never interpolated. Coefficients, one row per (interval,
+    regime, lane), are kept only where a reader needs them: in every interval
+    a grid of ``grids`` runs, and in each reference interval with an event
+    inside it. Every other interval's calls write into one scratch row per regime.
 
-    Returns an iterator: the reference's (P, n) values when it is given, interpolated
-    in runs of rows (`EulerBlock.in_chunks`), then one EulerBlock per grid, in
-    the order given. Each is built only when asked for, so a block holds one grid's
-    per-event arrays at a time; a grid with a non-finite value raises NonFiniteError then.
+    Returns an iterator: the reference's (P, n) values when it is given, then one
+    EulerBlock per grid, in the order given, each built only when asked for: a block
+    holds one grid's per-event arrays at a time, and a non-finite grid raises NonFiniteError then.
     """
     n, d, N = model.state_dim, model.noise_dim, model.regime_count
+    if reference is not None and len(reference) != len(points):
+        raise ConfigError("a reference needs every union point as an event")
     nref = 0 if reference is None else 1  # the reference, when given, is grid 0
     grids = [reference] * nref + list(grids)
     counts = []  # intervals per grid
@@ -443,10 +451,9 @@ def euler_block(model: HybridModel, grids, points, bm_values, reference=None):
     # and its coefficients come from the last row of f_all and g_all, never written
     occupation = np.zeros(base[-1] + 1)
     noise = np.zeros((base[-1] + 1, d))
-    dense = reference is not None and len(reference) == len(points)  # all points are its events
 
     def on_events(r):  # grid r's event times and Brownian values, gathered once per phase
-        if r < nref and dense:  # its union_index is every point in order
+        if r < nref:  # the reference's union_index is every point in order
             return points, bm_values
         return grids[r].events, np.take(bm_values, grids[r].union_index, axis=0)
 
@@ -457,7 +464,7 @@ def euler_block(model: HybridModel, grids, points, bm_values, reference=None):
         cells = base[owners] + (grid.regimes - 1) * active_end[owners]
         cells += lane0[r] + _row_of(grid.offsets)
         cells[grid.offsets[1:] - 1] = -1
-        if r >= nref or not dense:
+        if r >= nref:
             bins[r] = cells
         np.add.at(occupation, cells[:-1], np.diff(times))
         db = np.diff(bvals, axis=0)
@@ -471,9 +478,7 @@ def euler_block(model: HybridModel, grids, points, bm_values, reference=None):
     # when the one before it owns its interval, as a row's T and the next 0 never do
     kept = np.arange(K) < max(counts[nref:], default=0)
     if reference is not None:
-        owners = reference.owner_interval
-        kept[owners[:-1][np.diff(owners) == 0]] = True
-        kept |= not dense  # the interpolant reads every segment
+        kept[reference.owner_interval[1:][np.diff(reference.owner_interval) == 0]] = True
     # a kept interval's rows start at cbase[k], as its cells do at base[k]; scratch at cbase[K]
     cbase = np.concatenate([[0], np.cumsum(N * active * kept)])
 
@@ -530,22 +535,16 @@ def euler_block(model: HybridModel, grids, points, bm_values, reference=None):
             ).T
         if not np.all(np.isfinite(values)):
             raise NonFiniteError("scheme produced non-finite values")
-        if r < nref and dense:  # no interpolation, so no coefficients per event
+        if r < nref:  # no interpolation, so no coefficients per event
             return values.T
         cells = bins.pop(r)  # its coefficient rows too: base and cbase agree where it reads
         drift_e = np.take(f_all, cells, axis=0).T.copy()  # into state-major memory
         diff_e = np.take(g_all, cells, axis=0).transpose(1, 2, 0).copy()
         del cells
-        solved = EulerBlock(step=grid.step, offsets=offsets, times=times, values=values.T,
-                            drift=drift_e.T, diff=diff_e.transpose(2, 0, 1),
-                            bm_index=grid.union_index, bm_values=bvals, points=points,
-                            point_values=bm_values)
-        if r >= nref:
-            return solved
-        ref = np.empty((n, len(points))).T  # state-major, as one call's values are
-        for _, at, part in solved.in_chunks():
-            ref[at] = part
-        return ref
+        return EulerBlock(step=grid.step, offsets=offsets, times=times, values=values.T,
+                          drift=drift_e.T, diff=diff_e.transpose(2, 0, 1),
+                          bm_index=grid.union_index, bm_values=bvals, points=points,
+                          point_values=bm_values)
 
     # a generator's frame, and with it the tables, is freed once it finishes
     return (expand(r) for r in range(len(grids)))
@@ -603,6 +602,9 @@ def em_jump_adapted(model: HybridModel, grid: RefinedGrid, bm: BrownianPath) -> 
     The Brownian path may live on any grid containing every event. Returns
     a one-row EulerBlock.
     """
+    if len(grid.offsets) != 2:
+        rows = len(grid.offsets) - 1
+        raise ConfigError(f"em_jump_adapted needs a one-row grid, got one of {rows} rows")
     index = match_indices(bm.grid.points, grid.events, time_tolerance(bm.grid.horizon))
     if np.any(index < 0):
         raise GridMismatchError(f"Brownian path lacks a value at t={grid.events[index < 0][0]}")

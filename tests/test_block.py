@@ -22,6 +22,7 @@ closed form agree exactly. The block draw, `harness._draw_block`, gives
 each row exactly `oracles.coupled_sample` on the same stream, byte for byte.
 """
 
+import dataclasses
 import json
 import os
 from unittest import mock
@@ -522,6 +523,33 @@ def test_grids_from_the_fine_rank_match_the_float_rule(sample):
             assert grid.union_index.tobytes() == keep.tobytes()
             assert grid.owner_interval.tobytes() == owners.tobytes()
             assert grid.regimes.tobytes() == regimes.tobytes()
+
+
+@settings(max_examples=150)
+@given(ranked_blocks())
+def test_the_reference_grid_is_every_union_point_and_on_the_fine_step_the_refined_grid(sample):
+    """At every step of the ladder the reference keeps every union point, in the block's
+    segment regimes, each in its interval by the float rule. On the fine step, where no
+    union point off its grid opens a segment in the regime of the one before (no cluster
+    of switches returns to its state), it is the switch-adapted grid field by field: so
+    the reference's values keep their bytes."""
+    block, ladder = sample
+    for step in ladder:
+        grid = solvers.reference_grid(block, step)
+        count = np.cumsum(oracles.grid_mask(block, step))  # gridpoints up to a point, less one
+        assert np.array_equal(grid.union_index, np.arange(len(block.points)))
+        assert np.array_equal(grid.offsets, block.offsets)
+        assert np.array_equal(grid.owner_interval,
+                              count - np.repeat(count[block.offsets[:-1]], np.diff(block.offsets)))
+        assert grid.regimes.tobytes() == block.regimes.tobytes()
+        assert grid.points is block.points and grid.step == step
+    keep, _, _ = oracles.grid_events(block, ladder[-1], classical=False)
+    if len(keep) == len(block.points):
+        refined = s.build_refined_grid(block, ladder[-1])
+        for field in dataclasses.fields(refined):
+            got, want = getattr(grid, field.name), getattr(refined, field.name)
+            assert type(got) is type(want) and np.array_equal(got, want), field.name
+            assert getattr(got, "dtype", None) == getattr(want, "dtype", None), field.name
 
 
 @pytest.mark.parametrize("ratio", [0.5, 0.75, 1.5, 3.0, 6.0])

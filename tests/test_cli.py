@@ -690,6 +690,23 @@ def test_config_errors_exit_2_before_writing(tmp_path, extra, commands):
     assert not out.exists() or os.listdir(out) == []
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("converge", {"reference": "fine-em", "refinement_exponent": 80}),
+    ("converge", {"reference": "fine-em", "refinement_exponent": 1100}),
+    ("converge", {"deltas": [1e-300]}),
+    ("solve", {"step": 1e-300}),
+], ids=["refinement-80", "refinement-1100", "step-1e-300", "solve-step-1e-300"])
+def test_a_grid_no_index_can_address_exits_2_without_a_traceback(tmp_path, capsys, command, extra):
+    """A reference step of 2**-89 or 0.0 (2**-1109 underflows), or a step of 1e-300: numpy
+    refused their grids before allocating, with a ValueError or OverflowError and exit 1."""
+    cfg = converge_config(tmp_path, **extra)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: step ") and err.count("\n") == 1, err
+    assert not out.exists() or os.listdir(out) == []
+
+
 def parser_flags(parser=None, command=""):
     """Each command's option strings as build_parser() defines them, without --help."""
     parser = parser or build_parser()

@@ -1,10 +1,17 @@
 """``tools/fault_count.py`` on this checkout: one workload, two warm rounds."""
 
 import importlib.util
+import inspect
+import itertools
 import json
 import subprocess
 import sys
+import types
 from pathlib import Path
+
+import pytest
+
+import switchsde.harness as harness
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "fault_count.py"
@@ -58,11 +65,35 @@ def test_measures_copies_of_the_tree_in_sibling_directories_of_equal_name_length
         assert 0 <= counts["minflt_median"] <= counts["minflt_max"]
 
 
-def test_a_stage_peak_holds_the_peaks_of_the_stages_nested_in_it():
+def load_tool():
     spec = importlib.util.spec_from_file_location("fault_count", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_every_grid_builder_the_harness_binds_is_timed_as_the_grids_stage(monkeypatch):
+    """Each function the harness binds from the solvers that returns a RefinedGrid is
+    wrapped, and its time goes to ``grids``: else a builder's time falls into ``rest``."""
+    tool = load_tool()
+    builders = [name for name, value in vars(harness).items() if inspect.isfunction(value)
+                and value.__module__ == "switchsde.solvers"
+                and inspect.signature(value).return_annotation == "RefinedGrid"]
+    assert {"build_refined_grid", "classical_grid", "reference_grid"} <= set(builders)
+    bound = types.SimpleNamespace(**vars(harness))  # install rebinds names here only
     timer = tool.StageTimer()
+    timer.install(bound, type("Block", (), {"on_brownian_grids": None}))
+    monkeypatch.setattr(tool, "time", types.SimpleNamespace(
+        perf_counter=itertools.count().__next__))  # each timed call takes 1 s
+    for name in builders:
+        assert getattr(bound, name).__wrapped__ is getattr(harness, name), name
+        with pytest.raises(AttributeError):  # None is no block
+            getattr(bound, name)(None, 0.25)
+        assert timer.take() == dict(dict.fromkeys(tool.STAGES[:-1], 0.0), grids=1.0), name
+
+
+def test_a_stage_peak_holds_the_peaks_of_the_stages_nested_in_it():
+    timer = load_tool().StageTimer()
 
     def interpolation():
         return len(bytearray(4_000_000))  # freed on return

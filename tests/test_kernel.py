@@ -27,8 +27,9 @@ import switchsde as s
 import switchsde.harness as harness
 import switchsde.solvers as solvers
 from switchsde._timeutil import TIME_TOL, match_indices, time_tolerance
-from switchsde.errors import NonFiniteError
-from switchsde.solvers import CLASSICAL, JUMP_ADAPTED, SampleBlock, classical_grid, euler_block
+from switchsde.errors import ConfigError, NonFiniteError
+from switchsde.solvers import (CLASSICAL, JUMP_ADAPTED, SampleBlock, classical_grid, euler_block,
+                               reference_grid)
 
 RTOL = 1e-12
 MEMORY_BOUND_MB = 25  # about twice the 11.6 MB peak of the burst block below
@@ -288,8 +289,8 @@ def test_the_reference_values_are_its_grids_own(data):
     With union grids as fine as the reference, only the intervals with a
     switch inside keep coefficient rows. Finer union grids, or a row with two
     switches closer than TIME_TOL that return to the state before them, put
-    union points between the reference's events, and every interval keeps
-    its rows.
+    union points off the reference step's grid with no regime change across
+    them: the reference keeps them as events, and many intervals keep their rows.
     """
     n_states = data.draw(st.integers(2, 4))
     model = model_for(data.draw(models), n_states)
@@ -307,10 +308,12 @@ def test_the_reference_values_are_its_grids_own(data):
     bms = [s.generate_increments(s.merge_grids(s.uniform_grid(horizon, fine), s.make_grid(
         np.append(p.switch_times, horizon))), model.noise_dim, rng) for p in paths]
     block = oracles.stack(paths, [bm.grid for bm in bms], [bm.values for bm in bms], fine)
-    reference = s.build_refined_grid(block, ref_step)
+    reference = reference_grid(block, ref_step)
     grids = [grid(block, delta) for delta in deltas
              for grid in (s.build_refined_grid, classical_grid)]
-    assert (len(reference) < len(block.points)) == (pair or fine < ref_step)
+    assert len(reference) == len(block.points)
+    skipped = len(s.build_refined_grid(block, ref_step)) < len(block.points)
+    assert skipped == (pair or fine < ref_step)
     got = list(euler_block(model, grids, block.points, block.bm_values, reference=reference))
     want = list(euler_block(model, [reference] + grids, block.points, block.bm_values))
     assert len(got) == len(want)
@@ -318,6 +321,24 @@ def test_the_reference_values_are_its_grids_own(data):
     for g, w in zip(got[1:], want[1:]):
         for field in ("offsets", "times", "values", "drift", "diff", "bm_index", "bm_values"):
             assert np.array_equal(getattr(g, field), getattr(w, field)), field
+
+
+@pytest.mark.parametrize("case", ["finer-union", "returning-pair"])
+def test_a_reference_that_skips_a_union_point_is_a_config_error(case):
+    """The kernel reads a reference's values off its recursion at every union point, so a
+    reference whose events skip one is refused: the switch-adapted grid of 1/16 on union
+    grids of 1/32, or on a row with two switches within TIME_TOL that return to state 1."""
+    paths = [s.ChainPath(horizon=1.0, switch_times=np.array([0.0, 0.3, 0.6]),
+                         states=np.array([1, 2, 1]))]
+    if case == "returning-pair":
+        paths.append(s.ChainPath(horizon=1.0, states=np.array([1, 2, 1]),
+                                 switch_times=np.array([0.0, 0.4, 0.4 + 0.5 * TIME_TOL])))
+    block, _ = reference_block(paths, 1 / 32 if case == "finer-union" else 1 / 16, 1)
+    reference = s.build_refined_grid(block, 1 / 16)
+    assert len(reference) < len(block.points)
+    with pytest.raises(ConfigError, match="every union point"):
+        euler_block(model_for("linear", 2), [], block.points, block.bm_values,
+                    reference=reference)
 
 
 # --- the recursion's rounding ---------------------------------------------------------
@@ -342,7 +363,7 @@ def reference_block(paths, step, d, brownian=None, seed=0):
     values = [brownian[row](g.points) if brownian else s.generate_increments(g, d, rng).values
               for row, g in enumerate(grids)]
     block = oracles.stack(paths, grids, values, step)
-    return block, s.build_refined_grid(block, step)
+    return block, reference_grid(block, step)
 
 
 @settings(max_examples=60)
@@ -453,7 +474,7 @@ def test_the_shipped_fill_solves_as_the_default_fill_byte_for_byte(kind, union_s
                          states=np.array([1, 2, 3, 1])),
              s.ChainPath(horizon=1.0, switch_times=np.array([0.0]), states=np.array([2]))]
     block, _ = reference_block(paths, union_step, 1, seed=3)
-    reference = s.build_refined_grid(block, 1 / 16)
+    reference = reference_grid(block, 1 / 16)
     grids = [s.build_refined_grid(block, 0.25), classical_grid(block, 0.25)]
     got, want = (list(euler_block(model, grids, block.points, block.bm_values,
                                   reference=reference)) for model in (shipped, plain))
@@ -632,14 +653,14 @@ def test_a_2_to_the_minus_14_reference_block_selects_its_events_from_the_union_g
 
 
 def chunk_configs():
-    """A closed-form config, a fine-EM one and a fine-EM one whose reference is not dense."""
+    """A closed-form config, and a fine-EM one twice: as drawn, and with a returning pair."""
     linear = s.ExperimentConfig(
         model=model_for("linear", 2), generator=s.validate_generator([[-3.0, 3.0], [2.0, -2.0]]),
         horizon=1.0, deltas=(0.25, 0.125, 0.0625), samples=9, seed=7,
         schemes=(JUMP_ADAPTED, CLASSICAL))
     vector = dataclasses.replace(linear, model=model_for("vector", 2), horizon=0.7,
                                  reference="fine-em", ref_refinement=2)
-    return {"closed-form": linear, "fine-em": vector, "not-dense": vector}
+    return {"closed-form": linear, "fine-em": vector, "returning-pair": vector}
 
 
 def with_a_returning_pair(t: float, samples: int):
@@ -657,24 +678,25 @@ def with_a_returning_pair(t: float, samples: int):
     return simulate
 
 
-@pytest.mark.parametrize("kind", ["closed-form", "fine-em", "not-dense"])
+@pytest.mark.parametrize("kind", ["closed-form", "fine-em", "returning-pair"])
 def test_sups_in_row_chunks_are_the_sups_of_whole_grids(monkeypatch, kind):
     """`_sup_errors` returns the same bytes whatever `solvers.CHUNK_VALUES` is: 1 value (one
     row per interpolation call, each row longer than a chunk), about 2.5 rows'
     values (runs of unequal row counts), and more than any block holds.
 
-    In the not-dense case one row has two switches within TIME_TOL that return
-    to the state before them, so one union point is no reference event and the
-    kernel interpolates the reference, in chunks too."""
+    In the returning-pair case one row has two switches within TIME_TOL that
+    return to the state before them, so one union point opens no regime change;
+    the reference still keeps it as an event, and is never interpolated."""
     config = chunk_configs()[kind]
-    if kind == "not-dense":
+    if kind == "returning-pair":
         monkeypatch.setattr(harness, "simulate_exact_path",
                             with_a_returning_pair(0.3 * config.reference_step, config.samples))
     block = harness._draw_block(config, s.uniform_grid(config.horizon, config.reference_step),
                                 range(config.samples))
     if config.reference == "fine-em":
-        dense = len(s.build_refined_grid(block, config.reference_step)) == len(block.points)
-        assert dense == (kind == "fine-em")
+        assert len(reference_grid(block, config.reference_step)) == len(block.points)
+        skipped = len(s.build_refined_grid(block, config.reference_step)) < len(block.points)
+        assert skipped == (kind == "returning-pair")
     calls = []  # the rows of each interpolation call
     interpolate = solvers.EulerBlock.on_brownian_grids
 

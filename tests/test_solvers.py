@@ -17,7 +17,7 @@ from switchsde.errors import (
     RegimeNotConstantError,
     TimeNotRealizedError,
 )
-from switchsde.solvers import euler_block
+from switchsde.solvers import SampleBlock, euler_block
 
 GEN = s.validate_generator([[-1.0, 1.0], [2.0, -2.0]])
 
@@ -246,6 +246,17 @@ def test_euler_block_rejects_rows_of_different_lengths_and_unknown_regimes():
         with pytest.raises(InvalidRegimeError, match="outside 1..2"):
             next(euler_block(model, [dataclasses.replace(grid, regimes=regimes)],
                              block.points, block.bm_values))
+
+
+def test_em_jump_adapted_refuses_a_grid_of_more_than_one_row():
+    """Two rows of one chain path on one Brownian path: not two solutions of one path."""
+    model = s.LinearHybridModel(a=[1.0, 2.0], b=[2.0, 1.0], z0=1.0)
+    path = chain(1.0, [0.0, 0.3, 0.55], [1, 2, 1])
+    block = SampleBlock.union(s.uniform_grid(1.0, 0.25), [path, path])
+    bm = coupled_brownian(path, 0.25)
+    with pytest.raises(ConfigError, match="em_jump_adapted needs a one-row grid, .* 2 rows"):
+        s.em_jump_adapted(model, s.build_refined_grid(block, 0.25), bm)
+    assert len(s.em_jump_adapted(model, s.build_refined_grid(path, 0.25), bm).offsets) == 2
 
 
 def test_a_block_drawn_on_a_coarser_grid_has_no_mask_for_a_finer_step():

@@ -22,11 +22,11 @@ With ``--workload`` it measures that workload alone, in this process.
 
 The stages are timed by wrapping, in this process only, the names that
 ``switchsde.harness`` binds: the block draw, the closed form, the grid
-builders and the ``euler_block`` call, which builds the tables and runs the
-recursion; each ``next`` on the iterator that call returns is the expand
-stage; and ``EulerBlock.on_brownian_grids`` is the interpolation. A stage's
-time excludes the stages nested in it, as the interpolation of a fine-EM
-reference inside its expand, and ``rest`` is the remainder of the round.
+builders (`GRID_BUILDERS`, each one the tree's harness binds) and the
+``euler_block`` call, which builds the tables and runs the recursion; each
+``next`` on the iterator that call returns is the expand stage; and
+``EulerBlock.on_brownian_grids`` is the interpolation. A stage's time
+excludes the stages nested in it, and ``rest`` is the remainder of the round.
 
 With ``--locations K`` the tool copies TREE's ``src``, ``perfbench`` (less
 its ``out``) and ``BENCHMARK.json`` into K sibling temporary directories
@@ -60,6 +60,8 @@ import tracemalloc
 SEED = 1  # the seed of every warm round
 # the stages of a round, then what they leave of it
 STAGES = ("draw", "closed_form", "grids", "recursion", "expand", "interpolation", "rest")
+# the grids stage; a tree from before reference_grid builds its reference with build_refined_grid
+GRID_BUILDERS = ("build_refined_grid", "classical_grid", "reference_grid")
 
 
 class StageTimer:
@@ -108,7 +110,7 @@ class StageTimer:
     def install(self, harness, euler_block_type) -> None:
         """Time the stages through ``harness``' bindings and the EulerBlock method."""
         for name, stage in (("_draw_block", "draw"), ("exact_linear_solution", "closed_form"),
-                            ("build_refined_grid", "grids"), ("classical_grid", "grids")):
+                            *((name, "grids") for name in GRID_BUILDERS if hasattr(harness, name))):
             setattr(harness, name, self.wrap(stage, getattr(harness, name)))
         kernel = harness.euler_block
         harness.euler_block = functools.wraps(kernel)(lambda *args, **kwargs: TimedNext(
