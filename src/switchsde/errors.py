@@ -4,6 +4,7 @@ Every error raised by switchsde derives from :class:`SwitchSdeError`, so
 callers can catch the package's failures without catching unrelated bugs.
 """
 
+import numbers
 import sys
 
 
@@ -22,20 +23,20 @@ class ConfigError(SwitchSdeError):
 def setting(data: dict, key: str, kind, default=None):
     """``data[key]``, or ``default`` when it is absent, checked to be of ``kind``.
 
-    ``int`` takes a JSON integer only (a bool, 40.0, a string or null is a
-    ConfigError), ``float`` any finite JSON number, returned as a float, and
-    ``str`` a JSON string; ``[kind]`` a list of them, returned as a tuple, so
-    ``[[float]]`` is a matrix.
+    ``int`` takes an integer only, numpy's too (a bool, 40.0, a string or null
+    is a ConfigError), ``float`` any finite real number, and ``str`` a string,
+    each returned as ``kind`` (a float32 is bounded as a float: no overflow
+    warning); ``[kind]`` a list or tuple of them, as a tuple (``[[float]]``: a matrix).
     """
     value = data.get(key, default)
     if isinstance(kind, list):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{key} must be a list, got {value!r}")
         return tuple(setting({key: v}, key, kind[0]) for v in value)
-    types, noun = {int: (int, "an integer"), float: ((int, float), "a finite number"),
+    types, noun = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a finite number"),
                    str: (str, "a string")}[kind]
-    if (isinstance(value, bool) or not isinstance(value, types)
-            or (kind is not str and not abs(value) <= sys.float_info.max)):
+    if isinstance(value, bool) or not isinstance(value, types) or kind is not str and not abs(
+            value if isinstance(value, numbers.Integral) else float(value)) <= sys.float_info.max:
         raise ConfigError(f"{key} must be {noun}, got {value!r}")
     return kind(value)
 
@@ -138,4 +139,4 @@ class DegenerateFitError(SwitchSdeError):
 
 
 class NonPositiveErrorValues(SwitchSdeError):
-    """Order regression received a non-positive error estimate."""
+    """Order regression received an error estimate that is not positive and finite."""

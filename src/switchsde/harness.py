@@ -32,7 +32,6 @@ are bit-identical across reruns and thread counts. ``run_strong_error``'s
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -119,8 +118,9 @@ class ExperimentConfig:
     ``deltas`` must be a finite descending dyadic ladder in a finite horizon:
     each entry a power-of-two multiple of the smallest to within the time
     tolerance, by the rule the grids are built by (`_timeutil.dyadic_ratio`).
-    Moment orders and ``samples`` must be at least 2; ``samples``, ``seed``,
-    ``ref_refinement`` and ``jump_budget`` are integers (not bools). The
+    Moment orders and ``samples`` must be at least 2. Each field but the model,
+    generator and reference holds what the JSON reader's type rule,
+    `errors.setting`, returns for it: Python ints, finite floats, tuples. The
     reference is the closed form when the model has one, or a fine
     jump-adapted run ``2**ref_refinement`` times finer than the smallest step.
     Every step, the reference's too, is positive with a grid np.intp can rank.
@@ -139,12 +139,12 @@ class ExperimentConfig:
     jump_budget: int = 10**6
 
     def __post_init__(self):
-        if not 0 < self.horizon < np.inf:  # NaN fails too
-            raise ConfigError(f"horizon must be positive and finite, got {self.horizon}")
-        for name in ("samples", "seed", "ref_refinement", "jump_budget"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name, kind in (("horizon", float), ("p_values", [int]), ("deltas", [float]),
+                           ("samples", int), ("seed", int), ("ref_refinement", int),
+                           ("jump_budget", int), ("schemes", [str])):  # the JSON reader's rule
+            object.__setattr__(self, name, setting(vars(self), name, kind))
+        if not self.horizon > 0:
+            raise ConfigError(f"horizon must be positive, got {self.horizon}")
         if self.samples < 2:
             raise ConfigError("need at least 2 samples")
         if not self.p_values or any(p < 2 for p in self.p_values):
@@ -154,10 +154,9 @@ class ExperimentConfig:
                 raise ConfigError(f"a {name} is listed twice in {list(entries)}")
         if not self.deltas:
             raise ConfigError("empty step ladder")
-        deltas = tuple(float(d) for d in self.deltas)
-        if any(not 0 < d <= self.horizon for d in deltas):  # NaN fails too
+        if any(not 0 < d <= self.horizon for d in self.deltas):
             raise ConfigError("steps must lie in (0, T]")
-        if any(a <= b for a, b in zip(deltas, deltas[1:])):
+        if any(a <= b for a, b in zip(self.deltas, self.deltas[1:])):
             raise ConfigError("step ladder must be strictly descending")
         unknown = set(self.schemes) - {JUMP_ADAPTED, CLASSICAL}
         if unknown or not self.schemes:
@@ -169,12 +168,12 @@ class ExperimentConfig:
         if self.reference == REFERENCE_FINE_EM and self.ref_refinement < 1:
             raise ConfigError("refinement exponent must be at least 1")
         most = np.iinfo(np.intp).max // 2  # the points a grid may hold: its fine ranks are 2x
-        for d in (*deltas, self.reference_step):  # a uniform grid has at most T / d + 2 points
+        for d in (*self.deltas, self.reference_step):  # a uniform grid has at most T / d + 2 points
             if not d > 0.0 or self.horizon / d + 2 > most:
                 raise ConfigError(f"step {d} is not positive or makes over {most} gridpoints")
-        for d in deltas:
-            if dyadic_ratio(d, deltas[-1], self.horizon) is None:
-                raise ConfigError(f"step {d} is not a power-of-two multiple of {deltas[-1]} "
+        for d in self.deltas:
+            if dyadic_ratio(d, self.finest_step, self.horizon) is None:
+                raise ConfigError(f"step {d} is not a power-of-two multiple of {self.finest_step} "
                                   "to within the time tolerance: the ladder must be dyadic")
         if self.model.regime_count != self.generator.n_states:
             raise ConfigError(
@@ -184,7 +183,7 @@ class ExperimentConfig:
 
     @property
     def finest_step(self) -> float:
-        return float(self.deltas[-1])
+        return self.deltas[-1]
 
     @property
     def reference_step(self) -> float:
@@ -196,26 +195,28 @@ class ExperimentConfig:
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a parsed JSON experiment description.
 
-    A key outside CONFIG_KEYS is a ConfigError, and one it leaves out takes
-    its CONFIG_DEFAULTS value; ``generator`` and ``model`` are required."""
+    A key outside CONFIG_KEYS or a schema_version other than 1 is a ConfigError,
+    and a key left out takes its CONFIG_DEFAULTS value; ``generator`` and ``model`` are required."""
     check_keys(data, CONFIG_KEYS, "config")
     data = {**CONFIG_DEFAULTS, **data}
+    if setting(data, "schema_version", int) != CONFIG_DEFAULTS["schema_version"]:
+        raise ConfigError(f"unsupported schema_version {data['schema_version']}")
     try:
         model = model_from_config(data["model"],
                                   initial_regime=setting(data, "initial_regime", int))
         return ExperimentConfig(
             model=model,
             generator=generator_from_json(data["generator"]),
-            horizon=setting(data, "horizon", float),
+            horizon=data["horizon"],
             p_values=setting(data, "p", [int]),
-            deltas=setting(data, "deltas", [float]),
-            samples=setting(data, "samples", int),
-            seed=setting(data, "seed", int),
+            deltas=data["deltas"],
+            samples=data["samples"],
+            seed=data["seed"],
             reference=data.get("reference", REFERENCE_CLOSED_FORM
                                if model.has_closed_form() else REFERENCE_FINE_EM),
             ref_refinement=setting(data, "refinement_exponent", int),
-            schemes=setting(data, "schemes", [str]),
-            jump_budget=setting(data, "jump_budget", int),
+            schemes=data["schemes"],
+            jump_budget=data["jump_budget"],
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid experiment config: {exc}") from exc
@@ -269,13 +270,13 @@ class ErrorReport:
 def estimate_order(errors) -> tuple:
     """Least-squares fit of log2(eps) = slope * log2(delta) + intercept.
 
-    Returns (slope, intercept, r2). Rejects non-positive errors and ladders
-    with fewer than two distinct step sizes. Flat data fits exactly, so its
-    r2 is reported as 1.
+    Returns (slope, intercept, r2). Rejects errors that are not positive and
+    finite, and ladders with fewer than two distinct step sizes. Flat data
+    fits exactly, so its r2 is reported as 1.
     """
     pts = [(float(d), float(e)) for d, e in errors]
-    if any(e <= 0.0 for _, e in pts):
-        raise NonPositiveErrorValues("all error values must be positive")
+    if any(not 0.0 < e < np.inf for _, e in pts):
+        raise NonPositiveErrorValues("all error values must be positive and finite")
     if len(pts) < 2 or len({d for d, _ in pts}) < 2:
         raise DegenerateFitError("need at least two distinct step sizes")
     x = np.log2([d for d, _ in pts])
@@ -368,8 +369,8 @@ def run_strong_error(config: ExperimentConfig, threads: int = 1) -> ErrorReport:
 
     One coupled (chain, Brownian) realization per sample drives every scheme
     and step size as well as the reference, so differences are discretization
-    error only. Step sizes whose estimate is exactly zero (schemes that are
-    exact for the model) are reported but excluded from order fitting.
+    error only. A ladder with an estimate of exactly zero (a scheme exact for
+    the model) or one that overflowed to inf is reported but not fitted.
     ``threads`` is accepted for compatibility and changes nothing.
     """
     all_sups = _sup_errors(config)
@@ -392,7 +393,7 @@ def run_strong_error(config: ExperimentConfig, threads: int = 1) -> ErrorReport:
                     stderr = 0.0
                 points.append(ErrorPoint(scheme, p, delta, eps, float(stderr), m))
                 ladder.append((delta, eps))
-            if all(e > 0 for _, e in ladder) and len(ladder) >= 2:
+            if all(0 < e < np.inf for _, e in ladder) and len(ladder) >= 2:
                 slope, intercept, r2 = estimate_order(ladder)
                 fits.append(OrderFit(scheme, p, slope, intercept, r2))
     return ErrorReport(points=tuple(points), fits=tuple(fits))
@@ -533,7 +534,7 @@ def local_error_scaling(config: ExperimentConfig) -> LocalErrorReport:
             moment = float(stacked.mean(axis=0).max())
             points.append(LocalErrorPoint(p, delta, moment))
             ladder.append((delta, moment))
-        if all(v > 0 for _, v in ladder) and len(ladder) >= 2:
+        if all(0 < v < np.inf for _, v in ladder) and len(ladder) >= 2:
             slope, _, _ = estimate_order(ladder)
             slopes[p] = slope
     return LocalErrorReport(points=tuple(points), slopes=slopes)

@@ -35,7 +35,7 @@ times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import repeat
 
@@ -114,7 +114,6 @@ class SampleBlock:
     bm_values: np.ndarray | None = None
     fine_step: float | None = None
     fine_rank: np.ndarray | None = None
-    _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.points.setflags(write=False)
@@ -187,13 +186,7 @@ class SampleBlock:
         return self._states_from(start)
 
     def on_grid(self, step: float) -> np.ndarray:
-        """Read-only mask of union points on ``step``'s grid and T, kept for the last step only."""
-        if step not in self._masks:  # built once per block and step
-            self._masks.clear()
-            self._masks[step] = self._grid_mask(step)
-        return self._masks[step]
-
-    def _grid_mask(self, step: float) -> np.ndarray:
+        """Read-only mask of union points on ``step``'s grid and T."""
         on_grid = (self.fine_rank & ((1 << self._shift(step)) - 1)) == 0
         on_grid[self.offsets[1:] - 1] = True
         on_grid.setflags(write=False)

@@ -24,7 +24,6 @@ each row exactly `oracles.coupled_sample` on the same stream, byte for byte.
 
 import dataclasses
 import json
-import os
 from unittest import mock
 
 import numpy as np
@@ -574,38 +573,6 @@ def test_a_step_past_the_horizon_makes_grids_of_0_and_t(horizon, step):
         assert grid.union_index.tobytes() == keep.tobytes()
         assert grid.owner_interval.tobytes() == owners.tobytes()
         assert grid.regimes.tobytes() == regimes.tobytes()
-
-
-def test_each_grid_mask_is_computed_once_per_block_and_step(monkeypatch, tmp_path):
-    config = s.ExperimentConfig(
-        model=s.LinearHybridModel(a=[1.0, 2.0], b=[2.0, 1.0], z0=1.0),
-        generator=s.validate_generator([[-1.0, 1.0], [2.0, -2.0]]), horizon=1.0,
-        deltas=(0.25, 0.125), samples=2 * harness.BLOCK_SIZE + 3, reference="closed-form",
-        schemes=(JUMP_ADAPTED, CLASSICAL),
-    )
-    cfg = tmp_path / "solve.json"
-    cfg.write_text(json.dumps({"step": 0.125, "seed": 4}))
-
-    def run(out):
-        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / out)]) == 0
-        files = sorted(os.listdir(tmp_path / out))
-        return harness._sup_errors(config), [(tmp_path / out / f).read_bytes() for f in files]
-
-    with monkeypatch.context() as patch:  # a mask computed on every call
-        patch.setattr(SampleBlock, "on_grid", SampleBlock._grid_mask)
-        want = run("uncached")
-    steps = []
-    compute = SampleBlock._grid_mask
-
-    def counting(block, step):
-        steps.append(step)
-        return compute(block, step)
-
-    monkeypatch.setattr(SampleBlock, "_grid_mask", counting)
-    sups, files = run("cached")
-    assert np.array_equal(sups, want[0]) and files == want[1]
-    # solve's one block with one step, then three blocks of two steps, each read by both schemes
-    assert steps == [0.125] + [0.25, 0.125] * 3
 
 
 RUNS = {"closed-form": harness._sup_errors, "fine-em": harness._sup_errors,

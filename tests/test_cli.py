@@ -375,6 +375,19 @@ def test_converge_diverging_model_exits_4(tmp_path):
     assert main(["converge", "--config", cfg, "--out", str(tmp_path)]) == 4
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_a_ladder_whose_eps_overflows_is_reported_but_not_fitted(tmp_path):
+    """At p = 300 the default model's eps overflows to inf at 2 of 6 rungs: its fit was nan."""
+    cfg = write_config(tmp_path, p=[2, 300], samples=32)
+    out = tmp_path / "out"
+    assert main(["converge", "--config", cfg, "--out", str(out)]) == 0
+    _, errors = read_csv(out / "errors.csv")
+    assert sorted({(r[1], r[3]) for r in errors if r[3] == "inf"}) == [("300", "inf")]
+    _, fits = read_csv(out / "fit.csv")
+    assert [r[:2] for r in fits] == [["jump-adapted", "2"], ["classical", "2"]]
+    assert "p=300" not in (out / "summary.txt").read_text()
+
+
 def test_contract_error_is_not_reported_as_config_error(tmp_path, monkeypatch):
     def broken(config, threads=1):
         raise GridMismatchError("internal")

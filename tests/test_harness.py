@@ -14,6 +14,7 @@ import switchsde as s
 import switchsde.harness as harness
 from switchsde.errors import (ConfigError, DegenerateFitError, GridMismatchError,
                               NonPositiveErrorValues)
+from switchsde.cli import DEFAULT_CONFIG
 from switchsde.harness import setting
 from switchsde.solvers import CLASSICAL, JUMP_ADAPTED, SampleBlock
 
@@ -59,6 +60,12 @@ def test_estimate_order_exact_one():
 def test_estimate_order_rejects_nonpositive():
     with pytest.raises(NonPositiveErrorValues):
         s.estimate_order([(0.5, 0.0), (0.25, 0.1)])
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_estimate_order_rejects_non_finite(bad):
+    with pytest.raises(NonPositiveErrorValues, match="positive and finite"):
+        s.estimate_order([(0.5, bad), (0.25, 0.1)])
 
 
 def test_estimate_order_rejects_degenerate():
@@ -163,6 +170,41 @@ def test_config_takes_numpy_integers():
     numpy_ints = linear_config(samples=np.int64(8), seed=np.uint32(3), jump_budget=np.int32(99))
     assert s.run_strong_error(numpy_ints) == s.run_strong_error(
         linear_config(samples=8, seed=3, jump_budget=99))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("deltas", (True, 0.5)),  # ran, with the step True in errors.csv
+    ("deltas", (0.25, "0.125")),  # a TypeError
+    ("horizon", True),  # ran as T = 1
+    ("p_values", (np.inf,)),  # ran, with eps 1.0 and a fitted order of 0.0
+    ("p_values", (np.nan,)),
+    ("p_values", (2.5,)),
+    ("p_values", (True, 2)),
+], ids=["delta-true", "delta-string", "horizon-true", "p-inf", "p-nan", "p-2.5", "p-true"])
+def test_config_checks_its_fields_by_the_json_readers_rule(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be (an integer|a finite number), got "):
+        linear_config(**{field: value})
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_config_holds_the_python_numbers_it_checked():
+    config = linear_config(horizon=1, p_values=[np.int64(2), 4], schemes=[JUMP_ADAPTED],
+                           deltas=[np.float64(0.25), np.float32(0.125)], samples=np.int64(8),
+                           seed=np.uint32(3), reference="fine-em", ref_refinement=np.int8(2),
+                           jump_budget=np.int32(99))
+    assert (config.horizon, config.p_values, config.deltas, config.schemes) == (
+        1.0, (2, 4), (0.25, 0.125), (JUMP_ADAPTED,))
+    assert [type(v) for v in (config.p_values, config.deltas, config.schemes)] == [tuple] * 3
+    assert [type(v) for v in (config.horizon, *config.deltas, config.reference_step)] == [float] * 4
+    assert [type(v) for v in (*config.p_values, config.samples, config.seed,
+                              config.ref_refinement, config.jump_budget)] == [int] * 6
+
+
+@pytest.mark.parametrize("version", [7, 0, 1.0, "1"])
+def test_config_from_dict_refuses_another_schema_version(version):
+    with pytest.raises(ConfigError, match="schema_version"):
+        s.config_from_dict(dict(DEFAULT_CONFIG, schema_version=version))
+    assert s.config_from_dict(dict(DEFAULT_CONFIG, schema_version=1)).samples == 1000
 
 
 def test_config_from_dict_roundtrip():
