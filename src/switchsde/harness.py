@@ -379,15 +379,23 @@ def run_strong_error(config: ExperimentConfig, threads: int = 1) -> ErrorReport:
     m = config.samples
     moments = {}  # per p, each (scheme, delta) row reduced along its contiguous samples,
     for p in config.p_values:  # which rounds as the row's own mean and std
-        powered = all_sups ** p
-        moments[p] = powered.mean(axis=-1), powered.std(axis=-1, ddof=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed row is reported
+            powered = all_sups ** p
+            mean, std = powered.mean(axis=-1), powered.std(axis=-1, ddof=1)
+            # where only the squares overflowed: the std of the powers over 2^e, exact, times 2^e
+            redo = np.isfinite(mean) & np.isinf(std)
+            e = np.frexp(powered[redo].max(axis=-1))[1]
+            std[redo] = np.ldexp(np.ldexp(powered[redo], -e[:, None]).std(axis=-1, ddof=1), e)
+        moments[p] = mean, std
     for si, scheme in enumerate(config.schemes):
         for p in config.p_values:
             ladder = []
             mean, std = moments[p]
             for di, delta in enumerate(config.deltas):
                 eps = float(mean[si, di]) ** (1.0 / p)
-                if eps > 0.0:
+                if eps == np.inf:  # the mean overflowed, and its error with it
+                    stderr = np.inf
+                elif eps > 0.0:
                     stderr = eps ** (1 - p) * float(std[si, di]) / (p * np.sqrt(m))
                 else:
                     stderr = 0.0

@@ -102,7 +102,7 @@ class SampleBlock:
     step ``fine_step``, placed by ``fine_rank`` (`brownian.union_rows`; no
     event grid without it), and each switching time of its row unless that
     lies within the time tolerance of another point. ``points`` and
-    ``offsets`` are read-only: every event grid of the block points into them.
+    ``offsets`` and ``fine_rank`` are read-only: every event grid of the block points into them.
     """
 
     horizon: float
@@ -116,8 +116,9 @@ class SampleBlock:
     fine_rank: np.ndarray | None = None
 
     def __post_init__(self):
-        self.points.setflags(write=False)
-        self.offsets.setflags(write=False)
+        for values in (self.points, self.offsets, self.fine_rank):
+            if values is not None:
+                values.setflags(write=False)
 
     @classmethod
     def union(cls, fine: TimeGrid, chains) -> SampleBlock:
@@ -200,52 +201,61 @@ class SampleBlock:
             raise GridMismatchError(f"a union grid lacks a gridpoint of step {step}")
         return min(ratio.bit_length(), 8 * self.fine_rank.itemsize)
 
-    def select(self, mask, step: float) -> tuple:
-        """(union_index, offsets, owner_interval) of the union points in ``mask``, with
-        each row's T: a point's interval of ``step`` is the index of the last fine
-        gridpoint at or before it over the step's ratio, and T's is K, the interval count."""
-        keep, shift = np.flatnonzero(mask), self._shift(step)
-        offsets = np.searchsorted(keep, self.offsets)
-        owners = np.right_shift(self.fine_rank[keep], shift, dtype=np.intp)
-        owners[offsets[1:] - 1] = -(-int(self.fine_rank[self.offsets[1] - 1]) >> shift)  # ceil
-        return keep, offsets, owners
+    def select(self, mask) -> tuple:
+        """(union_index, offsets) of the union points in ``mask``, which holds each row's T."""
+        keep = np.flatnonzero(mask)
+        return keep, np.searchsorted(keep, self.offsets)
 
 
 @dataclass(frozen=True)
 class RefinedGrid:
     """Events of one Euler scheme for a block of rows, as a selection of their union grid.
 
-    Row r owns ``offsets[r]:offsets[r + 1]`` of the flat arrays. Event i is
-    union point ``points[union_index[i]]``; a row's ``events`` are its
-    uniform gridpoints up to T, its interior switching times and T itself,
-    in order. ``regimes[i]`` is the chain state on [events[i], events[i+1]),
-    one byte per event up to 255 states in a block's grids; ``owner_interval[i]`` is the index
-    k of the uniform interval [k*step, (k+1)*step) containing the event, and
-    K, the interval count, for the T that closes the last one, in every grid.
-    ``points`` is the union grid's own array, shared by every grid of the
-    block and not copied; every array is read-only.
+    Row r owns ``offsets[r]:offsets[r + 1]`` of the flat arrays. Event i is union
+    point ``points[union_index[i]]``, or ``points[i]`` in a grid of every union
+    point, whose ``union_index`` is None. A row's ``events`` are its uniform
+    gridpoints up to T, its interior switching times and T itself, in order.
+    ``regimes[i]`` is the chain state on [events[i], events[i+1]), one byte per
+    event up to 255 states in a block's grids; ``rank[i]`` is its fine rank
+    (`brownian.union_rows`) in the block's type, two bytes up to 2^14 fine steps,
+    and ``rank >> shift`` the k of its interval [k*step, (k+1)*step). ``points``
+    is the union grid's own array, shared by every grid of the block and not
+    copied; every array is read-only.
     """
 
     step: float
     horizon: float
     points: np.ndarray
-    union_index: np.ndarray
+    union_index: np.ndarray | None
     regimes: np.ndarray
-    owner_interval: np.ndarray
+    rank: np.ndarray
+    shift: int
     offsets: np.ndarray
 
     def __post_init__(self):
-        for values in (self.points, self.union_index, self.regimes, self.owner_interval,
-                       self.offsets):
-            values.setflags(write=False)
+        for values in (self.points, self.union_index, self.regimes, self.rank, self.offsets):
+            if values is not None:
+                values.setflags(write=False)
 
     @property
     def events(self) -> np.ndarray:
         """The event times, gathered from the union grid on each read."""
-        return self.points[self.union_index]
+        return self.points if self.union_index is None else self.points[self.union_index]
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Each row's interval count K: its T's fine rank >> shift, rounded up."""
+        return -(-self.rank[self.offsets[1:] - 1].astype(np.intp) >> self.shift)
+
+    @property
+    def owner_interval(self) -> np.ndarray:
+        """Each event's interval, and K for the T that closes its row's last one: on each read."""
+        owners = np.right_shift(self.rank, self.shift, dtype=np.intp)
+        owners[self.offsets[1:] - 1] = self.counts
+        return owners
 
     def __len__(self) -> int:
-        return len(self.union_index)
+        return len(self.rank)
 
 
 def build_refined_grid(sample, step: float) -> RefinedGrid:
@@ -262,20 +272,20 @@ def build_refined_grid(sample, step: float) -> RefinedGrid:
     if isinstance(sample, ChainPath):  # uniform_grid checks the step
         sample = SampleBlock.union(uniform_grid(sample.horizon, step), [sample])
     regimes = sample.regimes
-    keep, offsets, owners = sample.select(
-        sample.on_grid(step) | np.append(True, regimes[1:] != regimes[:-1]), step)
+    keep, offsets = sample.select(
+        sample.on_grid(step) | np.append(True, regimes[1:] != regimes[:-1]))
+    every = len(keep) == len(regimes)  # every point: no copies
     return RefinedGrid(
         step=float(step), horizon=sample.horizon, points=sample.points, union_index=keep,
-        regimes=regimes if len(keep) == len(regimes) else regimes[keep],  # every point: no copy
-        owner_interval=owners, offsets=offsets,
-    )
+        regimes=regimes if every else regimes[keep], offsets=offsets,
+        rank=sample.fine_rank if every else sample.fine_rank[keep], shift=sample._shift(step))
 
 
 def reference_grid(block: SampleBlock, step: float) -> RefinedGrid:
-    """The fine-EM reference's events: every union point, in the intervals of ``step``."""
-    keep, offsets, owners = block.select(np.ones(len(block.points), dtype=bool), step)
-    return RefinedGrid(float(step), block.horizon, block.points, union_index=keep,
-                       regimes=block.regimes, owner_interval=owners, offsets=offsets)
+    """The fine-EM reference's events: every union point, in ``step``'s intervals, no copies."""
+    return RefinedGrid(float(step), block.horizon, block.points, union_index=None,
+                       regimes=block.regimes, rank=block.fine_rank, shift=block._shift(step),
+                       offsets=block.offsets)
 
 
 def classical_grid(block: SampleBlock, step: float) -> RefinedGrid:
@@ -285,12 +295,12 @@ def classical_grid(block: SampleBlock, step: float) -> RefinedGrid:
     the path's skeleton as `skeleton_from_path` reads it; the last event
     repeats the last interval's state.
     """
-    keep, offsets, owners = block.select(block.on_grid(step), step)
+    keep, offsets = block.select(block.on_grid(step))
     regimes = block.point_states[keep]
     regimes[offsets[1:] - 1] = regimes[offsets[1:] - 2]
     return RefinedGrid(
         step=float(step), horizon=block.horizon, points=block.points, union_index=keep,
-        regimes=regimes, owner_interval=owners, offsets=offsets,
+        regimes=regimes, rank=block.fine_rank[keep], shift=block._shift(step), offsets=offsets,
     )
 
 
@@ -421,7 +431,7 @@ def euler_block(model: HybridModel, grids, points, bm_values, reference=None):
     grids = [reference] * nref + list(grids)
     counts = []  # intervals per grid
     for g in grids:
-        count = g.owner_interval[g.offsets[1:] - 2] + 1  # per row
+        count = g.counts  # per row
         if np.any(count != count[0]):
             raise ConfigError("a grid needs one step and horizon for every row")
         counts.append(int(count[0]))
@@ -446,7 +456,7 @@ def euler_block(model: HybridModel, grids, points, bm_values, reference=None):
     noise = np.zeros((base[-1] + 1, d))
 
     def on_events(r):  # grid r's event times and Brownian values, gathered once per phase
-        if r < nref:  # the reference's union_index is every point in order
+        if r < nref:  # the reference is every union point, in order
             return points, bm_values
         return grids[r].events, np.take(bm_values, grids[r].union_index, axis=0)
 
@@ -471,7 +481,9 @@ def euler_block(model: HybridModel, grids, points, bm_values, reference=None):
     # when the one before it owns its interval, as a row's T and the next 0 never do
     kept = np.arange(K) < max(counts[nref:], default=0)
     if reference is not None:
-        kept[reference.owner_interval[1:][np.diff(reference.owner_interval) == 0]] = True
+        owners = reference.owner_interval
+        kept[owners[1:][owners[1:] == owners[:-1]]] = True
+        del owners
     # a kept interval's rows start at cbase[k], as its cells do at base[k]; scratch at cbase[K]
     cbase = np.concatenate([[0], np.cumsum(N * active * kept)])
 
@@ -619,7 +631,7 @@ def em_classical(model: HybridModel, skeleton, step: float, bm: BrownianPath) ->
         raise LengthMismatchError(f"skeleton has {len(skeleton)} states for {m} intervals")
     index = np.arange(m + 1)
     grid = RefinedGrid(step=float(step), horizon=bm.grid.horizon, points=pts, union_index=index,
-                       regimes=np.append(skeleton[:m], skeleton[m - 1]), owner_interval=index,
+                       regimes=np.append(skeleton[:m], skeleton[m - 1]), rank=2 * index, shift=1,
                        offsets=np.array([0, m + 1]))
     return next(euler_block(model, [grid], pts, bm.values))
 

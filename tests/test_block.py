@@ -24,6 +24,8 @@ each row exactly `oracles.coupled_sample` on the same stream, byte for byte.
 
 import dataclasses
 import json
+import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -188,7 +190,7 @@ def test_block_grids_match_per_path_oracles(sample):
             continue  # a cluster: the regimes of segments shorter than 4 tol may differ
         grid = s.RefinedGrid(step=step, horizon=horizon, points=events,
                              union_index=np.arange(len(events)), regimes=regimes,
-                             owner_interval=owners, offsets=np.array([0, len(events)]))
+                             rank=2 * owners, shift=1, offsets=np.array([0, len(events)]))
         want = s.em_jump_adapted(model, grid, bm).values
         scale = max(1.0, float(np.max(np.abs(want))))
         assert np.max(np.abs(solved.values[r] - want)) <= 1e-12 * scale
@@ -205,9 +207,11 @@ def owned_bytes(values):
 @given(sample=blocks())
 @pytest.mark.parametrize("shift", [0, 297], ids=["N<=3", "N=300"])
 def test_grids_point_into_the_union_grid_with_regimes_in_the_smallest_type(shift, sample):
-    """Each grid shares its block's union points and owns two 8-byte indices and
-    one regime per event: 17 bytes up to 255 states, against 32 with copied
-    event times and 8-byte regimes. ``shift`` relabels states 1..3 as 298..300."""
+    """Each grid shares its block's union points and owns an 8-byte index, a fine
+    rank in the block's type and one regime per event: 11 bytes up to 2^14 fine
+    steps and 255 states, against 17 with an 8-byte interval for the rank and 32
+    with copied event times and 8-byte regimes. ``shift`` relabels states 1..3
+    as 298..300."""
     paths, bms, step, fine = sample
     paths = [s.ChainPath(p.horizon, p.switch_times, p.states + shift) for p in paths]
     block = stack(paths, bms, fine)
@@ -218,8 +222,9 @@ def test_grids_point_into_the_union_grid_with_regimes_in_the_smallest_type(shift
         assert grid.points is block.points
         assert grid.events.tobytes() == block.points[grid.union_index].tobytes()
         assert grid.regimes.dtype == small
-        owned = sum(map(owned_bytes, (grid.union_index, grid.owner_interval, grid.regimes)))
-        assert owned <= (16 + np.dtype(small).itemsize) * len(grid)
+        assert grid.rank.dtype == block.fine_rank.dtype
+        owned = sum(map(owned_bytes, (grid.union_index, grid.rank, grid.regimes)))
+        assert owned <= (8 + grid.rank.itemsize + np.dtype(small).itemsize) * len(grid)
     assert np.array_equal(refined.regimes, block.regimes[refined.union_index])
     want = np.concatenate([s.states_at(p, classical.events[c])
                            for p, c in zip(paths, row_slices(classical.offsets))])
@@ -510,18 +515,43 @@ def ranked_blocks(draw):
 @settings(max_examples=150)
 @given(ranked_blocks())
 def test_grids_from_the_fine_rank_match_the_float_rule(sample):
-    """Masks, events, owners and regimes of both grids at every step of the ladder are
-    those that each step's float comparison with its multiples and the count of its
-    gridpoints gave."""
+    """Masks, events, owners and regimes of both grids at every step of the ladder, and
+    the reference's owners, are those that each step's float comparison with its
+    multiples and the count of its gridpoints gave. Every grid's rows, the reference's
+    too, have the ceil(T / step) intervals that `euler_block` reads."""
     block, ladder = sample
     for step in ladder:
-        assert block.on_grid(step).tobytes() == oracles.grid_mask(block, step).tobytes()
+        mask = oracles.grid_mask(block, step)
+        assert block.on_grid(step).tobytes() == mask.tobytes()
+        reference = solvers.reference_grid(block, step)
         for grid, classical in ((s.build_refined_grid(block, step), False),
                                 (classical_grid(block, step), True)):
             keep, owners, regimes = oracles.grid_events(block, step, classical)
             assert grid.union_index.tobytes() == keep.tobytes()
             assert grid.owner_interval.tobytes() == owners.tobytes()
             assert grid.regimes.tobytes() == regimes.tobytes()
+        count = np.cumsum(mask)  # gridpoints up to a point, less one
+        owners = count - np.repeat(count[block.offsets[:-1]], np.diff(block.offsets))
+        assert reference.owner_interval.tobytes() == owners.tobytes()
+        for grid in (s.build_refined_grid(block, step), classical_grid(block, step), reference):
+            assert grid.counts.tolist() == [math.ceil(block.horizon / step)] * len(block)
+
+
+def test_the_reference_grid_allocates_under_a_byte_per_union_point():
+    """It shares its block's points, offsets, regimes and fine ranks. An all-true mask,
+    an index of every point and the owners gathered through it took about 21 bytes
+    per union point here."""
+    block = SampleBlock.union(s.uniform_grid(1.0, 2.0**-12),
+                              [with_switches(1.0, [0.3, 0.55 + 0.05 * row]) for row in range(8)])
+    assert len(block.regimes) == len(block.points)  # built once per block, as the grids share it
+    tracemalloc.start()
+    try:
+        grid = solvers.reference_grid(block, 2.0**-7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(grid) == len(block.points) > 30000
+    assert peak < len(block.points), peak
 
 
 @settings(max_examples=150)
@@ -530,13 +560,15 @@ def test_the_reference_grid_is_every_union_point_and_on_the_fine_step_the_refine
     """At every step of the ladder the reference keeps every union point, in the block's
     segment regimes, each in its interval by the float rule. On the fine step, where no
     union point off its grid opens a segment in the regime of the one before (no cluster
-    of switches returns to its state), it is the switch-adapted grid field by field: so
-    the reference's values keep their bytes."""
+    of switches returns to its state), it is the switch-adapted grid field by field, its
+    events standing for the union index it does not keep: so the reference's values keep
+    their bytes."""
     block, ladder = sample
     for step in ladder:
         grid = solvers.reference_grid(block, step)
         count = np.cumsum(oracles.grid_mask(block, step))  # gridpoints up to a point, less one
-        assert np.array_equal(grid.union_index, np.arange(len(block.points)))
+        assert grid.union_index is None and grid.events is block.points
+        assert len(grid) == len(block.points)
         assert np.array_equal(grid.offsets, block.offsets)
         assert np.array_equal(grid.owner_interval,
                               count - np.repeat(count[block.offsets[:-1]], np.diff(block.offsets)))
@@ -547,6 +579,8 @@ def test_the_reference_grid_is_every_union_point_and_on_the_fine_step_the_refine
         refined = s.build_refined_grid(block, ladder[-1])
         for field in dataclasses.fields(refined):
             got, want = getattr(grid, field.name), getattr(refined, field.name)
+            if field.name == "union_index":  # every point in order, which no index names
+                got, want = grid.events, refined.events
             assert type(got) is type(want) and np.array_equal(got, want), field.name
             assert getattr(got, "dtype", None) == getattr(want, "dtype", None), field.name
 

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -386,6 +387,23 @@ def test_a_ladder_whose_eps_overflows_is_reported_but_not_fitted(tmp_path):
     _, fits = read_csv(out / "fit.csv")
     assert [r[:2] for r in fits] == [["jump-adapted", "2"], ["classical", "2"]]
     assert "p=300" not in (out / "summary.txt").read_text()
+
+
+def test_a_finite_eps_gets_a_finite_stderr_where_the_squares_overflow(tmp_path):
+    """At p = 300 the squares inside the std overflowed where eps is finite: its stderr
+    read inf, and nan where eps itself overflowed, with three RuntimeWarnings."""
+    cfg = write_config(tmp_path, p=[2, 300], samples=32)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["converge", "--config", cfg, "--out", str(out)]) == 0
+    header, errors = read_csv(out / "errors.csv")
+    assert header[3:5] == ["eps", "stderr"]
+    assert not any("nan" in row for row in errors)
+    for row in errors:
+        eps, stderr = float(row[3]), float(row[4])
+        assert np.isfinite(stderr) == np.isfinite(eps), row
+    assert sum(row[3] == "inf" for row in errors) > 0  # both kinds of row are covered
 
 
 def test_contract_error_is_not_reported_as_config_error(tmp_path, monkeypatch):

@@ -36,7 +36,7 @@ MEMORY_BOUND_MB = 25  # about twice the 11.6 MB peak of the burst block below
 CLOSED_FORM_BOUND_MB = 40  # about twice the closed form's 20 MB peak on its burst block
 REFERENCE_BOUND_MB = 36  # between the 44 MB of every coefficient row kept and 25 MB now
 DIAGNOSTIC_BOUND_MB = 11  # between 12.4 MB with a spent block's solution kept and 10 MB without
-TRIG_REFERENCE_BOUND_MB = 100  # between 109.6 MB with whole-grid sups and 93.9 MB in row chunks
+TRIG_REFERENCE_BOUND_MB = 88  # between 92.8 MB with 8-byte intervals and 84.0 MB with fine ranks
 
 
 # --- inputs -------------------------------------------------------------------------
@@ -315,7 +315,7 @@ def test_the_reference_values_are_its_grids_own(data):
     skipped = len(s.build_refined_grid(block, ref_step)) < len(block.points)
     assert skipped == (pair or fine < ref_step)
     got = list(euler_block(model, grids, block.points, block.bm_values, reference=reference))
-    want = list(euler_block(model, [reference] + grids, block.points, block.bm_values))
+    want = list(euler_block(model, [indexed(reference)] + grids, block.points, block.bm_values))
     assert len(got) == len(want)
     assert np.array_equal(got[0], want[0].on_brownian_grids())
     for g, w in zip(got[1:], want[1:]):
@@ -349,6 +349,11 @@ def gridpoints(grid) -> np.ndarray:
     first = np.ones(len(grid), dtype=bool)
     first[1:] = grid.owner_interval[1:] != grid.owner_interval[:-1]
     return first
+
+
+def indexed(reference):
+    """``reference`` with the union index it does not keep, as an ordinary grid reads it."""
+    return dataclasses.replace(reference, union_index=np.arange(len(reference)))
 
 
 def reference_block(paths, step, d, brownian=None, seed=0):
@@ -390,8 +395,8 @@ def test_gridpoint_values_round_as_the_per_lane_sums(data):
     grids = [grid(block, delta) for delta in deltas
              for grid in (s.build_refined_grid, classical_grid)]
     got = list(euler_block(model, grids, block.points, block.bm_values, reference=reference))
-    want = oracles.gridpoint_values(model, reference, block.bm_values)
-    assert np.array_equal(got[0][reference.union_index[gridpoints(reference)]], want)
+    want = oracles.gridpoint_values(model, indexed(reference), block.bm_values)
+    assert np.array_equal(got[0][gridpoints(reference)], want)
     for grid, solved in zip(grids, got[1:]):
         want = oracles.gridpoint_values(model, grid, block.bm_values)
         assert np.array_equal(solved.values[gridpoints(grid)], want)
@@ -450,8 +455,8 @@ def test_runs_mix_kept_and_scratch_intervals_and_unvisited_regimes(kind):
     assert sorted(set(owners[:-1][np.diff(owners) == 0].tolist())) == [4, 9, 13]
     grids = [s.build_refined_grid(block, 0.25), classical_grid(block, 0.25)]
     got = list(euler_block(model, grids, block.points, block.bm_values, reference=reference))
-    want = oracles.gridpoint_values(model, reference, block.bm_values)
-    assert np.array_equal(got[0][reference.union_index[gridpoints(reference)]], want)
+    want = oracles.gridpoint_values(model, indexed(reference), block.bm_values)
+    assert np.array_equal(got[0][gridpoints(reference)], want)
     for grid, solved in zip(grids, got[1:]):
         assert np.array_equal(solved.values[gridpoints(grid)],
                               oracles.gridpoint_values(model, grid, block.bm_values))
@@ -514,7 +519,7 @@ def test_a_non_finite_scratch_row_of_an_unvisited_regime_changes_no_lane():
         with pytest.raises(NonFiniteError):
             list(euler_block(model, [], block.points, block.bm_values, reference=reference))
     seen = np.array([z for i, z in calls if i == 1])  # regime 1 is visited in every interval
-    want = oracles.gridpoint_values(model, reference, block.bm_values).reshape(2, -1, 1)
+    want = oracles.gridpoint_values(model, indexed(reference), block.bm_values).reshape(2, -1, 1)
     assert np.isinf(seen[-1, 0, 0]) and np.all(seen[:, 1] <= 0.0)
     assert np.array_equal(seen, want[:, :-1].transpose(1, 0, 2))
 
@@ -639,7 +644,10 @@ def test_a_2_to_the_minus_14_reference_block_selects_its_events_from_the_union_g
     while each grid's sups were taken over all its union points at once and
     the block kept one mask per step. Sups taken in runs of rows that hold
     at most CHUNK_VALUES values, with the last step's mask kept only and the
-    dense reference's regimes not copied, peak at 93.9 MB. It runs in about 1.6 s.
+    dense reference's regimes not copied, peaked at 92.8 to 93.9 MB. Grids
+    that keep each event's fine rank in the block's two-byte type instead of
+    an 8-byte interval, with a reference that shares the block's arrays and
+    keeps no index of the union grid, peak at 84.0 MB. It runs in about 1.6 s.
     """
     config = s.ExperimentConfig(
         model=s.TrigHybridModel(a=[1.0, -0.5], b=[0.8, 0.3], c=[0.2, -0.1], z0=0.5),

@@ -237,10 +237,10 @@ def test_euler_block_rejects_rows_of_different_lengths_and_unknown_regimes():
     model = s.LinearHybridModel(a=[1.0, 2.0], b=[2.0, 1.0], z0=1.0)
     block = three_row_block()
     grid = s.build_refined_grid(block, 0.25)
-    owners = grid.owner_interval.copy()
-    owners[grid.offsets[1] - 2] += 1  # row 0 now ends one interval later than the others
+    rank = grid.rank.copy()
+    rank[grid.offsets[1] - 1] += 1 << grid.shift  # row 0's T ends one interval later
     with pytest.raises(ConfigError, match="one step and horizon for every row"):
-        next(euler_block(model, [dataclasses.replace(grid, owner_interval=owners)],
+        next(euler_block(model, [dataclasses.replace(grid, rank=rank)],
                          block.points, block.bm_values))
     for regimes in (grid.regimes + 2, grid.regimes - 1):  # 3..4, and 0..1
         with pytest.raises(InvalidRegimeError, match="outside 1..2"):

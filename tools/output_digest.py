@@ -20,7 +20,11 @@ change is one command:
 * ``chain simulate`` and ``chain validate``, with their exit codes;
 * the ``repr`` of ``moment_check``, ``local_error_scaling`` and
   ``run_strong_error`` on an n = d = 2 model with a fine-EM reference, and
-  of the two diagnostics on the default linear model.
+  of the two diagnostics on the default linear model;
+* the one-path API on the default linear model, called as the acceptance
+  tests call it: the times and values of ``em_jump_adapted`` and
+  ``em_classical``, and ``evaluate_path`` at every Brownian point, at seeds
+  0 and 10 and steps 2^-4 and 2^-9.
 
 Sample counts are small, so a run takes well under a minute. Runs with 70
 samples span two blocks of samples, so block boundaries are covered.
@@ -153,6 +157,29 @@ def items(src: str):
             yield f"moment_check linear {tag}", repr(s.moment_check(linear)).encode()
             yield f"local_error_scaling linear {tag}", \
                 repr(s.local_error_scaling(linear)).encode()
+    yield from one_path_items(s)
+
+
+def one_path_items(s):
+    """Yield (name, bytes) of the one-path schemes on one coupled sample per seed."""
+    import numpy as np
+
+    model = s.LinearHybridModel(a=[1.0, 2.0], b=[2.0, 1.0], z0=1.0)
+    generator = s.validate_generator(LINEAR["generator"]["rates"])
+    for seed in SEEDS:
+        stream = s.derive_stream(seed, 0)
+        path = s.simulate_exact_path(generator, 1, 1.0, stream)
+        union = s.merge_grids(s.uniform_grid(1.0, 2.0 ** -9),
+                              s.make_grid(np.append(path.switch_times, 1.0)))
+        bm = s.generate_increments(union, 1, stream)
+        for step in (2.0 ** -4, 2.0 ** -9):
+            tag = f"seed={seed} step={step}"
+            jump = s.em_jump_adapted(model, s.build_refined_grid(path, step), bm)
+            classical = s.em_classical(model, s.skeleton_from_path(path, step), step,
+                                       s.aggregate_increments(bm, s.uniform_grid(1.0, step)))
+            for name, solved in (("em_jump_adapted", jump), ("em_classical", classical)):
+                yield f"{name} {tag}", solved.times.tobytes() + solved.values.tobytes()
+            yield f"evaluate_path {tag}", s.evaluate_path(jump, bm, bm.grid.points).tobytes()
 
 
 def main(argv=None) -> int:
