@@ -386,11 +386,17 @@ def run_strong_error(config: ExperimentConfig, threads: int = 1) -> ErrorReport:
             redo = np.isfinite(mean) & np.isinf(std)
             e = np.frexp(powered[redo].max(axis=-1))[1]
             std[redo] = np.ldexp(np.ldexp(powered[redo], -e[:, None]).std(axis=-1, ddof=1), e)
-        moments[p] = mean, std
+            # where the largest power's square underflows: sups over the largest, scaled back below
+            top = all_sups.max(axis=-1)
+            tiny = (powered.max(axis=-1) < np.sqrt(np.finfo(float).tiny)) & (top > 0.0)
+            scale = np.where(tiny, top, 1.0)
+            scaled = (all_sups[tiny] / top[tiny, None]) ** p
+            mean[tiny], std[tiny] = scaled.mean(axis=-1), scaled.std(axis=-1, ddof=1)
+        moments[p] = mean, std, scale
     for si, scheme in enumerate(config.schemes):
         for p in config.p_values:
             ladder = []
-            mean, std = moments[p]
+            mean, std, scale = moments[p]
             for di, delta in enumerate(config.deltas):
                 eps = float(mean[si, di]) ** (1.0 / p)
                 if eps == np.inf:  # the mean overflowed, and its error with it
@@ -399,6 +405,7 @@ def run_strong_error(config: ExperimentConfig, threads: int = 1) -> ErrorReport:
                     stderr = eps ** (1 - p) * float(std[si, di]) / (p * np.sqrt(m))
                 else:
                     stderr = 0.0
+                eps, stderr = eps * float(scale[si, di]), stderr * float(scale[si, di])
                 points.append(ErrorPoint(scheme, p, delta, eps, float(stderr), m))
                 ladder.append((delta, eps))
             if all(0 < e < np.inf for _, e in ladder) and len(ladder) >= 2:

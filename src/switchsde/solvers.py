@@ -202,45 +202,55 @@ class SampleBlock:
         return min(ratio.bit_length(), 8 * self.fine_rank.itemsize)
 
     def select(self, mask) -> tuple:
-        """(union_index, offsets) of the union points in ``mask``, which holds each row's T."""
+        """(union_index, position in the row, offsets) of the union points in ``mask``, which
+        holds each row's T; positions in the smallest unsigned type that holds every row's."""
         keep = np.flatnonzero(mask)
-        return keep, np.searchsorted(keep, self.offsets)
+        offsets = np.searchsorted(keep, self.offsets)
+        position = keep - np.repeat(self.offsets[:-1], np.diff(offsets))
+        return keep, position.astype(np.min_scalar_type(np.diff(self.offsets).max())), offsets
 
 
 @dataclass(frozen=True)
 class RefinedGrid:
     """Events of one Euler scheme for a block of rows, as a selection of their union grid.
 
-    Row r owns ``offsets[r]:offsets[r + 1]`` of the flat arrays. Event i is union
-    point ``points[union_index[i]]``, or ``points[i]`` in a grid of every union
-    point, whose ``union_index`` is None. A row's ``events`` are its uniform
-    gridpoints up to T, its interior switching times and T itself, in order.
-    ``regimes[i]`` is the chain state on [events[i], events[i+1]), one byte per
-    event up to 255 states in a block's grids; ``rank[i]`` is its fine rank
-    (`brownian.union_rows`) in the block's type, two bytes up to 2^14 fine steps,
-    and ``rank >> shift`` the k of its interval [k*step, (k+1)*step). ``points``
-    is the union grid's own array, shared by every grid of the block and not
-    copied; every array is read-only.
+    Row r owns ``offsets[r]:offsets[r + 1]`` of the flat arrays. Its event i is
+    union point ``union_offsets[r] + position[i]`` (its `union_index`; two bytes
+    below 65,536 points per row), or ``points[i]`` in a grid of every union point,
+    whose ``position`` is None. A row's ``events`` are its uniform gridpoints up to
+    T, its interior switching times and T itself, in order. ``regimes[i]`` is the
+    chain state on [events[i], events[i+1]), one byte up to 255 states in a block's
+    grids; ``rank[i]`` is its fine rank (`brownian.union_rows`) in the block's
+    type, two bytes up to 2^14 fine steps, and ``rank >> shift`` the k of its
+    interval [k*step, (k+1)*step). ``points`` and ``union_offsets`` are the union
+    grid's, shared by every grid of the block and not copied; all are read-only.
     """
 
     step: float
     horizon: float
     points: np.ndarray
-    union_index: np.ndarray | None
+    union_offsets: np.ndarray
+    position: np.ndarray | None
     regimes: np.ndarray
     rank: np.ndarray
     shift: int
     offsets: np.ndarray
 
     def __post_init__(self):
-        for values in (self.points, self.union_index, self.regimes, self.rank, self.offsets):
-            if values is not None:
+        for values in vars(self).values():
+            if isinstance(values, np.ndarray):
                 values.setflags(write=False)
+
+    @property
+    def union_index(self) -> np.ndarray | None:
+        """Each event's union point as an ``np.intp``, on each read; None in a grid of every one."""
+        return None if self.position is None else (
+            np.repeat(self.union_offsets[:-1], np.diff(self.offsets)) + self.position)
 
     @property
     def events(self) -> np.ndarray:
         """The event times, gathered from the union grid on each read."""
-        return self.points if self.union_index is None else self.points[self.union_index]
+        return self.points if self.position is None else self.points[self.union_index]
 
     @property
     def counts(self) -> np.ndarray:
@@ -272,18 +282,18 @@ def build_refined_grid(sample, step: float) -> RefinedGrid:
     if isinstance(sample, ChainPath):  # uniform_grid checks the step
         sample = SampleBlock.union(uniform_grid(sample.horizon, step), [sample])
     regimes = sample.regimes
-    keep, offsets = sample.select(
+    keep, position, offsets = sample.select(
         sample.on_grid(step) | np.append(True, regimes[1:] != regimes[:-1]))
     every = len(keep) == len(regimes)  # every point: no copies
     return RefinedGrid(
-        step=float(step), horizon=sample.horizon, points=sample.points, union_index=keep,
-        regimes=regimes if every else regimes[keep], offsets=offsets,
+        step=float(step), horizon=sample.horizon, points=sample.points, position=position,
+        union_offsets=sample.offsets, regimes=regimes if every else regimes[keep], offsets=offsets,
         rank=sample.fine_rank if every else sample.fine_rank[keep], shift=sample._shift(step))
 
 
 def reference_grid(block: SampleBlock, step: float) -> RefinedGrid:
     """The fine-EM reference's events: every union point, in ``step``'s intervals, no copies."""
-    return RefinedGrid(float(step), block.horizon, block.points, union_index=None,
+    return RefinedGrid(float(step), block.horizon, block.points, block.offsets, position=None,
                        regimes=block.regimes, rank=block.fine_rank, shift=block._shift(step),
                        offsets=block.offsets)
 
@@ -295,13 +305,12 @@ def classical_grid(block: SampleBlock, step: float) -> RefinedGrid:
     the path's skeleton as `skeleton_from_path` reads it; the last event
     repeats the last interval's state.
     """
-    keep, offsets = block.select(block.on_grid(step))
+    keep, position, offsets = block.select(block.on_grid(step))
     regimes = block.point_states[keep]
     regimes[offsets[1:] - 1] = regimes[offsets[1:] - 2]
-    return RefinedGrid(
-        step=float(step), horizon=block.horizon, points=block.points, union_index=keep,
-        regimes=regimes, rank=block.fine_rank[keep], shift=block._shift(step), offsets=offsets,
-    )
+    return RefinedGrid(step=float(step), horizon=block.horizon, points=block.points,
+                       union_offsets=block.offsets, position=position, regimes=regimes,
+                       rank=block.fine_rank[keep], shift=block._shift(step), offsets=offsets)
 
 
 def _interpolate(block, seg, dt, db) -> np.ndarray:
@@ -451,29 +460,31 @@ def euler_block(model: HybridModel, grids, points, bm_values, reference=None):
 
     # T and W: each cell sums its lane's segments in order. A row's T gets cell -1:
     # its segment to the next row's 0 goes to a last cell that no interval reads,
-    # and its coefficients come from the last row of f_all and g_all, never written
-    occupation = np.zeros(base[-1] + 1)
-    noise = np.zeros((base[-1] + 1, d))
+    # and its coefficients come from the last row of f_all and g_all, never written. One
+    # table holds both, so its first free lifts glibc's trim threshold over later rounds' arrays
+    tables = np.zeros((1 + d, base[-1] + 1))
+    occupation, noise = tables[0], tables[1:].T
 
-    def on_events(r):  # grid r's event times and Brownian values, gathered once per phase
+    def on_events(r):  # grid r's union index, event times and Brownian values, once per phase
         if r < nref:  # the reference is every union point, in order
-            return points, bm_values
-        return grids[r].events, np.take(bm_values, grids[r].union_index, axis=0)
+            return None, points, bm_values
+        index = grids[r].union_index
+        return index, grids[r].points[index], np.take(bm_values, index, axis=0)
 
-    bins = {}  # grid: the cell of each segment, for the grids whose expand reads them
+    def on_cells(grid, owners, lanes):  # each segment's (interval, regime, lane) cell, in lanes
+        lanes += base[owners]  # in place, so a reference holds no fourth P-long array
+        lanes += (grid.regimes - 1) * active_end[owners]
+        lanes[grid.offsets[1:] - 1] = -1  # T's
+        return lanes
+
     for r in order:  # one grid at a time keeps temporaries small
-        grid, (times, bvals) = grids[r], on_events(r)
-        owners = grid.owner_interval
-        cells = base[owners] + (grid.regimes - 1) * active_end[owners]
-        cells += lane0[r] + _row_of(grid.offsets)
-        cells[grid.offsets[1:] - 1] = -1
-        if r >= nref:
-            bins[r] = cells
+        _, times, bvals = on_events(r)
+        cells = on_cells(grids[r], grids[r].owner_interval, lane0[r] + _row_of(grids[r].offsets))
         np.add.at(occupation, cells[:-1], np.diff(times))
         db = np.diff(bvals, axis=0)
         for e in range(d):  # a column at a time is several times faster
             np.add.at(noise[:, e], cells[:-1], db[:, e])
-    del owners, cells, db, times, bvals
+    del cells, db, times, bvals
     # a regime no active lane spends time in costs no coefficient call
     firsts = (base[:-1, None] + np.arange(N) * active[:, None]).ravel()
     visited = np.logical_or.reduceat(occupation[:-1] > 0.0, firsts).reshape(K, N)
@@ -523,7 +534,7 @@ def euler_block(model: HybridModel, grids, points, bm_values, reference=None):
                 zk = z
 
     def expand(r):
-        grid, (times, bvals) = grids[r], on_events(r)
+        grid, (index, times, bvals) = grids[r], on_events(r)
         grids[r] = None  # not needed again
         offsets, owners = grid.offsets, grid.owner_interval
         lanes = lane0[r] + _row_of(offsets)
@@ -531,24 +542,30 @@ def euler_block(model: HybridModel, grids, points, bm_values, reference=None):
         values = np.take(frozen.T, at, axis=1)  # every event's Z_k, (n, E): state-major
         # an event is inner when the one before it owns its interval, as a row's T
         # and the next 0 never do; an inner value adds its segments to Z_k
-        inner = np.flatnonzero(owners[1:] == owners[:-1]) + 1
-        if len(inner):
-            k = owners[inner]
-            values[:, inner] = _inner_values(
-                inner, times, bvals, grid.regimes - 1, frozen[at[inner]],
-                cbase[k] + lanes[inner], active[k], N, f_all, g_all, product,
-            ).T
+        inner, regimes = np.flatnonzero(owners[1:] == owners[:-1]) + 1, grid.regimes - 1
+        i0, width = 0, CHUNK_VALUES // (N * (1 + d))  # inner events per CHUNK_VALUES table values
+        starts = [0, len(inner)] if len(inner) <= width else np.append(  # each interval's first
+            np.flatnonzero(np.diff(inner, prepend=-1) > 1), len(inner))
+        while i0 < len(inner):  # runs of whole intervals: at most width events, or one interval
+            i1 = max(starts[np.searchsorted(starts, i0, side="right")],
+                     starts[np.searchsorted(starts, i0 + width, side="right") - 1])
+            part, k = inner[i0:i1], owners[inner[i0:i1]]
+            values[:, part] = _inner_values(part, times, bvals, regimes, frozen[at[part]],
+                                            cbase[k] + lanes[part], active[k], N, f_all, g_all,
+                                            product).T
+            i0 = i1
         if not np.all(np.isfinite(values)):
             raise NonFiniteError("scheme produced non-finite values")
         if r < nref:  # no interpolation, so no coefficients per event
             return values.T
-        cells = bins.pop(r)  # its coefficient rows too: base and cbase agree where it reads
+        # its coefficient rows are its cells: base and cbase agree where a grid reads
+        cells = on_cells(grid, owners, lanes)
         drift_e = np.take(f_all, cells, axis=0).T.copy()  # into state-major memory
         diff_e = np.take(g_all, cells, axis=0).transpose(1, 2, 0).copy()
         del cells
         return EulerBlock(step=grid.step, offsets=offsets, times=times, values=values.T,
                           drift=drift_e.T, diff=diff_e.transpose(2, 0, 1),
-                          bm_index=grid.union_index, bm_values=bvals, points=points,
+                          bm_index=index, bm_values=bvals, points=points,
                           point_values=bm_values)
 
     # a generator's frame, and with it the tables, is freed once it finishes
@@ -613,7 +630,8 @@ def em_jump_adapted(model: HybridModel, grid: RefinedGrid, bm: BrownianPath) -> 
     index = match_indices(bm.grid.points, grid.events, time_tolerance(bm.grid.horizon))
     if np.any(index < 0):
         raise GridMismatchError(f"Brownian path lacks a value at t={grid.events[index < 0][0]}")
-    grid = replace(grid, points=bm.grid.points, union_index=index)
+    grid = replace(grid, points=bm.grid.points, union_offsets=np.array([0, len(bm.grid)]),
+                   position=index)
     return next(euler_block(model, [grid], bm.grid.points, bm.values))
 
 
@@ -629,10 +647,10 @@ def em_classical(model: HybridModel, skeleton, step: float, bm: BrownianPath) ->
     skeleton = np.asarray(skeleton, dtype=np.int64)
     if len(skeleton) not in (m, m + 1):
         raise LengthMismatchError(f"skeleton has {len(skeleton)} states for {m} intervals")
-    index = np.arange(m + 1)
-    grid = RefinedGrid(step=float(step), horizon=bm.grid.horizon, points=pts, union_index=index,
-                       regimes=np.append(skeleton[:m], skeleton[m - 1]), rank=2 * index, shift=1,
-                       offsets=np.array([0, m + 1]))
+    index, offsets = np.arange(m + 1), np.array([0, m + 1])
+    grid = RefinedGrid(step=float(step), horizon=bm.grid.horizon, points=pts, union_offsets=offsets,
+                       position=index, regimes=np.append(skeleton[:m], skeleton[m - 1]),
+                       rank=2 * index, shift=1, offsets=offsets)
     return next(euler_block(model, [grid], pts, bm.values))
 
 

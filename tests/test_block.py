@@ -189,7 +189,8 @@ def test_block_grids_match_per_path_oracles(sample):
                 and np.array_equal(refined.owner_interval[r], owners)):
             continue  # a cluster: the regimes of segments shorter than 4 tol may differ
         grid = s.RefinedGrid(step=step, horizon=horizon, points=events,
-                             union_index=np.arange(len(events)), regimes=regimes,
+                             union_offsets=np.array([0, len(events)]),
+                             position=np.arange(len(events)), regimes=regimes,
                              rank=2 * owners, shift=1, offsets=np.array([0, len(events)]))
         want = s.em_jump_adapted(model, grid, bm).values
         scale = max(1.0, float(np.max(np.abs(want))))
@@ -207,11 +208,12 @@ def owned_bytes(values):
 @given(sample=blocks())
 @pytest.mark.parametrize("shift", [0, 297], ids=["N<=3", "N=300"])
 def test_grids_point_into_the_union_grid_with_regimes_in_the_smallest_type(shift, sample):
-    """Each grid shares its block's union points and owns an 8-byte index, a fine
-    rank in the block's type and one regime per event: 11 bytes up to 2^14 fine
-    steps and 255 states, against 17 with an 8-byte interval for the rank and 32
-    with copied event times and 8-byte regimes. ``shift`` relabels states 1..3
-    as 298..300."""
+    """Each grid shares its block's union points and row offsets, and owns each event's
+    position in its union row (at most 2 bytes below 65,536 points per row), its fine
+    rank in the block's type and its regime: 5 bytes up to 2^14 fine steps and 255
+    states, against 11 with an 8-byte union index for the position, 17 with an
+    8-byte interval for the rank too and 32 with copied event times and 8-byte
+    regimes. ``shift`` relabels states 1..3 as 298..300."""
     paths, bms, step, fine = sample
     paths = [s.ChainPath(p.horizon, p.switch_times, p.states + shift) for p in paths]
     block = stack(paths, bms, fine)
@@ -219,12 +221,13 @@ def test_grids_point_into_the_union_grid_with_regimes_in_the_smallest_type(shift
     assert block.regimes.dtype == small
     refined, classical = s.build_refined_grid(block, step), classical_grid(block, step)
     for grid in (refined, classical):
-        assert grid.points is block.points
+        assert grid.points is block.points and grid.union_offsets is block.offsets
         assert grid.events.tobytes() == block.points[grid.union_index].tobytes()
+        assert grid.union_index.dtype == np.intp
         assert grid.regimes.dtype == small
         assert grid.rank.dtype == block.fine_rank.dtype
-        owned = sum(map(owned_bytes, (grid.union_index, grid.rank, grid.regimes)))
-        assert owned <= (8 + grid.rank.itemsize + np.dtype(small).itemsize) * len(grid)
+        owned = sum(map(owned_bytes, (grid.position, grid.rank, grid.regimes)))
+        assert owned <= (2 + grid.rank.itemsize + np.dtype(small).itemsize) * len(grid)
     assert np.array_equal(refined.regimes, block.regimes[refined.union_index])
     want = np.concatenate([s.states_at(p, classical.events[c])
                            for p, c in zip(paths, row_slices(classical.offsets))])
@@ -239,7 +242,7 @@ def test_the_arrays_that_grids_share_are_read_only():
                               [with_switches(1.0, [0.3, 0.55]), with_switches(1.0, [])])
     shared = [block.points, block.offsets, block.regimes]
     for grid in (s.build_refined_grid(block, 0.25), classical_grid(block, 0.25)):
-        shared += [grid.union_index, grid.offsets]
+        shared += [grid.position, grid.offsets]
     for values in shared:
         with pytest.raises(ValueError, match="read-only"):
             values[0] = values[1]
@@ -579,7 +582,7 @@ def test_the_reference_grid_is_every_union_point_and_on_the_fine_step_the_refine
         refined = s.build_refined_grid(block, ladder[-1])
         for field in dataclasses.fields(refined):
             got, want = getattr(grid, field.name), getattr(refined, field.name)
-            if field.name == "union_index":  # every point in order, which no index names
+            if field.name == "position":  # every point in order, which no position names
                 got, want = grid.events, refined.events
             assert type(got) is type(want) and np.array_equal(got, want), field.name
             assert getattr(got, "dtype", None) == getattr(want, "dtype", None), field.name

@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo estimation harness and chain validation."""
 
+import decimal
 import io
 import os
 import subprocess
@@ -349,6 +350,32 @@ def test_strong_error_fine_em_reference_for_trig():
     assert 0.2 <= fit.slope <= 0.9
     for pt in report.points:
         assert pt.eps > 0.0
+
+
+@pytest.mark.parametrize("p", [150, 290, 300, 390, 700, 1500])
+def test_large_moments_of_small_sups_are_finite_and_fitted(p):
+    """Sups near 0.08 to the power p: their squares underflow from p = 150, their mean
+    is subnormal at p = 290 and 390 and 0 at p = 300. Each (scheme, delta) row then
+    reduces the sups over its largest, whose power is 1, so eps and stderr match a
+    60-digit decimal reduction of the same sups and every ladder is fitted. Before,
+    stderr read 0.0 at p = 150, eps 0.0 at p = 300, and p = 290 and 390 raised
+    OverflowError. Sups scaled by a power of two instead, exactly, into [0.5, 1)
+    still gave stderr 0.0 at p = 700 and eps 0.0 at p = 1500."""
+    cfg = linear_config(model=s.LinearHybridModel(a=[1.0, 2.0], b=[0.2, 0.1], z0=1.0),
+                        deltas=(2.0**-4, 2.0**-5, 2.0**-6), samples=8, p_values=(2, p))
+    report = s.run_strong_error(cfg)
+    sups = harness._sup_errors(cfg)[0]
+    with decimal.localcontext(decimal.Context(prec=60, Emin=-10**6, Emax=10**6)):
+        for row, pt in zip(sups, report.points_for(JUMP_ADAPTED, p)):
+            powers = [decimal.Decimal(float(x)) ** p for x in row]
+            mean = sum(powers) / len(powers)
+            var = sum((v - mean) ** 2 for v in powers) / (len(powers) - 1)
+            eps = mean ** (decimal.Decimal(1) / p)
+            stderr = eps * var.sqrt() / mean / (p * decimal.Decimal(len(powers)).sqrt())
+            assert pt.eps == pytest.approx(float(eps), rel=1e-12)
+            assert pt.stderr == pytest.approx(float(stderr), rel=1e-9)
+    assert report.points_for(JUMP_ADAPTED, p)[-1].eps < 0.1
+    assert report.fit_for(JUMP_ADAPTED, p) is not None
 
 
 def test_error_report_csv_headers():

@@ -37,6 +37,7 @@ CLOSED_FORM_BOUND_MB = 40  # about twice the closed form's 20 MB peak on its bur
 REFERENCE_BOUND_MB = 36  # between the 44 MB of every coefficient row kept and 25 MB now
 DIAGNOSTIC_BOUND_MB = 11  # between 12.4 MB with a spent block's solution kept and 10 MB without
 TRIG_REFERENCE_BOUND_MB = 88  # between 92.8 MB with 8-byte intervals and 84.0 MB with fine ranks
+FAST_BLOCK_BOUND_MB = 18  # between 21.2 MB with kept cells and whole inner tables and 15.6 MB now
 
 
 # --- inputs -------------------------------------------------------------------------
@@ -352,8 +353,9 @@ def gridpoints(grid) -> np.ndarray:
 
 
 def indexed(reference):
-    """``reference`` with the union index it does not keep, as an ordinary grid reads it."""
-    return dataclasses.replace(reference, union_index=np.arange(len(reference)))
+    """``reference`` with the union positions it does not keep, as an ordinary grid reads them."""
+    rows = np.repeat(reference.offsets[:-1], np.diff(reference.offsets))
+    return dataclasses.replace(reference, position=np.arange(len(reference)) - rows)
 
 
 def reference_block(paths, step, d, brownian=None, seed=0):
@@ -658,6 +660,92 @@ def test_a_2_to_the_minus_14_reference_block_selects_its_events_from_the_union_g
     sups, peak = peak_memory(lambda: harness._sup_errors(config))
     assert sups.shape == (1, 6, 64) and np.all(np.isfinite(sups))
     assert peak < TRIG_REFERENCE_BOUND_MB * 1e6, peak
+
+
+def fast_config(samples: int, seed: int, **fields) -> s.ExperimentConfig:
+    """The linear model on 3 states switching about 560 times per unit time, ladder 2**-4..2**-9."""
+    return s.ExperimentConfig(
+        model=s.LinearHybridModel(a=[1.0, 2.0, -0.5], b=[2.0, 1.0, 0.5], z0=1.0),
+        generator=s.validate_generator([[-500.0, 300.0, 200.0], [250.0, -600.0, 350.0],
+                                        [400.0, 200.0, -600.0]]),
+        horizon=1.0, deltas=tuple(2.0**-k for k in range(4, 10)), samples=samples, seed=seed,
+        schemes=(JUMP_ADAPTED, CLASSICAL), **fields)
+
+
+def test_a_fast_switching_block_solves_in_memory_that_its_tables_bound():
+    """One 64-row block at about 560 switches per row, through `euler_block` and every expand.
+
+    Segment cells kept for every grid from the table pass to its expand, and
+    one `_inner_values` call over each grid's 36,000 or so inner events, peaked
+    at 21.2 MB under tracemalloc. Cells rebuilt in expand, and inner values
+    solved in runs of whole intervals of at most CHUNK_VALUES table values,
+    peak at 15.6 MB, in the recursion.
+    """
+    config = fast_config(64, 0)
+    block = harness._draw_block(config, s.uniform_grid(1.0, config.finest_step), range(64))
+    assert len(block.switch_times) > 500 * 64
+    solved, peak = peak_memory(lambda: sum(1 for _ in harness._solve_ladder(
+        config.model, block, config.deltas, config.schemes)))
+    assert solved == len(config.deltas) * len(config.schemes)
+    assert peak < FAST_BLOCK_BOUND_MB * 1e6, peak
+
+
+@pytest.mark.parametrize("kind", ["fast-switching", "fine-em"])
+def test_inner_values_in_runs_of_whole_intervals_are_those_of_whole_grids(monkeypatch, kind):
+    """`euler_block` gives the same bytes whatever `solvers.CHUNK_VALUES` is: 1 value (one
+    interval per `_inner_values` call), about 2.5 intervals' table values (runs of
+    unequal interval counts), and more than any grid holds (one call per grid).
+
+    No call splits an interval's inner events, and each holds at most CHUNK_VALUES
+    table values, N (1 + d) per inner event, or one interval. The fine-EM case has a
+    reference whose events are every union point, with inner events of its own."""
+    if kind == "fine-em":
+        config = dataclasses.replace(chunk_configs()["fine-em"], samples=4,
+                                     generator=s.validate_generator([[-30.0, 30.0], [40.0, -40.0]]))
+        ref_step = config.reference_step
+    else:
+        config, ref_step = fast_config(4, 3), None
+    block = harness._draw_block(config, s.uniform_grid(config.horizon, ref_step or
+                                                       config.finest_step), range(config.samples))
+    N, d = config.model.regime_count, config.model.noise_dim
+
+    def solve():
+        solved = list(harness._solve_ladder(config.model, block, config.deltas, config.schemes,
+                                            ref_step))
+        return [solved[0]] * bool(ref_step) + [
+            [getattr(b, f) for f in ("times", "values", "drift", "diff", "bm_index")]
+            for b in solved[bool(ref_step):]]
+
+    calls = []  # each call's grid, by its event times, and inner events
+    inner_values = solvers._inner_values
+
+    def spy(inner, times, *args):
+        calls.append((times, inner))
+        return inner_values(inner, times, *args)
+
+    monkeypatch.setattr(solvers, "_inner_values", spy)
+    want = solve()
+    intervals = [np.count_nonzero(np.diff(inner) > 1) + 1 for _, inner in calls]
+    assert len(calls) == len({id(times) for times, _ in calls}) >= len(config.deltas)
+    per_interval = sum(len(inner) for _, inner in calls) / sum(intervals)
+    for chunk in (1, int(2.5 * per_interval * N * (1 + d)), 2**40):
+        calls.clear()
+        monkeypatch.setattr(solvers, "CHUNK_VALUES", chunk)
+        got = solve()
+        for g, w in zip(got, want):
+            assert all(np.array_equal(a, b) for a, b in zip(g, w)), chunk
+        for (times, inner), (prev_times, prev) in zip(calls[1:], calls[:-1]):
+            assert times is not prev_times or inner[0] > prev[-1] + 1, "an interval was split"
+        for _, inner in calls:
+            assert len(inner) * N * (1 + d) <= chunk or np.all(np.diff(inner) == 1), chunk
+        split = [np.count_nonzero(np.diff(inner) > 1) + 1 for _, inner in calls]
+        assert sum(split) == sum(intervals)
+        if chunk == 1:
+            assert set(split) == {1}
+        elif chunk < 2**40:
+            assert len(calls) > len(intervals) and max(split) > 1, split
+        else:
+            assert split == intervals
 
 
 def chunk_configs():

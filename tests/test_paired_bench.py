@@ -54,6 +54,26 @@ def test_a_gain_needs_nine_wins_in_ten_and_a_gap_beyond_the_parents_spread(tool)
         "unresolved, inside its bound"
 
 
+def test_the_summary_gives_each_trees_median_and_quartiles(tool):
+    change = [p + 100.0 for p in PARENT]
+    change[3] = 500.0  # a loss
+    untraced = {"linear-closed": runs(PARENT, change)}
+    got = tool.summarize(untraced, METRICS[:1])["linear-closed samples_per_s"]
+    assert got["parent_quartiles"] == pytest.approx([712.5, 757.5])
+    assert got["change_quartiles"] == pytest.approx([802.5, 847.5])
+    assert got["parent_iqr"] == pytest.approx(45.0)
+    assert (got["parent_median"], got["change_median"]) == (735.0, 825.0)
+    assert got["verdict"].endswith("a gain")  # 9 of 10, as without the quartiles
+    assert tool.summary_line("linear-closed samples_per_s", got) == (
+        "linear-closed samples_per_s: 735 [712.5, 757.5] -> 825 [802.5, 847.5] "
+        "(9/10 better): better in 9 of 10 pairs and beyond the parent's interquartile range: "
+        "a gain")
+    one = tool.judge([700.0], [800.0], "higher", 0.25)
+    assert one["parent_quartiles"] == [700.0, 700.0] and one["change_quartiles"] == [800.0, 800.0]
+    assert tool.summary_line("x", tool.judge([None], [1.0], "higher", 0.25)) == \
+        "x: (0/1 better): unresolved, a tree has no measured run"
+
+
 def test_a_gap_inside_the_parents_spread_is_unresolved(tool):
     change = [p + 10.0 for p in PARENT]  # ten wins, but 10 < the parent's IQR of 45
     got = tool.judge(PARENT, change, "higher", 0.25)

@@ -18,9 +18,9 @@ use seeds not used while the change was written.
 
 The output JSON holds every run (``untraced``) and, per workload and
 end-to-end metric of the change tree's ``BENCHMARK.json``, a ``summary``:
-the pairs run, in how many the change was better, both medians, the relative
-change, the parent's interquartile range, each tree's failed rounds and
-crashed runs, and a verdict. A side that crashed or failed a round has no
+the pairs run, in how many the change was better, each tree's median and
+quartiles, the relative change, the parent's interquartile range, each
+tree's failed rounds and crashed runs, and a verdict. A side that crashed or failed a round has no
 value: its pair is no win for the change, and the medians leave it out. A
 gain is claimed only when the change was better in at least 9 of every 10
 pairs, its median lies beyond the parent's interquartile range from the
@@ -62,11 +62,17 @@ def parse_seeds(text: str) -> list:
     return seeds
 
 
-def iqr(values) -> float:
-    """Upper minus lower quartile (inclusive method, as perfbench/run.py uses)."""
+def quartiles(values) -> tuple:
+    """Lower and upper quartile (inclusive method, as perfbench/run.py uses); one value's are it."""
     if len(values) < 2:
-        return 0.0
+        return values[0], values[0]
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def iqr(values) -> float:
+    """Upper minus lower quartile."""
+    q1, q3 = quartiles(values)
     return q3 - q1
 
 
@@ -99,6 +105,8 @@ def judge(parent, change, better: str, bound: float, failures=None, unit: str = 
         where = "inside" if -gain <= bound * abs(p_med) else "outside"
         verdict = f"unresolved, {where} its bound"
     return {**out, "parent_median": p_med, "change_median": c_med,
+            "parent_quartiles": list(quartiles(measured[0])),
+            "change_quartiles": list(quartiles(measured[1])),
             "rel": c_med / p_med - 1.0, "parent_iqr": spread, "verdict": verdict}
 
 
@@ -126,6 +134,13 @@ def summarize(untraced: dict, metrics) -> dict:
             out[f"{workload} {name}"] = judge(values["parent"], values["change"],
                                               m["better"], m["bound"], failures, m.get("unit", ""))
     return out
+
+
+def summary_line(key: str, s: dict) -> str:
+    """One summary entry as a line: each tree's median [lower, upper quartile], wins, verdict."""
+    medians = " -> ".join("{:.6g} [{:.6g}, {:.6g}]".format(s[f"{t}_median"], *s[f"{t}_quartiles"])
+                          for t in TREES) + " " if "parent_median" in s else ""
+    return f"{key}: {medians}({s['change_better']}/{s['pairs']} better): {s['verdict']}"
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
@@ -178,9 +193,7 @@ def main(argv=None) -> int:
                 with open(args.out, "w") as fh:
                     json.dump(record, fh, indent=1)
     for key, s in record["summary"].items():
-        medians = (f"{s['parent_median']:.6g} -> {s['change_median']:.6g} "
-                   if "parent_median" in s else "")
-        print(f"{key}: {medians}({s['change_better']}/{s['pairs']} better): {s['verdict']}")
+        print(summary_line(key, s))
     return 0
 
 
