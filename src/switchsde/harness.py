@@ -147,9 +147,11 @@ class ExperimentConfig:
             raise ConfigError(f"horizon must be positive, got {self.horizon}")
         if self.samples < 2:
             raise ConfigError("need at least 2 samples")
-        if not self.p_values or any(p < 2 for p in self.p_values):
+        if any(p < 2 for p in self.p_values):
             raise ConfigError("moment orders must all be at least 2")
         for name, entries in (("moment order", self.p_values), ("scheme", self.schemes)):
+            if not entries:
+                raise ConfigError(f"need at least one {name}")
             if len(set(entries)) != len(entries):
                 raise ConfigError(f"a {name} is listed twice in {list(entries)}")
         if not self.deltas:
@@ -159,7 +161,7 @@ class ExperimentConfig:
         if any(a <= b for a, b in zip(self.deltas, self.deltas[1:])):
             raise ConfigError("step ladder must be strictly descending")
         unknown = set(self.schemes) - {JUMP_ADAPTED, CLASSICAL}
-        if unknown or not self.schemes:
+        if unknown:
             raise ConfigError(f"unknown schemes {sorted(unknown)}")
         if self.reference not in (REFERENCE_CLOSED_FORM, REFERENCE_FINE_EM):
             raise ConfigError(f"unknown reference mode {self.reference!r}")
@@ -364,52 +366,47 @@ def _sup_errors(config: ExperimentConfig) -> np.ndarray:
     return sups.reshape(len(config.deltas), len(config.schemes), -1).swapaxes(0, 1)
 
 
+def _root_moments(sups: np.ndarray, p: int) -> list:
+    """(eps, stderr) of each row of ``sups``: its root p-th moment and delta-method error.
+
+    A row whose p-th powers leave the normal floats (std not finite, or the largest power's
+    square underflows) is reduced as its sups over its largest, finite and positive, and
+    scaled back, so eps is inf only where a sup is and 0 only where every sup is."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        powered = sups ** p
+        mean, std = powered.mean(axis=-1), powered.std(axis=-1, ddof=1)
+        top = sups.max(axis=-1)
+        redo = ((~np.isfinite(std) | (powered.max(axis=-1) < np.sqrt(np.finfo(float).tiny)))
+                & (top > 0.0) & (top < np.inf))
+        scaled = (sups[redo] / top[redo, None]) ** p
+        mean[redo], std[redo] = scaled.mean(axis=-1), scaled.std(axis=-1, ddof=1)
+    root_m = p * float(np.sqrt(sups.shape[-1]))
+    rows = []
+    for mu, sd, scale in zip(mean.tolist(), std.tolist(), np.where(redo, top, 1.0).tolist()):
+        eps = mu ** (1.0 / p)
+        stderr = eps ** (1 - p) * sd / root_m if 0 < eps < np.inf else eps
+        rows.append((eps * scale, stderr * scale))
+    return rows
+
+
 def run_strong_error(config: ExperimentConfig, threads: int = 1) -> ErrorReport:
     """Estimate root-L^p sup-errors across the step ladder and fit the order.
 
     One coupled (chain, Brownian) realization per sample drives every scheme
     and step size as well as the reference, so differences are discretization
-    error only. A ladder with an estimate of exactly zero (a scheme exact for
-    the model) or one that overflowed to inf is reported but not fitted.
+    error only. Each (scheme, delta) row is reduced by `_root_moments`. A ladder
+    with an estimate of exactly zero (a scheme exact for the model) or of inf (a
+    sup that overflowed, say in a closed-form reference) is reported but not fitted.
     ``threads`` is accepted for compatibility and changes nothing.
     """
-    all_sups = _sup_errors(config)
-    points = []
-    fits = []
-    m = config.samples
-    moments = {}  # per p, each (scheme, delta) row reduced along its contiguous samples,
-    for p in config.p_values:  # which rounds as the row's own mean and std
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed row is reported
-            powered = all_sups ** p
-            mean, std = powered.mean(axis=-1), powered.std(axis=-1, ddof=1)
-            # where only the squares overflowed: the std of the powers over 2^e, exact, times 2^e
-            redo = np.isfinite(mean) & np.isinf(std)
-            e = np.frexp(powered[redo].max(axis=-1))[1]
-            std[redo] = np.ldexp(np.ldexp(powered[redo], -e[:, None]).std(axis=-1, ddof=1), e)
-            # where the largest power's square underflows: sups over the largest, scaled back below
-            top = all_sups.max(axis=-1)
-            tiny = (powered.max(axis=-1) < np.sqrt(np.finfo(float).tiny)) & (top > 0.0)
-            scale = np.where(tiny, top, 1.0)
-            scaled = (all_sups[tiny] / top[tiny, None]) ** p
-            mean[tiny], std[tiny] = scaled.mean(axis=-1), scaled.std(axis=-1, ddof=1)
-        moments[p] = mean, std, scale
-    for si, scheme in enumerate(config.schemes):
+    points, fits = [], []
+    for sups, scheme in zip(_sup_errors(config), config.schemes):
         for p in config.p_values:
-            ladder = []
-            mean, std, scale = moments[p]
-            for di, delta in enumerate(config.deltas):
-                eps = float(mean[si, di]) ** (1.0 / p)
-                if eps == np.inf:  # the mean overflowed, and its error with it
-                    stderr = np.inf
-                elif eps > 0.0:
-                    stderr = eps ** (1 - p) * float(std[si, di]) / (p * np.sqrt(m))
-                else:
-                    stderr = 0.0
-                eps, stderr = eps * float(scale[si, di]), stderr * float(scale[si, di])
-                points.append(ErrorPoint(scheme, p, delta, eps, float(stderr), m))
-                ladder.append((delta, eps))
-            if all(0 < e < np.inf for _, e in ladder) and len(ladder) >= 2:
-                slope, intercept, r2 = estimate_order(ladder)
+            ladder = [ErrorPoint(scheme, p, delta, eps, stderr, config.samples)
+                      for delta, (eps, stderr) in zip(config.deltas, _root_moments(sups, p))]
+            points += ladder
+            if all(0 < pt.eps < np.inf for pt in ladder) and len(ladder) >= 2:
+                slope, intercept, r2 = estimate_order([(pt.delta, pt.eps) for pt in ladder])
                 fits.append(OrderFit(scheme, p, slope, intercept, r2))
     return ErrorReport(points=tuple(points), fits=tuple(fits))
 

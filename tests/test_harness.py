@@ -152,18 +152,20 @@ def test_config_rejects_regime_count_mismatch():
         linear_config(model=s.LinearHybridModel(a=[1.0], b=[1.0], z0=1.0))
 
 
-@pytest.mark.parametrize("overrides", [
-    {"horizon": float("nan")},  # a ValueError from uniform_points, unchecked
-    {"horizon": float("inf")},  # an OverflowError
-    {"deltas": (float("nan"),)},  # a ValueError
-    {"samples": 2.5},  # taken, then a TypeError from range when run
-    {"seed": 2.5},  # a TypeError from SeedSequence when run
-    {"reference": "fine-em", "ref_refinement": 1.5},  # a GridMismatchError when run
-    {"jump_budget": True},  # a bool is not a count
+@pytest.mark.parametrize("overrides, match", [
+    ({"horizon": float("nan")}, None),  # a ValueError from uniform_points, unchecked
+    ({"horizon": float("inf")}, None),  # an OverflowError
+    ({"deltas": (float("nan"),)}, None),  # a ValueError
+    ({"samples": 2.5}, None),  # taken, then a TypeError from range when run
+    ({"seed": 2.5}, None),  # a TypeError from SeedSequence when run
+    ({"reference": "fine-em", "ref_refinement": 1.5}, None),  # a GridMismatchError when run
+    ({"jump_budget": True}, None),  # a bool is not a count
+    ({"schemes": ()}, "^need at least one scheme$"),  # read "unknown schemes []"
+    ({"p_values": ()}, "^need at least one moment order$"),  # read "... at least 2"
 ], ids=["horizon-nan", "horizon-inf", "delta-nan", "samples-2.5", "seed-2.5",
-        "refinement-1.5", "budget-true"])
-def test_config_rejects_what_config_from_dict_rejects(overrides):
-    with pytest.raises(ConfigError):
+        "refinement-1.5", "budget-true", "schemes-empty", "p-empty"])
+def test_config_rejects_what_config_from_dict_rejects(overrides, match):
+    with pytest.raises(ConfigError, match=match):
         linear_config(**overrides)
 
 
@@ -352,16 +354,20 @@ def test_strong_error_fine_em_reference_for_trig():
         assert pt.eps > 0.0
 
 
-@pytest.mark.parametrize("p", [150, 290, 300, 390, 700, 1500])
-def test_large_moments_of_small_sups_are_finite_and_fitted(p):
+@pytest.mark.parametrize("b, p", [
+    *(pytest.param([0.2, 0.1], p, id=str(p)) for p in (150, 290, 300, 390, 700, 1500)),
+    *(pytest.param([2.0, 1.0], p, id=f"default-{p}") for p in (300, 1000))])
+def test_large_moments_of_small_sups_are_finite_and_fitted(b, p):
     """Sups near 0.08 to the power p: their squares underflow from p = 150, their mean
-    is subnormal at p = 290 and 390 and 0 at p = 300. Each (scheme, delta) row then
-    reduces the sups over its largest, whose power is 1, so eps and stderr match a
-    60-digit decimal reduction of the same sups and every ladder is fitted. Before,
-    stderr read 0.0 at p = 150, eps 0.0 at p = 300, and p = 290 and 390 raised
-    OverflowError. Sups scaled by a power of two instead, exactly, into [0.5, 1)
-    still gave stderr 0.0 at p = 700 and eps 0.0 at p = 1500."""
-    cfg = linear_config(model=s.LinearHybridModel(a=[1.0, 2.0], b=[0.2, 0.1], z0=1.0),
+    is subnormal at p = 290 and 390 and 0 at p = 300. The default model's sups, 2.8 to
+    11.2, to the power 300 or 1000: their squares overflow, and their mean too at 2^-4
+    (p = 300) or on every rung (p = 1000). Each (scheme, delta) row then reduces the
+    sups over its largest, whose power is 1, so eps and stderr match a 60-digit decimal
+    reduction of the same sups and every ladder is fitted. Before, stderr read 0.0 at
+    p = 150, eps 0.0 at p = 300, p = 290 and 390 raised OverflowError, and eps and
+    stderr read inf where the mean overflowed. Sups scaled by a power of two instead,
+    exactly, into [0.5, 1) still gave stderr 0.0 at p = 700 and eps 0.0 at p = 1500."""
+    cfg = linear_config(model=s.LinearHybridModel(a=[1.0, 2.0], b=b, z0=1.0),
                         deltas=(2.0**-4, 2.0**-5, 2.0**-6), samples=8, p_values=(2, p))
     report = s.run_strong_error(cfg)
     sups = harness._sup_errors(cfg)[0]
@@ -374,7 +380,11 @@ def test_large_moments_of_small_sups_are_finite_and_fitted(p):
             stderr = eps * var.sqrt() / mean / (p * decimal.Decimal(len(powers)).sqrt())
             assert pt.eps == pytest.approx(float(eps), rel=1e-12)
             assert pt.stderr == pytest.approx(float(stderr), rel=1e-9)
-    assert report.points_for(JUMP_ADAPTED, p)[-1].eps < 0.1
+    if b == [0.2, 0.1]:
+        assert report.points_for(JUMP_ADAPTED, p)[-1].eps < 0.1
+    else:  # the raw mean of the powers overflows on some row
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.mean(sups ** p, axis=-1)).any()
     assert report.fit_for(JUMP_ADAPTED, p) is not None
 
 

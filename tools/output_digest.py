@@ -20,7 +20,9 @@ change is one command:
 * ``chain simulate`` and ``chain validate``, with their exit codes;
 * the ``repr`` of ``moment_check``, ``local_error_scaling`` and
   ``run_strong_error`` on an n = d = 2 model with a fine-EM reference, and
-  of the two diagnostics on the default linear model;
+  of the two diagnostics on the default linear model, and of
+  ``run_strong_error`` on that model at p = 2, 300 and 1000, where the p-th
+  powers of some rows overflow and `harness._root_moments` rescales them;
 * the one-path API on the default linear model, called as the acceptance
   tests call it: the times and values of ``em_jump_adapted`` and
   ``em_classical``, and ``evaluate_path`` at every Brownian point, at seeds
@@ -157,6 +159,10 @@ def items(src: str):
             yield f"moment_check linear {tag}", repr(s.moment_check(linear)).encode()
             yield f"local_error_scaling linear {tag}", \
                 repr(s.local_error_scaling(linear)).encode()
+    for seed in SEEDS:
+        large = s.config_from_dict(dict(LINEAR, p=[2, 300, 1000], seed=seed, samples=SAMPLES))
+        yield f"run_strong_error linear p=2,300,1000 seed={seed}", \
+            repr(s.run_strong_error(large)).encode()
     yield from one_path_items(s)
 
 
